@@ -10,8 +10,15 @@ system process*:
 2. launch ``python -m repro serve <run_dir> --port 0`` as a subprocess,
 3. parse the ``REPRO-SERVE READY ... port=<n>`` line for the bound port,
 4. fire concurrent newline-delimited JSON requests over two sockets,
-5. cross-check a served answer against a direct in-process predictor,
-6. shut down over the wire and require a clean exit.
+5. cross-check served answers against a direct in-process predictor,
+6. require from the ``stats`` op that the index answered approximately
+   (no exhaustive query, a nonzero PQ scan),
+7. shut down over the wire and require a clean exit.
+
+The index probes 2 of 8 cells and prunes each probed union to 16
+candidates by PQ, so the daemon serves the approximate path — probed
+unions and the ADC prune — rather than the exact sweep a probe-all
+index falls back to.
 
 Exit code 0 means every step passed.  Stdlib only — no test framework —
 so it can run anywhere the library runs.
@@ -53,7 +60,9 @@ def build_run(run_dir: Path) -> None:
         ),
         model=ModelSection(name="complex", total_dim=8),
         training=TrainingSection(epochs=2, batch_size=256),
-        index=IndexSection(kind="ivf", nlist=8, nprobe=8),
+        # ComplEx total_dim 8 folds to width 8, so pq_m=4 divides it; a
+        # 2-of-8 probe unions ~50 of the 120 entities, above pq_refine.
+        index=IndexSection(kind="ivf", nlist=8, nprobe=2, pq_m=4, pq_refine=16),
     )
     run_pipeline(config, run_dir=run_dir)
 
@@ -107,25 +116,41 @@ def drive_connection(port: int, offset: int) -> list[dict]:
     return responses
 
 
+#: (side, anchor field, anchor, relation, filtered) of the cross-checked requests.
+CROSS_CHECKS = [
+    ("tail", "head", 11, 1, True),
+    ("tail", "head", 42, 0, False),
+    ("head", "tail", 7, 2, True),
+    ("head", "tail", 98, 1, False),
+    ("tail", "head", 63, 2, True),
+]
+
+
 def cross_check(run_dir: Path, port: int) -> None:
-    """One wire answer must match the in-process predictor exactly."""
+    """Single requests, sent one at a time so each is its own micro-batch,
+    must match single-row in-process calls exactly."""
     from repro.pipeline.runner import serve_run
     from repro.serving.server import k_bucket
 
     predictor = serve_run(str(run_dir), index="auto", on_stale="error")
-    expected = predictor.top_k_tails([11], [1], k=k_bucket(5), filtered=True)
     with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
-        conn.sendall(
-            json.dumps(
-                {"id": 0, "op": "top_k", "side": "tail", "head": 11,
-                 "relation": 1, "k": 5, "filtered": True}
-            ).encode() + b"\n"
-        )
-        response = json.loads(conn.makefile("r", encoding="utf-8").readline())
-    assert response["ok"] is True, response
-    assert response["ids"] == [int(i) for i in expected.ids[0, :5]], (
-        f"wire ids {response['ids']} != direct {expected.ids[0, :5]}"
-    )
+        reader = conn.makefile("r", encoding="utf-8")
+        for i, (side, field, anchor, relation, filtered) in enumerate(CROSS_CHECKS):
+            conn.sendall(
+                json.dumps(
+                    {"id": i, "op": "top_k", "side": side, field: anchor,
+                     "relation": relation, "k": 5, "filtered": filtered}
+                ).encode() + b"\n"
+            )
+            response = json.loads(reader.readline())
+            expected = predictor.top_k(
+                [anchor], [relation], side=side, k=k_bucket(5), filtered=filtered
+            )
+            assert response["ok"] is True, response
+            assert response["coalesced"] == 1, response
+            assert response["ids"] == [int(j) for j in expected.ids[0, :5]], (
+                f"wire ids {response['ids']} != direct {expected.ids[0, :5]}"
+            )
 
 
 def shutdown_over_wire(port: int) -> None:
@@ -135,6 +160,10 @@ def shutdown_over_wire(port: int) -> None:
         stats = json.loads(reader.readline())
         closing = json.loads(reader.readline())
     assert stats["stats"]["served"] >= 2 * REQUESTS_PER_CONNECTION, stats
+    # Every query took the approximate path: probed unions, PQ-pruned.
+    index = stats["stats"]["index"]
+    assert index["exhaustive_queries"] == 0, index
+    assert index["entities_scanned"] > 0, index
     assert closing["ok"] is True and closing["closing"] is True, closing
 
 
@@ -164,7 +193,7 @@ def main() -> int:
             drive_connection(port, offset=200)
             print("== serving smoke: 48 concurrent wire requests served ==")
             cross_check(run_dir, port)
-            print("== serving smoke: wire answer matches direct predictor ==")
+            print("== serving smoke: wire answers match direct predictor ==")
             shutdown_over_wire(port)
             rc = process.wait(timeout=30)
             remainder = process.stdout.read()

@@ -73,9 +73,13 @@ def model_fingerprint(model) -> str:
 class CandidateBatch:
     """Shortlists produced by one :meth:`CandidateIndex.candidate_lists` call.
 
-    ``rows`` holds one ascending int64 id array per query; it is ``None``
-    when ``covers_all`` is set (every entity would be listed, so the
-    caller should take its exact full-sweep path instead).
+    ``ids`` is a padded ``(b, width)`` int64 matrix: row ``i`` holds
+    query ``i``'s ascending shortlist in its first ``lengths[i]``
+    columns, and ``width`` is the longest shortlist.  Pad columns repeat
+    the row's last id (0 for an empty row), so every entry is a valid
+    entity id and a column slice can be scored as it is.  Both are
+    ``None`` when ``covers_all`` is set (every entity would be listed,
+    so the caller should take its exact full-sweep path instead).
     ``num_scored`` counts the candidate ids the caller will score —
     the quantity the sub-linear claim is measured in.  ``num_scanned``
     counts ids the index itself examined with a cheap approximate pass
@@ -83,10 +87,18 @@ class CandidateBatch:
     return the probed union unpruned.
     """
 
-    rows: list[np.ndarray] | None
+    ids: np.ndarray | None
+    lengths: np.ndarray | None
     covers_all: bool
     num_scored: int
     num_scanned: int = 0
+
+    @property
+    def rows(self) -> list[np.ndarray] | None:
+        """Each query's shortlist without its pad columns (views into ``ids``)."""
+        if self.ids is None:
+            return None
+        return [row[:length] for row, length in zip(self.ids, self.lengths)]
 
 
 @dataclass

@@ -41,7 +41,8 @@ class ExactIndex(CandidateIndex):
         if anchors.shape != relations.shape or anchors.ndim != 1:
             raise ServingError("anchors and relations must be 1-D arrays of equal length")
         return CandidateBatch(
-            rows=None,
+            ids=None,
+            lengths=None,
             covers_all=True,
             num_scored=len(anchors) * self.num_entities,
         )

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.interaction import MultiEmbeddingModel
+from repro.core.topk import top_k_columns
 from repro.errors import CorruptArtifactError, ServingError
 from repro.index.base import (
     CandidateBatch,
@@ -306,6 +307,48 @@ def _build_partition_task(task: tuple[int, str]):
         partition.codes,
         codebooks,
     )
+
+
+#: Candidates one pass of :meth:`IVFIndex.candidate_lists` holds at a time.
+_CANDIDATE_BUDGET = 1 << 16
+
+
+def _runs(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` runs of items whose *sizes* sum to at most
+    *budget* (an item larger than the budget runs alone)."""
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    while cuts[-1] < len(sizes):
+        done = ends[cuts[-1] - 1] if cuts[-1] else 0
+        stop = int(np.searchsorted(ends, done + budget, side="right"))
+        cuts.append(max(stop, cuts[-1] + 1))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _adc_select(pq_groups, luts, ids, starts, slots, spans, refine):
+    """The ``refine`` best of each of *slots* by ADC score.
+
+    One ADC call scores every candidate of every slot against that
+    slot's lookup table in *luts*; the scores are laid out one slot per
+    line (``-inf`` past each union) for one argpartition selection.
+    Returns the survivors' ascending positions in *ids*, one
+    ``(refine,)`` line per slot.
+    """
+    scan_slots = np.repeat(slots, spans)
+    scan_starts = np.cumsum(spans) - spans  # each slot's first scan entry
+    scan_ids = ids[np.arange(len(scan_slots)) + np.repeat(starts - scan_starts, spans)]
+    codes = np.empty((len(scan_ids), luts.shape[1]), dtype=np.uint8)
+    for partition, lo, hi, _ in pq_groups:
+        first, stop = np.searchsorted(scan_slots, [lo, hi])
+        # np.take copies whole code rows; fancy indexing is ~10x slower.
+        codes[first:stop] = np.take(partition.codes, scan_ids[first:stop], axis=0)
+    approx = ProductQuantizer.adc_scores(luts, codes, rows=scan_slots)
+    width = int(spans.max())
+    scores = np.full((len(slots), width), -np.inf)
+    scores.reshape(-1)[
+        np.arange(len(approx)) + np.repeat(np.arange(len(slots)) * width - scan_starts, spans)
+    ] = approx
+    return top_k_columns(scores, refine) + starts[:, None]
 
 
 class IVFIndex(CandidateIndex):
@@ -678,6 +721,13 @@ class IVFIndex(CandidateIndex):
         linearity of the fold this is exactly the model score of the
         centroid — descending, ties toward the lower cell id.  The
         returned rows are the sorted union of the probed cells' members.
+
+        Only the fold, the cell ranking and the PQ lookup tables run per
+        relation group.  The union, the ADC scan and the ``refine``
+        selection run across all rows and relations at once (in runs of
+        at most ``_CANDIDATE_BUDGET`` candidates): every ``(row, id)``
+        pair becomes one ``row·N + id`` key, so one sort orders and
+        dedupes every row, and rows stay id-ascending.
         """
         self.ensure_fresh()
         anchors = np.atleast_1d(np.asarray(anchors, dtype=np.int64))
@@ -686,60 +736,152 @@ class IVFIndex(CandidateIndex):
             raise ServingError("anchors and relations must be 1-D arrays of equal length")
         nprobe = self._check_nprobe(self.nprobe if nprobe is None else nprobe)
         batch = len(anchors)
+        num_entities = self.num_entities
         if nprobe >= self.nlist:
             return CandidateBatch(
-                rows=None, covers_all=True, num_scored=batch * self.num_entities
+                ids=None, lengths=None, covers_all=True, num_scored=batch * num_entities
             )
-        rows: list[np.ndarray | None] = [None] * batch
-        num_scored = 0
-        num_scanned = 0
-        pq_rows = 0
-        for relation in np.unique(relations):
+        # Work in "slots": the batch rows regrouped by relation (stable),
+        # so every relation group is one contiguous slot range.
+        order = np.argsort(relations, kind="stable")
+        group_relations, group_sizes = np.unique(relations, return_counts=True)
+        group_bounds = np.concatenate([[0], np.cumsum(group_sizes)])
+        groups = []  # (partition, first slot, stop slot, lookup tables or None)
+        cell_starts = np.empty((batch, nprobe), dtype=np.int64)
+        cell_sizes = np.empty((batch, nprobe), dtype=np.int64)
+        for relation, lo, hi in zip(group_relations, group_bounds[:-1], group_bounds[1:]):
             partition = self._partition(int(relation), side)
-            selectors = np.flatnonzero(relations == relation)
-            queries = self._source.query_matrix(anchors[selectors])
+            queries = self._source.query_matrix(anchors[order[lo:hi]])
             cell_scores = queries @ partition.centroids.T
-            probe_order = np.argsort(-cell_scores, axis=1, kind="stable")[:, :nprobe]
-            luts = (
-                partition.pq.lookup_tables(queries)
-                if partition.pq is not None
-                else None
+            probed = np.argsort(-cell_scores, axis=1, kind="stable")[:, :nprobe]
+            cell_starts[lo:hi] = partition.offsets[probed]
+            cell_sizes[lo:hi] = partition.offsets[probed + 1] - cell_starts[lo:hi]
+            luts = partition.pq.lookup_tables(queries) if partition.pq is not None else None
+            groups.append((partition, int(lo), int(hi), luts))
+
+        # Candidate arrays grow with rows x probed members, so slots are
+        # taken in runs of at most _CANDIDATE_BUDGET candidates: transient
+        # memory stays bounded at any batch size or entity count.  Every
+        # step is per row, so the runs change no result.
+        slot_totals = cell_sizes.sum(axis=1)
+        ids = np.empty(
+            int(slot_totals.sum()) + num_entities * int((slot_totals == 0).sum()),
+            dtype=np.int64,
+        )
+        lengths = np.empty(batch, dtype=np.int64)
+        filled = 0
+        for lo, hi in _runs(slot_totals, _CANDIDATE_BUDGET):
+            run_ids, run_lengths = self._union(
+                groups, cell_starts[lo:hi], cell_sizes[lo:hi], lo
             )
-            for position, (row_index, probed) in enumerate(zip(selectors, probe_order)):
-                pieces = [partition.cell(int(c)) for c in probed]
-                union = np.unique(np.concatenate(pieces)) if pieces else None
-                if union is None or not len(union):
-                    # Degenerate partition (all probed cells empty):
-                    # fall back to the full candidate range for this row.
-                    union = np.arange(self.num_entities, dtype=np.int64)
-                union = union.astype(np.int64, copy=False)
-                if luts is not None and len(union) > self.pq.refine:
-                    # ADC coarse pass: keep the refine best by approximate
-                    # score (descending, ties to the lower id — union is
-                    # ascending and the sort is stable), then restore the
-                    # ascending-id contract for the exact re-rank.
-                    with trace_scope("index.pq_prune", candidates=len(union)):
-                        approx = ProductQuantizer.adc_scores(
-                            luts[position], partition.codes[union]
-                        )
-                        keep = np.argsort(-approx, kind="stable")[: self.pq.refine]
-                    num_scanned += len(union)
-                    pq_rows += 1
-                    union = np.sort(union[keep])
-                rows[int(row_index)] = union
-                num_scored += len(union)
-        if pq_rows and obs_registry.active_registry() is not None:
-            # Each ADC row scanned its whole union and kept `refine` ids.
-            obs_registry.inc("index.pq.rows_pruned", pq_rows)
-            obs_registry.inc(
-                "index.pq.candidates_pruned", num_scanned - pq_rows * self.pq.refine
-            )
+            ids[filled : filled + len(run_ids)] = run_ids
+            lengths[lo:hi] = run_lengths
+            filled += len(run_ids)
+        ids = ids[:filled]
+        starts = np.cumsum(lengths) - lengths
+        pruned, kept, num_scanned = self._pq_prune(groups, ids, starts, lengths)
+
+        # Positions in `ids` that each slot's padded row reads: its whole
+        # union, or the ADC survivors of a pruned one.  Column c reads
+        # entry min(c, length-1), so pads repeat the row's last id.
+        width = int(lengths.max()) if batch else 0
+        reads = starts[:, None] + np.minimum(np.arange(width), lengths[:, None] - 1)
+        if len(pruned):
+            reads[pruned] = kept  # width == refine: no row is longer
+        # Back from slot order to the caller's row order.
+        slot_of_row = np.empty(batch, dtype=np.int64)
+        slot_of_row[order] = np.arange(batch)
+        row_lengths = lengths[slot_of_row]
         return CandidateBatch(
-            rows=rows,
+            ids=ids[reads[slot_of_row]],
+            lengths=row_lengths,
             covers_all=False,
-            num_scored=num_scored,
+            num_scored=int(row_lengths.sum()),
             num_scanned=num_scanned,
         )
+
+    def _union(self, groups, cell_starts, cell_sizes, first_slot):
+        """Sorted, deduplicated probed members of a run of slots.
+
+        Every probed CSR range is gathered at once: the member positions
+        of all ranges, overwritten by the members themselves with one
+        take per partition over its slots' contiguous share.  Each
+        ``(slot, id)`` pair is then one ``slot·N + id`` key, so one sort
+        orders every slot's ids and a neighbour mask drops repeats.
+        Returns ``(ids, lengths)``: the slots' ascending ids, concatenated.
+        """
+        num_entities = self.num_entities
+        count = len(cell_sizes)
+        totals = cell_sizes.sum(axis=1)
+        edges = np.concatenate([[0], np.cumsum(totals)])
+        sizes = cell_sizes.ravel()
+        keys = np.arange(edges[-1]) + np.repeat(
+            cell_starts.ravel() - (np.cumsum(sizes) - sizes), sizes
+        )
+        for partition, lo, hi, _ in groups:
+            lo, hi = max(lo - first_slot, 0), min(hi - first_slot, count)
+            if lo < hi:
+                share = slice(edges[lo], edges[hi])
+                keys[share] = partition.members[keys[share]]
+        base = np.arange(count, dtype=np.int64) * num_entities
+        keys += np.repeat(base, totals)
+        empty = np.flatnonzero(totals == 0)
+        if len(empty):
+            # Degenerate partition (all probed cells empty): fall back to
+            # the full candidate range for that row.
+            full = base[empty, None] + np.arange(num_entities)
+            keys = np.concatenate([keys, full.ravel()])
+        keys.sort()
+        distinct = np.empty(len(keys), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        lengths = np.diff(np.searchsorted(keys, np.append(base, count * num_entities)))
+        return keys - np.repeat(base, lengths), lengths
+
+    def _pq_prune(self, groups, ids, starts, lengths):
+        """ADC coarse pass: every slot whose union is longer than
+        ``pq.refine`` keeps its ``refine`` best by approximate score,
+        descending, ties to the lower id.
+
+        Returns ``(pruned, kept, num_scanned)``: the pruned slots, their
+        survivors' ascending positions in *ids* (one ``(refine,)`` line
+        per slot, ``None`` when no slot was pruned), and the candidates
+        scanned.  *lengths* is updated in place.  One ``index.pq_prune``
+        span covers the whole call.
+        """
+        pq_groups = [group for group in groups if group[3] is not None]
+        if not pq_groups:
+            return np.empty(0, dtype=np.int64), None, 0
+        refine = self.pq.refine
+        prunable = np.zeros(len(lengths), dtype=bool)
+        for _, lo, hi, _ in pq_groups:
+            prunable[lo:hi] = True
+        pruned = np.flatnonzero(prunable & (lengths > refine))
+        if not len(pruned):
+            return pruned, None, 0
+        kept = np.empty((len(pruned), refine), dtype=np.int64)
+        spans = lengths[pruned]
+        num_scanned = int(spans.sum())
+        # One table stack for the batch, so one ADC call can score
+        # candidates of several relations; ks may differ per partition.
+        luts = np.zeros(
+            (len(lengths), pq_groups[0][3].shape[1], max(g[3].shape[2] for g in pq_groups))
+        )
+        for _, lo, hi, group_luts in pq_groups:
+            luts[lo:hi, :, : group_luts.shape[2]] = group_luts
+        with trace_scope("index.pq_prune", rows=len(pruned), candidates=num_scanned):
+            for lo, hi in _runs(spans, _CANDIDATE_BUDGET):
+                kept[lo:hi] = _adc_select(
+                    pq_groups, luts, ids, starts[pruned[lo:hi]], pruned[lo:hi],
+                    spans[lo:hi], refine,
+                )
+        lengths[pruned] = refine
+        if obs_registry.active_registry() is not None:
+            # Each ADC row scanned its whole union and kept `refine` ids.
+            obs_registry.inc("index.pq.rows_pruned", len(pruned))
+            obs_registry.inc("index.pq.candidates_pruned", num_scanned - len(pruned) * refine)
+        return pruned, kept, num_scanned
 
     # ----------------------------------------------------------- persistence
     def _meta(self) -> dict:

@@ -38,6 +38,10 @@ _ENCODE_CHUNK_ELEMENTS = 1 << 22
 #: Codes are uint8: at most 256 centroids per subspace.
 MAX_CODEBOOK = 256
 
+#: Candidates per ADC block: keeps the ``(block, m)`` index and gather
+#: temporaries cache-resident however many candidates one call scans.
+_ADC_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class PQConfig:
@@ -255,15 +259,32 @@ class ProductQuantizer:
         return np.einsum("qms,mcs->qmc", blocks, self.codebooks, optimize=True)
 
     @staticmethod
-    def adc_scores(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Approximate inner products of one query against coded rows.
+    def adc_scores(
+        lut: np.ndarray, codes: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Approximate inner products of coded candidates, one per candidate.
 
-        *lut* is one query's ``(m, ks)`` table; *codes* the candidates'
-        ``(n, m)`` uint8 codes.  Cost: ``n·m`` gathers + adds.
+        *codes* are the candidates' ``(n, m)`` uint8 codes.  *lut* is one
+        query's ``(m, ks)`` table, or — with *rows* — a ``(b, m, ks)``
+        stack where candidate ``i`` is scored against ``lut[rows[i]]``,
+        so one call scans a whole batch.  Either way the ``(n, m)``
+        table entries are gathered first and summed along axis 1: a
+        candidate's score never depends on which call scanned it.
+        Cost: ``n·m`` gathers + adds, in cache-sized candidate blocks.
         """
-        m = lut.shape[0]
-        gathered = lut[np.arange(m)[None, :], codes.astype(np.int64, copy=False)]
-        return gathered.sum(axis=1)
+        m, ks = lut.shape[-2:]
+        flat = np.ascontiguousarray(lut).reshape(-1)
+        columns = np.arange(0, m * ks, ks, dtype=np.intp)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp) * (m * ks)
+        out = np.empty(len(codes), dtype=flat.dtype)
+        for start in range(0, len(codes), _ADC_BLOCK):
+            stop = start + _ADC_BLOCK
+            index = columns + codes[start:stop]
+            if rows is not None:
+                index += rows[start:stop, None]
+            flat[index].sum(axis=1, out=out[start:stop])
+        return out
 
     def scores(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """``(b, n)`` approximate inner products (convenience for tests)."""

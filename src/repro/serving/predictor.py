@@ -34,11 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.base import KGEModel
+from repro.core.topk import top_k_columns
 from repro.errors import ServingError
 from repro.kg.graph import FilterIndex, KGDataset
 from repro.obs.trace import trace_scope
 from repro.serving.cache import CacheStats, LRUScoreCache
 from repro.serving.scorer import BatchedScorer
+
+#: The two id slots a query of each side gives, as ``(anchors, others)``.
+QUERY_SLOTS = {
+    "tail": ("head", "relation"),
+    "head": ("tail", "relation"),
+    "relation": ("head", "tail"),
+}
 
 
 @dataclass(frozen=True)
@@ -306,35 +314,14 @@ class LinkPredictor:
         """Top-k columns per row: descending score, ties by ascending
         candidate position — the documented tie policy.
 
-        ``argpartition`` + a k-wide sort instead of a full row sort:
-        O(N + k log k) per row, which is what lets a serving micro-batch
-        amortise — a full ``argsort`` over ``(b, N)`` dominated batched
-        latency.  ``argpartition`` splits ties *at* the k-th value
-        arbitrarily, so rows whose boundary value also occurs outside
-        the kept set are repaired to keep the lowest positions before
-        ordering; everything else is exact by construction.
+        :func:`~repro.core.topk.top_k_columns` (argpartition + tie
+        repair) picks the set in O(N) per row, so only a k-wide sort
+        remains — a full ``argsort`` over ``(b, N)`` dominated batched
+        latency.
         """
-        num_cols = scores.shape[1]
-        if k >= num_cols:
-            order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-            return TopKResult(
-                ids=order, scores=np.take_along_axis(scores, order, axis=1)
-            )
-        kept = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        kept_scores = np.take_along_axis(scores, kept, axis=1)
-        threshold = kept_scores.min(axis=1)
-        tied = scores == threshold[:, None]
-        ambiguous = np.flatnonzero(
-            tied.sum(axis=1) != (kept_scores == threshold[:, None]).sum(axis=1)
-        )
-        for row in ambiguous:
-            above = kept[row][kept_scores[row] > threshold[row]]
-            ties = np.flatnonzero(tied[row])  # ascending position
-            kept[row, : len(above)] = above
-            kept[row, len(above):] = ties[: k - len(above)]
         # Ascending-position order first, then a stable descending-score
         # sort: ties therefore resolve toward the lower position.
-        kept.sort(axis=1)
+        kept = top_k_columns(scores, k)
         kept_scores = np.take_along_axis(scores, kept, axis=1)
         order = np.argsort(-kept_scores, axis=1, kind="stable")
         return TopKResult(
@@ -385,22 +372,17 @@ class LinkPredictor:
         ):
             for start in range(0, len(anchors), chunk):
                 stop = min(start + chunk, len(anchors))
-                rows = batch.rows[start:stop]
-                lengths = np.array([len(row) for row in rows], dtype=np.int64)
+                lengths = batch.lengths[start:stop]
                 width = int(lengths.max()) if len(lengths) else 0
                 if width == 0:
                     # Every shortlist in this chunk is empty (degenerate
                     # partitions): the output rows stay all-pad (-1/-inf).
                     continue
-                cands = np.empty((len(rows), width), dtype=np.int64)
-                for i, row in enumerate(rows):
-                    cands[i, : len(row)] = row
-                    if len(row) < width:
-                        # Pad with a valid id so scoring never indexes out
-                        # of range; an empty row has no last id, so fall
-                        # back to id 0.  Pad columns are masked to -inf
-                        # below either way.
-                        cands[i, len(row):] = row[-1] if len(row) else 0
+                # Cut to this chunk's longest row, so scoring sees the
+                # same shapes whatever the rest of the batch holds.  Pad
+                # columns hold valid ids (the row's last, or 0) and are
+                # masked to -inf below.
+                cands = np.ascontiguousarray(batch.ids[start:stop, :width])
                 scores = np.asarray(
                     self.scorer.score_candidates(
                         anchors[start:stop], relations[start:stop], cands, side
@@ -540,10 +522,7 @@ class LinkPredictor:
         """
         if k < 1:
             raise ServingError("k must be >= 1")
-        if side in ("tail", "head"):
-            return self._top_k_one_side(
-                anchors, others, k, side, filtered, candidates, exact=exact
-            )
+        self.check_ids(anchors, others, side)
         if side == "relation":
             if filtered:
                 raise ServingError(
@@ -555,9 +534,31 @@ class LinkPredictor:
                     "candidates are not supported for side='relation'"
                 )
             return self._top_k_relations(anchors, others, k)
-        raise ServingError(
-            f"unknown side {side!r}; expected 'tail', 'head' or 'relation'"
+        return self._top_k_one_side(
+            anchors, others, k, side, filtered, candidates, exact=exact
         )
+
+    def check_ids(self, anchors, others, side: str) -> None:
+        """Refuse any id outside the served model's tables.
+
+        Raises :class:`~repro.errors.ServingError` naming the first bad
+        id.  Unchecked, numpy indexing would answer a negative id as an
+        entity counted from the end of the table, and fail one past the
+        end with a bare ``IndexError``.  The serving daemon runs the same
+        check at admission, before a request can join a micro-batch.
+        """
+        if side not in QUERY_SLOTS:
+            raise ServingError(
+                f"unknown side {side!r}; expected 'tail', 'head' or 'relation'"
+            )
+        for slot, ids in zip(QUERY_SLOTS[side], (anchors, others)):
+            bound = (
+                self.model.num_relations if slot == "relation" else self.model.num_entities
+            )
+            ids = np.asarray(ids)
+            bad = ids[(ids < 0) | (ids >= bound)]
+            if bad.size:
+                raise ServingError(f"{slot} id {bad.flat[0]} out of range [0, {bound})")
 
     def top_k_tails(
         self,

@@ -113,7 +113,7 @@ from repro.obs.expo import prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import current_span_id, trace_scope
 from repro.reliability import faults
-from repro.serving.predictor import LinkPredictor
+from repro.serving.predictor import QUERY_SLOTS, LinkPredictor
 
 _LOG = logging.getLogger("repro.serving")
 
@@ -732,6 +732,10 @@ class PredictionServer:
             raise ServerClosedError("server is shutting down; request refused")
         if self._active is None:
             raise ServingError("no model deployed; call load_run/swap_predictor first")
+        # Range-check against the deployment admitting the request: one
+        # bad id must fail alone, never the micro-batch it would join.
+        first, second = int(first), int(second)
+        self._active.predictor.check_ids([first], [second], side)
         if len(self._pending) >= self.queue_depth:
             self.stats.rejected += 1
             raise ServerOverloadedError(
@@ -742,8 +746,8 @@ class PredictionServer:
         now = loop.time()
         request = _Pending(
             side=side,
-            first=int(first),
-            second=int(second),
+            first=first,
+            second=second,
             k=int(k),
             filtered=bool(filtered),
             future=loop.create_future(),
@@ -1058,11 +1062,9 @@ async def _handle_top_k(server: PredictionServer, message: dict) -> dict:
         not isinstance(deadline_ms, (int, float)) or isinstance(deadline_ms, bool)
     ):
         raise ServingError("deadline_ms must be a number (milliseconds)")
-    fields = {"tail": ("head", "relation"), "head": ("tail", "relation"),
-              "relation": ("head", "tail")}
-    if side not in fields:
-        raise ServingError(f"unknown side {side!r}; known: {sorted(fields)}")
-    names = fields[side]
+    if side not in QUERY_SLOTS:
+        raise ServingError(f"unknown side {side!r}; known: {sorted(QUERY_SLOTS)}")
+    names = QUERY_SLOTS[side]
     values = []
     for name in names:
         value = message.get(name)

@@ -70,8 +70,13 @@ class DegeneratePartitionIndex(CandidateIndex):
                 rows.append(np.empty(0, dtype=np.int64))
             else:
                 rows.append(np.arange(5, dtype=np.int64))
+        # Empty rows pad with id 0; the others all have the full width.
+        ids = np.zeros((len(rows), 5), dtype=np.int64)
+        for out, row in zip(ids, rows):
+            out[: len(row)] = row
+        lengths = np.array([len(row) for row in rows], dtype=np.int64)
         return CandidateBatch(
-            rows=rows, covers_all=False, num_scored=sum(len(r) for r in rows)
+            ids=ids, lengths=lengths, covers_all=False, num_scored=int(lengths.sum())
         )
 
     def invalidate(self):
