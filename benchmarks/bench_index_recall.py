@@ -156,7 +156,7 @@ def run_benchmark(
                 ]
             )
         )
-        probed = predictor.index_stats.probed_fraction
+        probed = predictor.index_stats_dict()["probed_fraction"]
         curve.append(
             {
                 "nprobe": nprobe,

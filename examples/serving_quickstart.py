@@ -60,9 +60,11 @@ def main() -> None:
             relation=dataset.relations.name(int(rel_id)),
             k=3,
         )
-    stats = predictor.cache_stats
-    print(f"\ncache after a repeat pass: {stats.hits} hits / {stats.misses} misses "
-          f"(hit rate {stats.hit_rate:.0%})")
+    snapshot = predictor.metrics_snapshot()
+    hits = snapshot.counters["serving.cache.hits"]
+    misses = snapshot.counters["serving.cache.misses"]
+    print(f"\ncache after a repeat pass: {hits} hits / {misses} misses "
+          f"(hit rate {snapshot.gauges['serving.cache.hit_rate']:.0%})")
 
     # 6. Batched head prediction and relation prediction, id-level API.
     test = dataset.test.array

@@ -11,9 +11,12 @@ system process*:
 3. parse the ``REPRO-SERVE READY ... port=<n>`` line for the bound port,
 4. fire concurrent newline-delimited JSON requests over two sockets,
 5. cross-check served answers against a direct in-process predictor,
-6. require from the ``stats`` op that the index answered approximately
-   (no exhaustive query, a nonzero PQ scan),
-7. shut down over the wire and require a clean exit.
+6. send an oversize request line and require a ``too_large`` reply
+   followed by a correct answer on the same connection,
+7. require from the ``stats`` op that the index answered approximately
+   (no exhaustive query, a nonzero PQ scan), and from the ``metrics``
+   op the same query count plus nonzero PQ pruning,
+8. shut down over the wire and require a clean exit.
 
 The index probes 2 of 8 cells and prunes each probed union to 16
 candidates by PQ, so the daemon serves the approximate path — probed
@@ -126,13 +129,17 @@ CROSS_CHECKS = [
 ]
 
 
-def cross_check(run_dir: Path, port: int) -> None:
+def direct_predictor(run_dir: Path):
+    from repro.pipeline.runner import serve_run
+
+    return serve_run(str(run_dir), index="auto", on_stale="error")
+
+
+def cross_check(predictor, port: int) -> None:
     """Single requests, sent one at a time so each is its own micro-batch,
     must match single-row in-process calls exactly."""
-    from repro.pipeline.runner import serve_run
     from repro.serving.server import k_bucket
 
-    predictor = serve_run(str(run_dir), index="auto", on_stale="error")
     with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
         reader = conn.makefile("r", encoding="utf-8")
         for i, (side, field, anchor, relation, filtered) in enumerate(CROSS_CHECKS):
@@ -153,17 +160,44 @@ def cross_check(run_dir: Path, port: int) -> None:
             )
 
 
+def oversize_line(predictor, port: int) -> None:
+    """A line past the daemon's read limit gets one ``too_large`` reply;
+    the next request on the same connection is still answered."""
+    from repro.serving.server import MAX_LINE_BYTES, k_bucket
+
+    pad = "x" * (3 * MAX_LINE_BYTES)
+    request = {"id": 1, "op": "top_k", "side": "tail", "head": 11, "relation": 1, "k": 5}
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+        conn.sendall(
+            (json.dumps({"id": 0, "op": "ping", "pad": pad}) + "\n"
+             + json.dumps(request) + "\n").encode()
+        )
+        reader = conn.makefile("r", encoding="utf-8")
+        refused = json.loads(reader.readline())
+        answered = json.loads(reader.readline())
+    assert refused["ok"] is False and refused["error"]["code"] == "too_large", refused
+    expected = predictor.top_k([11], [1], side="tail", k=k_bucket(5))
+    assert answered["id"] == 1 and answered["ok"] is True, answered
+    assert answered["ids"] == [int(j) for j in expected.ids[0, :5]], answered
+
+
 def shutdown_over_wire(port: int) -> None:
     with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
-        conn.sendall(b'{"id": 0, "op": "stats"}\n{"id": 1, "op": "shutdown"}\n')
+        conn.sendall(b'{"id": 0, "op": "stats"}\n{"id": 1, "op": "metrics"}\n')
         reader = conn.makefile("r", encoding="utf-8")
-        stats = json.loads(reader.readline())
+        replies = [json.loads(reader.readline()) for _ in range(2)]
+        stats, metrics = sorted(replies, key=lambda reply: reply["id"])
+        conn.sendall(b'{"id": 2, "op": "shutdown"}\n')
         closing = json.loads(reader.readline())
     assert stats["stats"]["served"] >= 2 * REQUESTS_PER_CONNECTION, stats
     # Every query took the approximate path: probed unions, PQ-pruned.
     index = stats["stats"]["index"]
     assert index["exhaustive_queries"] == 0, index
     assert index["entities_scanned"] > 0, index
+    # The metrics op renders the same counters, the index's own included.
+    counters = metrics["metrics"]["metrics"]["counters"]
+    assert counters["index.queries"] == index["queries"], (counters, index)
+    assert counters["index.pq.rows_pruned"] > 0, counters
     assert closing["ok"] is True and closing["closing"] is True, closing
 
 
@@ -192,8 +226,11 @@ def main() -> int:
             drive_connection(port, offset=100)
             drive_connection(port, offset=200)
             print("== serving smoke: 48 concurrent wire requests served ==")
-            cross_check(run_dir, port)
+            predictor = direct_predictor(run_dir)
+            cross_check(predictor, port)
             print("== serving smoke: wire answers match direct predictor ==")
+            oversize_line(predictor, port)
+            print("== serving smoke: oversize line refused, connection kept ==")
             shutdown_over_wire(port)
             rc = process.wait(timeout=30)
             remainder = process.stdout.read()

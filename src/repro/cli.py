@@ -434,19 +434,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         index=index,
         recall_sample_every=1 if (args.stats and index is not None) else 0,
     )
-    from repro.obs import MetricsRegistry, metrics_scope
-
-    # Ambient registry so index-level counters (e.g. the PQ prune pass)
-    # land somewhere --stats can report them from.
-    registry = MetricsRegistry()
-    with metrics_scope(registry):
-        predictions = predictor.predict(
-            head=args.head,
-            relation=args.relation,
-            tail=args.tail,
-            k=args.top,
-            filtered=not args.raw,
-        )
+    predictions = predictor.predict(
+        head=args.head,
+        relation=args.relation,
+        tail=args.tail,
+        k=args.top,
+        filtered=not args.raw,
+    )
     missing = "relation" if args.relation is None else ("tail" if args.tail is None else "head")
     query = (args.head or "?", args.relation or "?", args.tail or "?")
     print(f"{model.name}: top-{len(predictions)} {missing} candidates for "
@@ -456,28 +450,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         shown = f"{score:>10.4f}" if np.isfinite(score) else "  filtered"
         print(f"{rank:>4} {name:<28} {shown}")
     if args.stats:
-        cache = predictor.cache_stats
-        if cache is not None:
-            print(f"\ncache: hit-rate {cache.hit_rate:.1%} "
-                  f"({cache.hits} hits / {cache.misses} misses, "
-                  f"size {cache.size}/{cache.capacity})")
-        stats = predictor.index_stats
-        if stats is not None and stats.queries:
-            recall = stats.recall_estimate
-            shown_recall = f"{recall:.3f}" if recall is not None else "n/a"
-            print(f"index: probed {stats.probed_fraction:.1%} of entities per query "
-                  f"({stats.entities_scored:,} of "
-                  f"{stats.queries * stats.num_entities:,}); "
-                  f"sampled recall@{args.top} {shown_recall}")
-            fold = getattr(predictor.index, "fold_cache_stats", None)
-            if fold is not None:
-                print(f"fold cache: {fold.hits} hits / {fold.misses} misses, "
-                      f"{fold.evictions} evictions, {fold.store_hits} store hits")
-        from repro.obs import prometheus_text, publish_predictor_metrics
+        from repro.obs import prometheus_text
 
-        publish_predictor_metrics(registry, predictor)
         print("\nregistry metrics:")
-        print(prometheus_text(registry.snapshot()).rstrip())
+        print(prometheus_text(predictor.metrics_snapshot()).rstrip())
     return 0
 
 
@@ -574,7 +550,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.core.serialization import load_model, save_model
+    from repro.core.serialization import save_model
     from repro.ingest import GraphDelta, ingest_delta
     from repro.kg.io import save_dataset_directory
     from repro.pipeline.runner import load_run, load_run_index
@@ -584,9 +560,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     loaded = load_run(run_dir)
     config = loaded.config
-    # The warm-start fine-tuner updates rows in place; memmap checkpoints
-    # load read-only, so rehydrate the tables as private writable arrays.
-    model = load_model(run_dir / "checkpoint", memmap=False)
+    model = loaded.model
     dataset = (
         load_dataset_directory(args.dataset) if args.dataset else loaded.build_dataset()
     )

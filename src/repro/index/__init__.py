@@ -39,7 +39,6 @@ _LAZY_EXPORTS = {
     "CandidateBatch": "repro.index.base",
     "CandidateIndex": "repro.index.base",
     "IndexBuildReport": "repro.index.base",
-    "IndexUsageStats": "repro.index.base",
     "load_index": "repro.index.base",
     "model_fingerprint": "repro.index.base",
     "read_index_meta": "repro.index.base",

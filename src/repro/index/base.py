@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.interaction import MultiEmbeddingModel
 from repro.core.memstore import STORE_META_FILE, MemStore
 from repro.errors import CorruptArtifactError, ServingError, StaleIndexError
+from repro.obs.registry import MetricsRegistry
 from repro.reliability.atomic import atomic_write_bytes, atomic_write_json, npz_bytes
 from repro.reliability.manifest import sha256_bytes, sha256_file
 
@@ -102,55 +103,6 @@ class CandidateBatch:
 
 
 @dataclass
-class IndexUsageStats:
-    """Per-predictor bookkeeping of what an index actually saved.
-
-    Maintained by :class:`~repro.serving.predictor.LinkPredictor` across
-    its index-served queries; ``recall_*`` fields are filled only when
-    recall sampling is enabled (see ``recall_sample_every``).
-    """
-
-    num_entities: int
-    queries: int = 0
-    entities_scored: int = 0
-    entities_scanned: int = 0
-    exhaustive_queries: int = 0
-    recall_checks: int = 0
-    recall_total: float = 0.0
-    fold_cache_hits: int = 0
-    fold_cache_misses: int = 0
-
-    @property
-    def probed_fraction(self) -> float:
-        """Mean fraction of the entity table scored per query (1.0 = exhaustive)."""
-        if not self.queries or not self.num_entities:
-            return 0.0
-        return self.entities_scored / (self.queries * self.num_entities)
-
-    @property
-    def recall_estimate(self) -> float | None:
-        """Mean sampled recall@k against the exact path, or None if unsampled."""
-        if not self.recall_checks:
-            return None
-        return self.recall_total / self.recall_checks
-
-    def to_dict(self) -> dict:
-        """JSON-compatible snapshot, derived properties included."""
-        return {
-            "num_entities": self.num_entities,
-            "queries": self.queries,
-            "entities_scored": self.entities_scored,
-            "entities_scanned": self.entities_scanned,
-            "exhaustive_queries": self.exhaustive_queries,
-            "recall_checks": self.recall_checks,
-            "probed_fraction": self.probed_fraction,
-            "recall_estimate": self.recall_estimate,
-            "fold_cache_hits": self.fold_cache_hits,
-            "fold_cache_misses": self.fold_cache_misses,
-        }
-
-
-@dataclass
 class IndexBuildReport:
     """What an eager :meth:`CandidateIndex.build` call did."""
 
@@ -161,7 +113,13 @@ class IndexBuildReport:
 
 
 class CandidateIndex(abc.ABC):
-    """Abstract candidate shortlist generator over one model's entities."""
+    """Abstract candidate shortlist generator over one model's entities.
+
+    :attr:`metrics` holds the counters of events the index owns (the
+    IVF fold cache and PQ pruning); a serving deployment renders them
+    with its predictor's.  Every kind reports fold-cache hits and misses,
+    zero when it has no fold cache.
+    """
 
     #: Registry/persistence discriminator; set by subclasses.
     kind: str = "base"
@@ -174,6 +132,9 @@ class CandidateIndex(abc.ABC):
         self.model = model
         self.on_stale = on_stale
         self._version = model.scoring_version
+        self.metrics = MetricsRegistry()
+        for name in ("index.fold_cache.hits", "index.fold_cache.misses"):
+            self.metrics.inc(name, 0)
 
     # ------------------------------------------------------------- interface
     @property

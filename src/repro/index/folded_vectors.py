@@ -36,7 +36,6 @@ today's index.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,27 +43,7 @@ from repro.core.base import CANDIDATE_SIDES
 from repro.core.interaction import MultiEmbeddingModel
 from repro.core.memstore import MemStore
 from repro.errors import ServingError
-
-
-@dataclass
-class FoldCacheStats:
-    """Counters of how the folded-matrix cache behaved.
-
-    ``misses`` counts matrices that were not in the LRU; of those,
-    ``store_hits`` were satisfied by re-mapping a materialized store
-    entry instead of recomputing the fold.  ``evictions`` counts LRU
-    drops — a high rate against few relations means ``max_cached`` is
-    too small and the same folds are being recomputed over and over
-    (the thrash the cache exists to prevent).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    store_hits: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+from repro.obs.registry import MetricsRegistry
 
 
 def fold_store_key(relation: int, side: str) -> str:
@@ -145,6 +124,12 @@ class FoldedCandidateSource:
     used read-through: cache misses check it before folding, and
     :meth:`materialize` fills it.  Store entries are trusted only while
     their stamped fingerprint matches the model's parameters.
+
+    Cache outcomes are counted into *metrics* (the owning index's
+    registry; a private one by default) as ``index.fold_cache.*``:
+    ``misses`` of which ``store_hits`` re-mapped a materialized fold, and
+    ``evictions`` — a high rate against few relations means
+    ``max_cached`` is too small and folds are recomputed over and over.
     """
 
     def __init__(
@@ -152,6 +137,7 @@ class FoldedCandidateSource:
         model: MultiEmbeddingModel,
         max_cached: int = 2,
         store: MemStore | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if not isinstance(model, MultiEmbeddingModel):
             raise ServingError(
@@ -163,7 +149,9 @@ class FoldedCandidateSource:
         self.model = model
         self.max_cached = int(max_cached)
         self.store = store
-        self.stats = FoldCacheStats()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        for name in ("hits", "misses", "evictions", "store_hits"):
+            self.metrics.inc("index.fold_cache." + name, 0)
         self._cache: OrderedDict[tuple[int, str], np.ndarray] = OrderedDict()
         self._cache_version = model.scoring_version
         # None = not yet checked; checked lazily because fingerprinting
@@ -256,7 +244,7 @@ class FoldedCandidateSource:
         Cached entries are dropped whenever the model trains, so a
         matrix handed out here always matches the current parameters.
         Misses consult the backing store (if any) before recomputing the
-        fold; all outcomes are counted in :attr:`stats`.
+        fold; all outcomes are counted in :attr:`metrics`.
         """
         if self._cache_version != self.version:
             self._cache.clear()
@@ -268,17 +256,17 @@ class FoldedCandidateSource:
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
-            self.stats.hits += 1
+            self.metrics.inc("index.fold_cache.hits")
             return hit
-        self.stats.misses += 1
+        self.metrics.inc("index.fold_cache.misses")
         name = fold_store_key(int(relation), side)
         if self.store is not None and name in self.store and self._store_ok():
             matrix = self.store.get(name)
-            self.stats.store_hits += 1
+            self.metrics.inc("index.fold_cache.store_hits")
         else:
             matrix = fold_candidate_matrix(self.model, int(relation), side)
         if len(self._cache) >= self.max_cached:
             self._cache.popitem(last=False)
-            self.stats.evictions += 1
+            self.metrics.inc("index.fold_cache.evictions")
         self._cache[key] = matrix
         return matrix

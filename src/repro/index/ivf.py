@@ -52,13 +52,8 @@ from repro.index.base import (
     read_index_arrays,
     read_index_meta,
 )
-from repro.index.folded_vectors import (
-    FoldCacheStats,
-    FoldedCandidateSource,
-    fold_candidate_rows,
-)
+from repro.index.folded_vectors import FoldedCandidateSource, fold_candidate_rows
 from repro.index.pq import PQConfig, ProductQuantizer
-from repro.obs import registry as obs_registry
 from repro.obs.trace import trace_scope
 from repro.parallel.payload import ModelPayload, model_from_payload, model_to_payload
 from repro.parallel.pool import run_tasks
@@ -413,7 +408,9 @@ class IVFIndex(CandidateIndex):
         workers: int = 0,
     ) -> None:
         super().__init__(model, on_stale=on_stale)
-        self._source = FoldedCandidateSource(model, max_cached=fold_cache, store=fold_store)
+        self._source = FoldedCandidateSource(
+            model, max_cached=fold_cache, store=fold_store, metrics=self.metrics
+        )
         n = model.num_entities
         if nlist is None:
             nlist = max(1, min(n, int(round(2.0 * math.sqrt(n)))))
@@ -449,11 +446,6 @@ class IVFIndex(CandidateIndex):
         self._partitions: dict[tuple[int, str], _Partition] = {}
         self.partitions_built = 0
         self.rebuilds = 0
-
-    @property
-    def fold_cache_stats(self) -> FoldCacheStats:
-        """Hit/miss/eviction counters of the folded-matrix cache."""
-        return self._source.stats
 
     # --------------------------------------------------------------- knobs
     def _check_nprobe(self, nprobe: int) -> int:
@@ -877,10 +869,9 @@ class IVFIndex(CandidateIndex):
                     spans[lo:hi], refine,
                 )
         lengths[pruned] = refine
-        if obs_registry.active_registry() is not None:
-            # Each ADC row scanned its whole union and kept `refine` ids.
-            obs_registry.inc("index.pq.rows_pruned", len(pruned))
-            obs_registry.inc("index.pq.candidates_pruned", num_scanned - len(pruned) * refine)
+        # Each ADC row scanned its whole union and kept `refine` ids.
+        self.metrics.inc("index.pq.rows_pruned", len(pruned))
+        self.metrics.inc("index.pq.candidates_pruned", num_scanned - len(pruned) * refine)
         return pruned, kept, num_scanned
 
     # ----------------------------------------------------------- persistence

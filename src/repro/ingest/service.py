@@ -118,11 +118,10 @@ def ingest_delta(
                 else:
                     index.invalidate()
     elapsed = time.perf_counter() - start
-    if obs_registry.active_registry() is not None:
-        obs_registry.inc("ingest.deltas_applied")
-        obs_registry.inc("ingest.triples_added", stats.num_added)
-        obs_registry.inc("ingest.triples_deleted", stats.num_deleted)
-        obs_registry.observe("ingest.delta_seconds", elapsed)
+    obs_registry.inc("ingest.deltas_applied")
+    obs_registry.inc("ingest.triples_added", stats.num_added)
+    obs_registry.inc("ingest.triples_deleted", stats.num_deleted)
+    obs_registry.observe("ingest.delta_seconds", elapsed)
     return IngestOutcome(
         dataset=new_dataset,
         stats=stats,

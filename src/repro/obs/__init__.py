@@ -22,10 +22,11 @@ did this slow request spend its time?".  This package unifies them:
     from the artifact manifest — telemetry never changes what a run
     hashes to).
 
-:mod:`repro.obs.expo` / :mod:`repro.obs.summary` / :mod:`repro.obs.collect`
-    Read side: Prometheus-style text dump, the ``repro obs`` span-tree
-    summary, and publication of cache/index tallies as first-class
-    registry metrics.
+:mod:`repro.obs.expo` / :mod:`repro.obs.summary`
+    Read side: Prometheus-style text dump and the ``repro obs``
+    span-tree summary.  Components that own long-lived counters (the
+    serving daemon, the predictor, the index) hold their own registry
+    instances and merge snapshots at read time.
 
 Like :mod:`repro.index`, the package is lazy (PEP 562): importing
 ``repro.obs`` pays for nothing until an attribute is touched, and the
@@ -55,7 +56,6 @@ _LAZY_EXPORTS = {
     "telemetry_scope": "repro.obs.trace",
     "trace_scope": "repro.obs.trace",
     "prometheus_text": "repro.obs.expo",
-    "publish_predictor_metrics": "repro.obs.collect",
     "TELEMETRY_FILE": "repro.obs.summary",
     "load_telemetry": "repro.obs.summary",
     "render_span_tree": "repro.obs.summary",

@@ -15,13 +15,14 @@ families, all with deterministic state given a deterministic workload:
     chosen at first observe and frozen into the snapshot; merging sums
     per-bucket counts, so quantile estimates compose across processes.
 
-Instrumented code never talks to a registry instance directly — it
-calls the module-level :func:`inc` / :func:`gauge_set` /
-:func:`observe` free functions, which are a ``None``-check no-op unless
-a registry has been installed with :func:`install_metrics_registry`
-(exactly the :func:`repro.reliability.faults.install_fault_injector`
-discipline, so the disabled path costs one global load and one
-comparison).
+Process-wide instrumentation (training, eval, pool, ingest) calls the
+module-level :func:`inc` / :func:`gauge_set` / :func:`observe` free
+functions, which are a ``None``-check no-op unless a registry has been
+installed with :func:`install_metrics_registry` (exactly the
+:func:`repro.reliability.faults.install_fault_injector` discipline, so
+the disabled path costs one global load and one comparison).  Serving
+components (daemon, predictor, index) own a registry instance each and
+write it directly.
 
 Snapshots (:class:`MetricsSnapshot`) are frozen, picklable, and merge
 with :meth:`MetricsSnapshot.merged` — the parallel pool attaches one to
@@ -238,11 +239,13 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """One process-local (or component-local) metrics store.
 
-    Not thread-safe for concurrent structural mutation by design — the
-    serving daemon serialises hot-path writes through its event loop
-    and scoring happens one micro-batch group at a time; worker
-    processes each own a private registry.  Plain ``dict`` operations
-    keep the enabled path cheap.
+    Each metric has one writing thread — in the serving daemon the
+    scoring thread writes the predictor's and the index's registries,
+    the event loop the server's ``server.*`` metrics and a live delta's
+    ingest thread its ``ingest.*`` ones — and worker processes each own
+    a private registry.  Reads may come from any thread: :meth:`snapshot`
+    copies each store before walking it.  Plain ``dict`` operations keep
+    the enabled path cheap.
     """
 
     def __init__(self) -> None:
@@ -254,9 +257,10 @@ class MetricsRegistry:
     def inc(self, name: str, amount: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    def set_counter(self, name: str, value: int) -> None:
-        """Overwrite a counter (used by thin views like ``ServerStats``)."""
-        self._counters[name] = int(value)
+    def counter_max(self, name: str, value: int) -> None:
+        """Raise a high-water-mark counter to *value* if it is higher."""
+        if value > self._counters.get(name, 0):
+            self._counters[name] = int(value)
 
     def counter_value(self, name: str) -> int:
         return self._counters.get(name, 0)
@@ -305,12 +309,15 @@ class MetricsRegistry:
                 del store[name]
 
     def snapshot(self) -> MetricsSnapshot:
+        # dict(...) copies in C without running Python code, so a writer
+        # thread cannot add a name mid-copy.  Walking items() instead, even
+        # into list(...), allocates tuples; a GC pass they trigger can run
+        # finalizers, which hand the interpreter lock to that writer.
+        histograms = dict(self._histograms)
         return MetricsSnapshot(
             counters=dict(self._counters),
             gauges=dict(self._gauges),
-            histograms={
-                name: hist.snapshot() for name, hist in self._histograms.items()
-            },
+            histograms={name: hist.snapshot() for name, hist in histograms.items()},
         )
 
     def merge(self, snapshot: MetricsSnapshot) -> None:

@@ -68,7 +68,7 @@ See ``examples/serving_quickstart.py`` for an end-to-end script and
 numbers behind the design.
 """
 
-from repro.serving.cache import CacheStats, LRUScoreCache
+from repro.serving.cache import LRUScoreCache
 from repro.serving.folded import RelationFoldedScorer
 from repro.serving.predictor import LinkPredictor, TopKResult
 from repro.serving.scorer import BatchedScorer
@@ -82,7 +82,6 @@ from repro.serving.server import (
 
 __all__ = [
     "BatchedScorer",
-    "CacheStats",
     "Deployment",
     "LRUScoreCache",
     "LinkPredictor",

@@ -4,15 +4,15 @@ A production link-prediction service sees highly skewed query
 distributions (popular entities and relations repeat constantly), so
 caching the ``(num_entities,)`` score vector of a ``(entity, relation,
 side)`` query amortises the scoring cost across requests.  The cache is
-a plain ordered-dict LRU with hit/miss/eviction counters; invalidation
-is the caller's job (the :class:`~repro.serving.predictor.LinkPredictor`
-clears it whenever the model's ``scoring_version`` changes).
+a plain ordered-dict LRU; invalidation and hit/miss/eviction counting
+are the caller's job (the :class:`~repro.serving.predictor.LinkPredictor`
+clears it whenever the model's ``scoring_version`` changes and counts
+each call's outcomes into its metrics registry).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +20,6 @@ from repro.errors import ServingError
 
 #: Cache key: (entity id, relation id, side).
 CacheKey = tuple[int, int, str]
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Counters accumulated over the lifetime of one cache."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    capacity: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class LRUScoreCache:
@@ -51,18 +34,12 @@ class LRUScoreCache:
             raise ServingError("cache capacity must be >= 1")
         self.capacity = int(capacity)
         self._entries: OrderedDict[CacheKey, np.ndarray] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def get(self, key: CacheKey) -> np.ndarray | None:
         """The cached vector for *key* (refreshing its recency), or None."""
         entry = self._entries.get(key)
-        if entry is None:
-            self._misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self._hits += 1
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
     def put(self, key: CacheKey, scores: np.ndarray) -> None:
@@ -73,23 +50,11 @@ class LRUScoreCache:
             self._entries.move_to_end(key)
         elif len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
-            self._evictions += 1
         self._entries[key] = frozen
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept — they describe the lifetime)."""
+        """Drop every entry."""
         self._entries.clear()
-
-    @property
-    def stats(self) -> CacheStats:
-        """A snapshot of the hit/miss/eviction counters."""
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._entries),
-            capacity=self.capacity,
-        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -98,8 +63,4 @@ class LRUScoreCache:
         return key in self._entries
 
     def __repr__(self) -> str:
-        s = self.stats
-        return (
-            f"LRUScoreCache(size={s.size}/{s.capacity}, hits={s.hits}, "
-            f"misses={s.misses}, evictions={s.evictions})"
-        )
+        return f"LRUScoreCache(size={len(self)}/{self.capacity})"

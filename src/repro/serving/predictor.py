@@ -18,7 +18,11 @@ connect (h, t)?"* for whole batches of queries at once, with
   :class:`~repro.index.base.CandidateIndex`: the index proposes a
   per-query shortlist (O(num_probed) instead of O(num_entities)) and
   the predictor re-ranks it with true model scores, tracking probed
-  fraction and (sampled) recall in :attr:`LinkPredictor.index_stats`.
+  fraction and (sampled) recall (:meth:`LinkPredictor.index_stats_dict`).
+
+Cache and index-usage counters are written once per call into
+:attr:`LinkPredictor.metrics`; :meth:`LinkPredictor.metrics_snapshot`
+merges them with the index's own registry and derives the ratios.
 
 Ties are broken deterministically in favour of the lower entity id
 (stable sort on descending score), so repeated and batched calls always
@@ -37,8 +41,9 @@ from repro.core.base import KGEModel
 from repro.core.topk import top_k_columns
 from repro.errors import ServingError
 from repro.kg.graph import FilterIndex, KGDataset
+from repro.obs.registry import MetricsRegistry, MetricsSnapshot
 from repro.obs.trace import trace_scope
-from repro.serving.cache import CacheStats, LRUScoreCache
+from repro.serving.cache import LRUScoreCache
 from repro.serving.scorer import BatchedScorer
 
 #: The two id slots a query of each side gives, as ``(anchors, others)``.
@@ -47,6 +52,9 @@ QUERY_SLOTS = {
     "head": ("tail", "relation"),
     "relation": ("head", "tail"),
 }
+
+#: Bucket bounds of the ``index.recall`` histogram (sampled recall@k).
+RECALL_BUCKETS = (0.5, 0.8, 0.9, 0.95, 0.99, 1.0)
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,8 @@ class LinkPredictor:
         bit-identical to serving without an index.
     recall_sample_every:
         When an index is active and this is ``> 0``, every Nth
-        approximate query is additionally answered exactly and the
-        recall@k overlap recorded in :attr:`index_stats` (``0`` — the
+        approximate query is additionally answered exactly and its
+        recall@k recorded in the ``index.recall`` histogram (``0`` — the
         default — disables sampling; each sampled query pays one full
         sweep).
     """
@@ -150,16 +158,20 @@ class LinkPredictor:
         self._model_version = model.scoring_version
         self.index = index
         self.recall_sample_every = int(recall_sample_every)
-        self._index_stats = None
+        if index is not None and index.model is not model:
+            raise ServingError(
+                "index was built over a different model instance; build the "
+                "index from the same model the predictor serves"
+            )
+        # Counters written per call, declared so a scrape lists them
+        # before the first query.
+        self.metrics = MetricsRegistry()
+        if self.cache is not None:
+            for name in ("hits", "misses", "evictions"):
+                self.metrics.inc("serving.cache." + name, 0)
         if index is not None:
-            if index.model is not model:
-                raise ServingError(
-                    "index was built over a different model instance; build the "
-                    "index from the same model the predictor serves"
-                )
-            from repro.index.base import IndexUsageStats
-
-            self._index_stats = IndexUsageStats(num_entities=model.num_entities)
+            for name in ("queries", "entities_scored", "entities_scanned", "exhaustive_queries"):
+                self.metrics.inc("index." + name, 0)
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -172,47 +184,65 @@ class LinkPredictor:
             "filtered prediction needs a dataset or an explicit filter_index"
         )
 
-    @property
-    def cache_stats(self) -> CacheStats | None:
-        """LRU cache counters, or None when caching is disabled."""
-        return self.cache.stats if self.cache is not None else None
+    def metrics_snapshot(self) -> MetricsSnapshot:
+        """One read of this deployment's counters: the predictor's registry
+        merged with its index's, plus the ratios derived from them (cache
+        size and hit rate; probed fraction over the current entity count
+        and the sampled recall estimate)."""
+        snapshot = self.metrics.snapshot()
+        if self.index is not None:
+            snapshot = snapshot.merged(self.index.metrics.snapshot())
+        counters = snapshot.counters
+        derived = {}
+        if self.cache is not None:
+            hits = counters["serving.cache.hits"]
+            lookups = hits + counters["serving.cache.misses"]
+            derived["serving.cache.size"] = float(len(self.cache))
+            derived["serving.cache.capacity"] = float(self.cache.capacity)
+            derived["serving.cache.hit_rate"] = hits / lookups if lookups else 0.0
+        if self.index is not None:
+            swept = counters["index.queries"] * self.model.num_entities
+            derived["index.probed_fraction"] = (
+                counters["index.entities_scored"] / swept if swept else 0.0
+            )
+            recall = snapshot.histograms.get("index.recall")
+            if recall is not None:
+                derived["index.recall_estimate"] = recall.mean
+        return snapshot.merged(MetricsSnapshot(gauges=derived))
 
-    @property
-    def index_stats(self):
-        """Index usage counters (:class:`~repro.index.base.IndexUsageStats`),
-        or None when no index is attached."""
-        self._sync_fold_stats()
-        return self._index_stats
+    def index_stats_dict(self, snapshot: MetricsSnapshot | None = None) -> dict | None:
+        """JSON-compatible index usage summary, ``None`` without an index.
 
-    def _sync_fold_stats(self) -> None:
-        """Mirror the index's fold-cache counters into the usage stats.
-
-        The counters live on the index's folded source (they move during
-        builds, not queries), so they are copied — not accumulated —
-        whenever the stats are read or updated.
+        Rendered from *snapshot* (default: a fresh :meth:`metrics_snapshot`),
+        so a caller rendering several views reads each counter once.  The
+        nested ``fold_cache`` dict — the observable that turns "serving is
+        slow" into "the fold cache is thrashing" — appears for indexes
+        with a folded-matrix cache.
         """
-        stats = self._index_stats
-        fold = getattr(self.index, "fold_cache_stats", None)
-        if stats is None or fold is None:
-            return
-        stats.fold_cache_hits = fold.hits
-        stats.fold_cache_misses = fold.misses
-
-    def index_stats_dict(self) -> dict | None:
-        """JSON-compatible index usage snapshot for ops surfaces.
-
-        ``None`` without an index; otherwise the usage counters plus the
-        folded-matrix cache counters (hits/misses/evictions/store hits)
-        when the index exposes them — the observable that turns "serving
-        is slow" into "the fold cache is thrashing".
-        """
-        stats = self.index_stats
-        if stats is None:
+        if self.index is None:
             return None
-        out = stats.to_dict()
-        fold = getattr(self.index, "fold_cache_stats", None)
-        if fold is not None:
-            out["fold_cache"] = fold.to_dict()
+        if snapshot is None:
+            snapshot = self.metrics_snapshot()
+        counters, gauges = snapshot.counters, snapshot.gauges
+        recall = snapshot.histograms.get("index.recall")
+        out = {
+            "num_entities": self.model.num_entities,
+            "queries": counters["index.queries"],
+            "entities_scored": counters["index.entities_scored"],
+            "entities_scanned": counters["index.entities_scanned"],
+            "exhaustive_queries": counters["index.exhaustive_queries"],
+            "recall_checks": recall.count if recall is not None else 0,
+            "probed_fraction": gauges["index.probed_fraction"],
+            "recall_estimate": gauges.get("index.recall_estimate"),
+            "fold_cache_hits": counters["index.fold_cache.hits"],
+            "fold_cache_misses": counters["index.fold_cache.misses"],
+        }
+        # Only an index with a folded-matrix cache counts its evictions.
+        if "index.fold_cache.evictions" in counters:
+            out["fold_cache"] = {
+                name: counters[f"index.fold_cache.{name}"]
+                for name in ("hits", "misses", "evictions", "store_hits")
+            }
         return out
 
     def clear_cache(self) -> None:
@@ -265,13 +295,16 @@ class LinkPredictor:
             return self.scorer.all_scores(anchors, relations, side)
         out = np.empty((len(anchors), self.model.num_entities), dtype=np.float64)
         missing: dict[tuple[int, int, str], list[int]] = {}
+        hits = 0
         for row in range(len(anchors)):
             key = (int(anchors[row]), int(relations[row]), side)
             hit = self.cache.get(key)
             if hit is not None:
                 out[row] = hit
+                hits += 1
             else:
                 missing.setdefault(key, []).append(row)
+        evictions = 0
         if missing:
             keys = list(missing)
             scores = self.scorer.all_scores(
@@ -279,9 +312,16 @@ class LinkPredictor:
                 np.array([key[1] for key in keys], dtype=np.int64),
                 side,
             )
+            # Every key missed, so each put inserts: whatever the cache
+            # did not grow by, it evicted.
+            evictions = len(self.cache) + len(keys)
             for key, vector in zip(keys, scores):
                 self.cache.put(key, vector)
                 out[missing[key]] = vector
+            evictions -= len(self.cache)
+        self.metrics.inc("serving.cache.hits", hits)
+        self.metrics.inc("serving.cache.misses", len(anchors) - hits)
+        self.metrics.inc("serving.cache.evictions", evictions)
         return out
 
     def _mask_known(
@@ -351,16 +391,15 @@ class LinkPredictor:
         :class:`~repro.index.exact.ExactIndex`) are delegated to the
         full-sweep path and therefore bit-identical to it.
         """
-        stats = self._index_stats
+        metrics = self.metrics
         with trace_scope("index.probe", queries=len(anchors), side=side):
             batch = self.index.candidate_lists(anchors, relations, side)
-        first_query = stats.queries
-        stats.queries += len(anchors)
-        stats.entities_scored += batch.num_scored
-        stats.entities_scanned += batch.num_scanned
-        self._sync_fold_stats()
+        first_query = metrics.counter_value("index.queries")
+        metrics.inc("index.queries", len(anchors))
+        metrics.inc("index.entities_scored", batch.num_scored)
+        metrics.inc("index.entities_scanned", batch.num_scanned)
         if batch.covers_all:
-            stats.exhaustive_queries += len(anchors)
+            metrics.inc("index.exhaustive_queries", len(anchors))
             return self._full_top_k(anchors, relations, side, filtered, k)
         num_entities = self.model.num_entities
         k_out = min(k, num_entities)
@@ -410,8 +449,7 @@ class LinkPredictor:
     def _sample_recall(
         self, anchors, relations, side, filtered, k_out, result, first_query
     ) -> None:
-        """Exact-check every Nth approximate query and record recall@k."""
-        stats = self._index_stats
+        """Exact-check every Nth approximate query and record its recall@k."""
         for row in range(len(anchors)):
             if (first_query + row) % self.recall_sample_every:
                 continue
@@ -420,8 +458,9 @@ class LinkPredictor:
             )
             approx_ids = result.ids[row]
             overlap = np.intersect1d(approx_ids[approx_ids >= 0], exact.ids[0]).size
-            stats.recall_checks += 1
-            stats.recall_total += overlap / exact.ids.shape[1]
+            self.metrics.observe(
+                "index.recall", overlap / exact.ids.shape[1], bounds=RECALL_BUCKETS
+            )
 
     def _top_k_one_side(
         self,

@@ -19,9 +19,9 @@ that gap with a stdlib-only asyncio service:
 
     *Admission control*: when the queue is at ``queue_depth`` the
     request fast-fails with :class:`~repro.errors.ServerOverloadedError`
-    and a ``retry_after_ms`` hint (clamped to a sane floor/ceiling even
-    when the service-time EMA has been polluted by a pathological
-    batch), instead of queueing unboundedly.
+    and a ``retry_after_ms`` hint (priced off the p90 of the current
+    deployment's service times, each sample clamped so one pathological
+    batch cannot poison it), instead of queueing unboundedly.
 
     *Deadlines*: each request may carry a ``deadline_ms`` budget (or
     inherit the server's ``default_deadline_ms``); a request still
@@ -66,21 +66,19 @@ that gap with a stdlib-only asyncio service:
     ``ping``, ``metrics``, ``swap``, ``apply_delta`` or ``shutdown``;
     responses echo the request ``id`` and
     carry either the payload (``ok: true``) or a structured error with
-    a machine-readable ``code`` (``ok: false``).  Filtered-out
-    candidates' ``-inf`` scores are transported as ``null``.
+    a machine-readable ``code`` (``ok: false``).  A request line longer
+    than :data:`MAX_LINE_BYTES` is answered with code ``too_large`` and
+    skipped; the connection keeps serving.  Filtered-out candidates'
+    ``-inf`` scores are transported as ``null``.
 
-*Telemetry*: every server owns a :class:`~repro.obs.MetricsRegistry`.
-:class:`ServerStats` is now a thin *view* over it — the counter names
-(``server.submitted`` …) live in the registry, the attribute/dict
-surface is unchanged — and the hot path additionally feeds three
+*Telemetry*: the server's :class:`~repro.obs.MetricsRegistry` holds the
+``server.*`` counters, the ``ingest.*`` counters of live deltas and three
 latency histograms (``server.service_seconds`` per request,
-``server.dispatch_seconds`` per micro-batch group,
-``server.wait_seconds`` queueing delay).  The ``metrics`` wire op
-dumps the registry (plus the predictor's cache/index tallies via
-:func:`repro.obs.publish_predictor_metrics`) and the slow-query ring;
-:meth:`PredictionServer.metrics_text` renders the same snapshot in
-Prometheus text format.  Tracing is opt-in: span scopes throughout the
-dispatch path are no-ops until a tracer is installed
+``server.dispatch_seconds`` per group, ``server.wait_seconds`` queueing
+delay).  The deployment's predictor and index keep their own registries,
+so a hot-swap starts those from zero.  Every read surface renders one
+merged :meth:`PredictionServer.snapshot`.  Tracing is opt-in: span
+scopes are no-ops until a tracer is installed
 (:func:`repro.obs.install_tracer` — the daemon entry point arms one).
 
 Everything here is plain CPython stdlib (asyncio + json + numpy already
@@ -108,9 +106,8 @@ from repro.errors import (
     ServingError,
     StaleIndexError,
 )
-from repro.obs.collect import publish_predictor_metrics
 from repro.obs.expo import prometheus_text
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, MetricsSnapshot, metrics_scope
 from repro.obs.trace import current_span_id, trace_scope
 from repro.reliability import faults
 from repro.serving.predictor import QUERY_SLOTS, LinkPredictor
@@ -120,7 +117,7 @@ _LOG = logging.getLogger("repro.serving")
 #: Fault-injection site fired once per micro-batch group dispatch.
 DISPATCH_SITE = "server.dispatch"
 
-#: Clamp bounds for the per-request service-time EMA (seconds).  A
+#: Clamp bounds for one per-request service-time sample (seconds).  A
 #: single pathological batch (GC pause, page-in, injected slow fault)
 #: would otherwise poison the retry-after hint for many requests.
 SERVICE_EMA_FLOOR_S = 1e-4
@@ -137,6 +134,10 @@ DEFAULT_SLOW_QUERY_MS = 250.0
 
 #: How many slow-query records the in-memory ring keeps.
 SLOW_QUERY_RING = 64
+
+#: Longest request line the TCP front-end reads (asyncio's default
+#: stream limit).  It also caps the size of an ``apply_delta`` payload.
+MAX_LINE_BYTES = 64 * 1024
 
 
 def k_bucket(k: int) -> int:
@@ -217,66 +218,6 @@ class ServedTopK:
     waited_ms: float
     degraded: bool = False
     graph_version: int = 0
-
-
-class _CounterField:
-    """A :class:`ServerStats` attribute backed by a registry counter.
-
-    Reads and writes go straight to ``stats.registry`` under the name
-    ``server.<attr>`` — so ``stats.submitted += 1`` keeps working while
-    the value itself lives in the shared metrics registry (and therefore
-    shows up in the ``metrics`` wire op / Prometheus dump for free).
-    """
-
-    __slots__ = ("name",)
-
-    def __set_name__(self, owner, attr: str) -> None:
-        self.name = "server." + attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj.registry.counter_value(self.name)
-
-    def __set__(self, obj, value: int) -> None:
-        obj.registry.set_counter(self.name, int(value))
-
-
-class ServerStats:
-    """Monotonic counters exposed by :meth:`PredictionServer.stats`.
-
-    Historically a plain dataclass of ints; now a thin view over a
-    :class:`~repro.obs.MetricsRegistry` (one counter per field, named
-    ``server.<field>``) so the same numbers feed ``stats_dict`` and the
-    telemetry exposition paths without double bookkeeping.  The
-    attribute surface — including augmented assignment — is unchanged.
-    """
-
-    submitted = _CounterField()
-    served = _CounterField()
-    rejected = _CounterField()
-    failed = _CounterField()
-    cancelled = _CounterField()
-    batches = _CounterField()
-    dispatch_calls = _CounterField()
-    coalesced_total = _CounterField()
-    coalesced_max = _CounterField()
-    swaps = _CounterField()
-    peak_depth = _CounterField()
-    degraded = _CounterField()
-    deadline_expired = _CounterField()
-    deltas_applied = _CounterField()
-    slow_queries = _CounterField()
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    @property
-    def mean_coalesced(self) -> float:
-        """Mean requests per predictor call (the amortisation factor)."""
-        if not self.dispatch_calls:
-            return 0.0
-        return self.coalesced_total / self.dispatch_calls
 
 
 @dataclass
@@ -360,8 +301,9 @@ class PredictionServer:
         self.slow_query_ms = (
             float(slow_query_ms) if slow_query_ms is not None else DEFAULT_SLOW_QUERY_MS
         )
+        #: The ``server.*`` counters and latency histograms (and the
+        #: ``ingest.*`` counters of live deltas); see :meth:`snapshot`.
         self.metrics = MetricsRegistry()
-        self.stats = ServerStats(self.metrics)
         self._slow_queries: collections.deque[dict] = collections.deque(
             maxlen=SLOW_QUERY_RING
         )
@@ -373,8 +315,6 @@ class PredictionServer:
         self._closed = False
         self._generation = 0
         self._active: Deployment | None = None
-        #: EMA of per-request service seconds; feeds the retry-after hint.
-        self._service_ema: float | None = None
         #: Sticky until the next successful swap: the server answered at
         #: least one request (or came up) without its index.
         self._degraded = False
@@ -407,12 +347,32 @@ class PredictionServer:
         index because it was stale/corrupt; reset by a successful swap."""
         return self._degraded
 
+    def snapshot(self) -> MetricsSnapshot:
+        """One read of every serving counter: the server's registry merged
+        with the active deployment's, plus queue and generation levels.
+        Each read surface renders exactly one, so no view mixes two
+        deployments."""
+        snapshot = self.metrics.snapshot().merged(
+            MetricsSnapshot(
+                gauges={
+                    "server.queue_len": float(len(self._pending)),
+                    "server.queue_depth": float(self.queue_depth),
+                    "server.generation": float(self._generation),
+                    "server.slow_query_ms": self.slow_query_ms,
+                }
+            )
+        )
+        if self._active is not None:
+            snapshot = snapshot.merged(self._active.predictor.metrics_snapshot())
+        return snapshot
+
     def health_dict(self) -> dict:
         """Liveness/degradation summary for the wire ``health`` op.
 
         ``status`` is ``"empty"`` (nothing deployed), ``"closing"``,
         ``"degraded"`` (serving exact fallbacks) or ``"ok"``.
         """
+        counters = self.snapshot().counters
         active = self._active
         if self._closing or self._closed:
             status = "closing"
@@ -429,14 +389,21 @@ class PredictionServer:
             "graph_version": active.graph_version if active else None,
             "queue_len": len(self._pending),
             "queue_depth": self.queue_depth,
-            "degraded_served": self.stats.degraded,
-            "deadline_expired": self.stats.deadline_expired,
+            "degraded_served": counters.get("server.degraded", 0),
+            "deadline_expired": counters.get("server.deadline_expired", 0),
             "index_attached": bool(active and active.predictor.index is not None),
         }
 
     def stats_dict(self) -> dict:
         """JSON-compatible snapshot of the server's counters and state."""
         active = self._active
+        snapshot = self.snapshot()
+        counters = snapshot.counters
+
+        def count(name: str) -> int:
+            return counters.get("server." + name, 0)
+
+        dispatch_calls = count("dispatch_calls")
         return {
             "generation": self._generation,
             "graph_version": active.graph_version if active else None,
@@ -448,52 +415,41 @@ class PredictionServer:
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
             "closing": self._closing,
-            "submitted": self.stats.submitted,
-            "served": self.stats.served,
-            "rejected": self.stats.rejected,
-            "failed": self.stats.failed,
-            "cancelled": self.stats.cancelled,
-            "batches": self.stats.batches,
-            "dispatch_calls": self.stats.dispatch_calls,
-            "mean_coalesced": self.stats.mean_coalesced,
-            "coalesced_max": self.stats.coalesced_max,
-            "swaps": self.stats.swaps,
-            "peak_depth": self.stats.peak_depth,
+            "submitted": count("submitted"),
+            "served": count("served"),
+            "rejected": count("rejected"),
+            "failed": count("failed"),
+            "cancelled": count("cancelled"),
+            "batches": count("batches"),
+            "dispatch_calls": dispatch_calls,
+            "mean_coalesced": (
+                count("coalesced_total") / dispatch_calls if dispatch_calls else 0.0
+            ),
+            "coalesced_max": count("coalesced_max"),
+            "swaps": count("swaps"),
+            "peak_depth": count("peak_depth"),
             "degraded": self._degraded,
-            "degraded_served": self.stats.degraded,
-            "deadline_expired": self.stats.deadline_expired,
-            "deltas_applied": self.stats.deltas_applied,
-            "index": active.predictor.index_stats_dict() if active else None,
+            "degraded_served": count("degraded"),
+            "deadline_expired": count("deadline_expired"),
+            "deltas_applied": counters.get("ingest.deltas_applied", 0),
+            "index": active.predictor.index_stats_dict(snapshot) if active else None,
         }
 
     def metrics_dict(self) -> dict:
-        """Full registry snapshot for the wire ``metrics`` op.
-
-        Queue/generation gauges and the predictor's cache/index tallies
-        (:func:`repro.obs.publish_predictor_metrics`) are published at
-        exposition time, not on the hot path — reading this is the only
-        moment they need to be current.
-        """
-        registry = self.metrics
-        registry.gauge_set("server.queue_len", len(self._pending))
-        registry.gauge_set("server.queue_depth", self.queue_depth)
-        registry.gauge_set("server.generation", self._generation)
-        registry.gauge_set("server.slow_query_ms", self.slow_query_ms)
+        """Full merged snapshot (:meth:`snapshot`) for the wire ``metrics`` op,
+        with the slow-query ring."""
         active = self._active
-        if active is not None:
-            publish_predictor_metrics(registry, active.predictor)
         return {
             "generation": self._generation,
             "graph_version": active.graph_version if active else None,
             "slow_query_ms": self.slow_query_ms,
-            "metrics": registry.snapshot().to_dict(),
+            "metrics": self.snapshot().to_dict(),
             "slow_queries": list(self._slow_queries),
         }
 
     def metrics_text(self) -> str:
         """The same snapshot as :meth:`metrics_dict`, Prometheus-style."""
-        self.metrics_dict()  # refresh gauges + predictor tallies
-        return prometheus_text(self.metrics.snapshot())
+        return prometheus_text(self.snapshot())
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> "PredictionServer":
@@ -510,13 +466,16 @@ class PredictionServer:
             return
         self._closing = True
         if not drain:
+            failed = 0
             while self._pending:
                 request = self._pending.popleft()
                 if not request.future.done():
                     request.future.set_exception(
                         ServerClosedError("server shut down before dispatch")
                     )
-                    self.stats.failed += 1
+                    failed += 1
+            if failed:
+                self.metrics.inc("server.failed", failed)
         self._wake.set()
         if self._task is not None:
             await self._task
@@ -560,18 +519,16 @@ class PredictionServer:
                 label=label,
                 degraded=degraded,
             )
-            self.stats.swaps += 1
+            self.metrics.inc("server.swaps")
             self._degraded = bool(degraded)
             # A new deployment has a new latency profile.  Carrying the
             # old model's service times across the swap mis-prices the
-            # retry-after hint for every overloaded client until the EMA
-            # drifts back — e.g. swapping an exact-sweep deployment for
-            # an indexed one kept quoting sweep-sized backoffs.  Reset
-            # both the EMA and the service-time histogram so the hint is
-            # rebuilt from post-swap measurements only.
-            self._service_ema = None
+            # retry-after hint for every overloaded client — e.g.
+            # swapping an exact-sweep deployment for an indexed one kept
+            # quoting sweep-sized backoffs.  Reset the service-time
+            # histogram so the hint is rebuilt from post-swap
+            # measurements only.
             self.metrics.reset("server.service_seconds")
-            self.metrics.gauge_set("server.generation", self._generation)
             return self._active
 
     async def load_run(
@@ -638,7 +595,8 @@ class PredictionServer:
         The full ingest pipeline — transactional dataset apply,
         embedding-table growth, touched-row fine-tuning, incremental
         index maintenance (:func:`repro.ingest.ingest_delta`) — runs in
-        a worker thread **while holding the swap lock**, the same lock
+        a worker thread, recording its ``ingest.*`` counters into
+        :attr:`metrics`, **while holding the swap lock**, the same lock
         every micro-batch dispatch holds while scoring.  No response is
         ever computed against a half-applied delta: queries either see
         the pre-delta deployment or the post-delta one, whose
@@ -673,13 +631,17 @@ class PredictionServer:
                 )
 
             def _apply():
-                return ingest_delta(
-                    predictor.model,
-                    predictor.dataset,
-                    delta,
-                    index=predictor.index,
-                    **ingest_kwargs,
-                )
+                # ingest_delta records its counters into the installed
+                # (process-wide) registry; nothing else on the serving
+                # path records there while this runs.
+                with metrics_scope(self.metrics):
+                    return ingest_delta(
+                        predictor.model,
+                        predictor.dataset,
+                        delta,
+                        index=predictor.index,
+                        **ingest_kwargs,
+                    )
 
             outcome = await asyncio.to_thread(_apply)
             receipt = outcome.to_dict()
@@ -693,8 +655,6 @@ class PredictionServer:
             predictor.dataset = outcome.dataset
             if predictor._filter_index is not None:
                 predictor._filter_index = outcome.dataset.filter_index
-            if predictor._index_stats is not None:
-                predictor._index_stats.num_entities = predictor.model.num_entities
             self._generation += 1
             self._active = Deployment(
                 predictor,
@@ -704,7 +664,6 @@ class PredictionServer:
                 degraded=deployment.degraded,
                 graph_version=deployment.graph_version + 1,
             )
-            self.stats.deltas_applied += 1
             receipt["generation"] = self._active.generation
             receipt["graph_version"] = self._active.graph_version
             receipt["scoring_version"] = self._active.scoring_version
@@ -737,7 +696,7 @@ class PredictionServer:
         first, second = int(first), int(second)
         self._active.predictor.check_ids([first], [second], side)
         if len(self._pending) >= self.queue_depth:
-            self.stats.rejected += 1
+            self.metrics.inc("server.rejected")
             raise ServerOverloadedError(
                 f"request queue at admission cap ({self.queue_depth}); retry later",
                 retry_after_ms=self._retry_after_ms(),
@@ -755,13 +714,13 @@ class PredictionServer:
             deadline_at=now + deadline_ms / 1000.0 if deadline_ms else None,
         )
         self._pending.append(request)
-        self.stats.submitted += 1
-        self.stats.peak_depth = max(self.stats.peak_depth, len(self._pending))
+        self.metrics.inc("server.submitted")
+        self.metrics.counter_max("server.peak_depth", len(self._pending))
         self._wake.set()
         return request.future
 
     def _observe_service_time(self, per_request: float) -> None:
-        """Fold one per-request service measurement into the EMA.
+        """Record one per-request service time in ``server.service_seconds``.
 
         The sample is clamped to ``[SERVICE_EMA_FLOOR_S,
         SERVICE_EMA_CEILING_S]`` first: one pathological measurement
@@ -771,21 +730,14 @@ class PredictionServer:
         """
         sample = min(max(per_request, SERVICE_EMA_FLOOR_S), SERVICE_EMA_CEILING_S)
         self.metrics.observe("server.service_seconds", sample)
-        self._service_ema = (
-            sample
-            if self._service_ema is None
-            else 0.8 * self._service_ema + 0.2 * sample
-        )
 
     def _retry_after_ms(self) -> float:
-        # Prefer the p90 of the (generation-scoped) service-time
-        # histogram: unlike the EMA it is robust to a recent burst of
-        # fast or slow outliers and prices the hint off what a typical
-        # slow request actually costs.  Falls back to the EMA, then to a
-        # 50ms guess, while no measurements exist yet.
+        # The p90 of the (generation-scoped) service-time histogram
+        # prices the hint off what a typical slow request costs; a 50ms
+        # prior stands in until the deployment has a measurement.
         service = self.metrics.quantile("server.service_seconds", 0.9)
         if service is None:
-            service = self._service_ema if self._service_ema is not None else 0.05
+            service = 0.05
         backlog = len(self._pending) * service / max(1, self.max_batch)
         hint = 1000.0 * backlog + self.max_wait_ms
         return min(max(hint, RETRY_AFTER_FLOOR_MS), RETRY_AFTER_CEILING_MS)
@@ -853,12 +805,13 @@ class PredictionServer:
             await self._dispatch(batch, loop)
 
     async def _dispatch(self, batch: list[_Pending], loop) -> None:
-        self.stats.batches += 1
+        self.metrics.inc("server.batches")
         now = loop.time()
         groups: dict[tuple[str, bool, int], list[_Pending]] = {}
+        cancelled = expired = 0
         for request in batch:
             if request.future.cancelled():
-                self.stats.cancelled += 1
+                cancelled += 1
                 continue
             if request.deadline_at is not None and now >= request.deadline_at:
                 # The budget is gone before any scoring started; failing
@@ -871,11 +824,15 @@ class PredictionServer:
                         "deadline_ms or when the server is less loaded"
                     )
                 )
-                self.stats.deadline_expired += 1
-                self.stats.failed += 1
+                expired += 1
                 continue
             key = (request.side, request.filtered, request.bucket)
             groups.setdefault(key, []).append(request)
+        if cancelled:
+            self.metrics.inc("server.cancelled", cancelled)
+        if expired:
+            self.metrics.inc("server.deadline_expired", expired)
+            self.metrics.inc("server.failed", expired)
         # Hold the dispatch lock across the whole micro-batch: a swap can
         # only land between batches, so every response in this batch comes
         # from one deployment snapshot.
@@ -937,39 +894,32 @@ class PredictionServer:
             try:
                 result = await asyncio.to_thread(_score, True)
             except BaseException as error:  # noqa: BLE001 — forwarded to callers
-                for request in requests:
-                    if not request.future.done():
-                        request.future.set_exception(error)
-                        self.stats.failed += 1
+                self._fail_group(requests, error)
                 return
             degraded = True
             self._degraded = True
         except BaseException as error:  # noqa: BLE001 — forwarded to callers
-            for request in requests:
-                if not request.future.done():
-                    request.future.set_exception(error)
-                    self.stats.failed += 1
+            self._fail_group(requests, error)
             return
         elapsed = loop.time() - started
+        metrics = self.metrics
         self._observe_service_time(elapsed / len(requests))
-        self.metrics.observe("server.dispatch_seconds", elapsed)
-        self.stats.dispatch_calls += 1
-        self.stats.coalesced_total += len(requests)
-        self.stats.coalesced_max = max(self.stats.coalesced_max, len(requests))
+        metrics.observe("server.dispatch_seconds", elapsed)
+        metrics.inc("server.dispatch_calls")
+        metrics.inc("server.coalesced_total", len(requests))
+        metrics.counter_max("server.coalesced_max", len(requests))
         if elapsed * 1000.0 >= self.slow_query_ms:
             self._record_slow_query(
                 deployment, side, bucket, len(requests), elapsed, degraded
             )
         degraded = degraded or deployment.degraded
         now = loop.time()
+        served = 0
         for row, request in enumerate(requests):
             if request.future.done():
-                self.stats.cancelled += 1
                 continue
             width = min(request.k, result.ids.shape[1])
-            self.metrics.observe(
-                "server.wait_seconds", max(0.0, now - request.enqueued_at)
-            )
+            metrics.observe("server.wait_seconds", max(0.0, now - request.enqueued_at))
             request.future.set_result(
                 ServedTopK(
                     ids=result.ids[row, :width].copy(),
@@ -982,9 +932,23 @@ class PredictionServer:
                     graph_version=deployment.graph_version,
                 )
             )
-            self.stats.served += 1
+            served += 1
+        if served < len(requests):
+            metrics.inc("server.cancelled", len(requests) - served)
+        if served:
+            metrics.inc("server.served", served)
             if degraded:
-                self.stats.degraded += 1
+                metrics.inc("server.degraded", served)
+
+    def _fail_group(self, requests: list[_Pending], error: BaseException) -> None:
+        """Forward a group's scoring error to every request still waiting."""
+        failed = 0
+        for request in requests:
+            if not request.future.done():
+                request.future.set_exception(error)
+                failed += 1
+        if failed:
+            self.metrics.inc("server.failed", failed)
 
     def _record_slow_query(
         self,
@@ -1007,7 +971,7 @@ class PredictionServer:
             "degraded": bool(degraded or deployment.degraded),
         }
         self._slow_queries.append(entry)
-        self.stats.slow_queries += 1
+        self.metrics.inc("server.slow_queries")
         _LOG.warning(
             "slow query: side=%s bucket=%d coalesced=%d took %.1fms "
             "(threshold %.1fms, generation %d%s)",
@@ -1156,13 +1120,7 @@ async def _serve_connection(
     write_lock = asyncio.Lock()
     tasks: set[asyncio.Task] = set()
 
-    async def respond(request_id, coro) -> None:
-        try:
-            payload = {"id": request_id, "ok": True, **await coro}
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 — wire errors are structured
-            payload = {"id": request_id, "ok": False, "error": _error_payload(error)}
+    async def send(payload: dict) -> None:
         line = json.dumps(payload) + "\n"
         async with write_lock:
             writer.write(line.encode("utf-8"))
@@ -1171,10 +1129,29 @@ async def _serve_connection(
             except ConnectionError:
                 pass
 
+    async def respond(request_id, coro) -> None:
+        try:
+            payload = {"id": request_id, "ok": True, **await coro}
+        except asyncio.CancelledError:
+            raise
+        except Exception as error:  # noqa: BLE001 — wire errors are structured
+            payload = {"id": request_id, "ok": False, "error": _error_payload(error)}
+        await send(payload)
+
+    async def refuse(code: str, message: str) -> None:
+        await send({"id": None, "ok": False, "error": {"code": code, "message": message}})
+
     try:
         while True:
             try:
-                line = await reader.readline()
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as error:
+                line = error.partial  # a last line without newline; b"" at EOF
+            except asyncio.LimitOverrunError:
+                await refuse("too_large", f"request line exceeds {MAX_LINE_BYTES} bytes")
+                if not await _skip_line(reader):
+                    break
+                continue
             except ConnectionError:
                 break
             if not line:
@@ -1184,13 +1161,11 @@ async def _serve_connection(
                 continue
             try:
                 message = json.loads(text)
-                if not isinstance(message, dict):
-                    raise ServingError("requests must be JSON objects")
             except json.JSONDecodeError as error:
-                await respond(None, _raise_async(ServingError(f"invalid JSON: {error}")))
+                await refuse("bad_request", f"invalid JSON: {error}")
                 continue
-            except ServingError as error:
-                await respond(None, _raise_async(error))
+            if not isinstance(message, dict):
+                await refuse("bad_request", "requests must be JSON objects")
                 continue
             # Each request runs concurrently so one connection can keep
             # many in flight — that concurrency is what the batcher
@@ -1203,7 +1178,7 @@ async def _serve_connection(
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
     except asyncio.CancelledError:
-        # Daemon teardown cancels handlers still parked in readline();
+        # Daemon teardown cancels handlers still parked in a read;
         # exiting normally keeps the streams connection_made callback
         # from logging the cancellation as an error.
         pass
@@ -1215,8 +1190,18 @@ async def _serve_connection(
             pass
 
 
-async def _raise_async(error: Exception):
-    raise error
+async def _skip_line(reader: asyncio.StreamReader) -> bool:
+    """Discard input through the next newline; False if the stream ends first."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as error:
+            # The first error.consumed buffered bytes belong to this line
+            # and hold no newline: drop them and look further.
+            await reader.readexactly(error.consumed)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
 
 
 async def start_tcp_server(
@@ -1237,6 +1222,7 @@ async def start_tcp_server(
         lambda reader, writer: _serve_connection(server, reader, writer, shutdown),
         host=host,
         port=port,
+        limit=MAX_LINE_BYTES,
     )
 
 

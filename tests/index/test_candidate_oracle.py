@@ -284,11 +284,13 @@ class TestTelemetry:
         assert len(spans) == 1
         assert spans[0].tags == {"rows": pq_rows, "candidates": batch.num_scanned}
         assert batch.num_scanned == num_scanned
-        assert registry.counter_value("index.pq.rows_pruned") == pq_rows
+        # The counters land in the index's own registry, not the ambient one.
+        assert index.metrics.counter_value("index.pq.rows_pruned") == pq_rows
         assert (
-            registry.counter_value("index.pq.candidates_pruned")
+            index.metrics.counter_value("index.pq.candidates_pruned")
             == num_scanned - pq_rows * 10
         )
+        assert registry.snapshot().empty
 
     def test_no_span_when_nothing_is_pruned(self, model):
         index = IVFIndex(model, nlist=NLIST, nprobe=4, pq=PQConfig(m=4, refine=1000))

@@ -99,6 +99,16 @@ class TestSourceCache:
         )
 
 
+def _fold_counts(source) -> dict:
+    """The source's fold-cache counters, keyed by their last name part."""
+    counters = source.metrics.snapshot().counters
+    return {
+        name.rsplit(".", 1)[1]: value
+        for name, value in counters.items()
+        if name.startswith("index.fold_cache.")
+    }
+
+
 class TestCacheStats:
     def test_counts_hits_misses_and_evictions(self, model):
         source = FoldedCandidateSource(model, max_cached=1)
@@ -106,29 +116,37 @@ class TestCacheStats:
         source.candidate_matrix(0, "tail")  # hit
         source.candidate_matrix(1, "tail")  # miss, evicts relation 0
         source.candidate_matrix(0, "tail")  # miss again: the thrash signal
-        stats = source.stats
-        assert (stats.hits, stats.misses) == (1, 3)
-        assert stats.evictions == 2
-        assert stats.store_hits == 0
+        counts = _fold_counts(source)
+        assert (counts["hits"], counts["misses"]) == (1, 3)
+        assert counts["evictions"] == 2
+        assert counts["store_hits"] == 0
 
     def test_larger_cache_stops_the_thrash(self, model):
         source = FoldedCandidateSource(model, max_cached=4)
         for _ in range(3):
             for relation in range(3):
                 source.candidate_matrix(relation, "tail")
-        assert source.stats.misses == 3
-        assert source.stats.hits == 6
-        assert source.stats.evictions == 0
+        counts = _fold_counts(source)
+        assert counts["misses"] == 3
+        assert counts["hits"] == 6
+        assert counts["evictions"] == 0
 
-    def test_to_dict_has_all_counters(self, model):
+    def test_every_counter_is_declared(self, model):
         source = FoldedCandidateSource(model)
         source.candidate_matrix(0, "tail")
-        assert source.stats.to_dict() == {
+        assert _fold_counts(source) == {
             "hits": 0,
             "misses": 1,
             "evictions": 0,
             "store_hits": 0,
         }
+
+    def test_counts_into_the_given_registry(self, model):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        FoldedCandidateSource(model, metrics=registry).candidate_matrix(0, "tail")
+        assert registry.counter_value("index.fold_cache.misses") == 1
 
     def test_rejects_non_positive_capacity(self, model):
         with pytest.raises(ServingError):
@@ -147,7 +165,7 @@ class TestMaterializedStore:
         reader = FoldedCandidateSource(model, store=MemStore.open(tmp_path / "folds"))
         mapped = reader.candidate_matrix(0, "tail")
         assert is_mapped(mapped)
-        assert reader.stats.store_hits == 1
+        assert _fold_counts(reader)["store_hits"] == 1
         np.testing.assert_array_equal(
             np.asarray(mapped), fold_candidate_matrix(model, 0, "tail")
         )
@@ -173,7 +191,7 @@ class TestMaterializedStore:
         model._bump_scoring_version()
         reader = FoldedCandidateSource(model, store=store)
         fresh = reader.candidate_matrix(0, "tail")
-        assert reader.stats.store_hits == 0  # refolded, stale store ignored
+        assert _fold_counts(reader)["store_hits"] == 0  # refolded, stale store ignored
         np.testing.assert_allclose(
             np.asarray(fresh), fold_candidate_matrix(model, 0, "tail")
         )
@@ -185,11 +203,11 @@ class TestMaterializedStore:
         source = FoldedCandidateSource(model, store=store)
         source.materialize(relations=[0], sides=("tail",))
         source.candidate_matrix(0, "tail")
-        assert source.stats.store_hits == 1
+        assert _fold_counts(source)["store_hits"] == 1
         model.entity_embeddings[0] += 0.25
         model._bump_scoring_version()
         source.candidate_matrix(0, "tail")
-        assert source.stats.store_hits == 1  # unchanged: store now distrusted
+        assert _fold_counts(source)["store_hits"] == 1  # unchanged: store now distrusted
 
     def test_materialize_without_store_raises(self, model):
         with pytest.raises(ServingError, match="store"):

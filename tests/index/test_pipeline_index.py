@@ -121,7 +121,7 @@ class TestRunnerIntegration:
         assert predictor.index is not None
         result = predictor.top_k_tails([0, 1], [0, 0], k=5)
         assert result.ids.shape == (2, 5)
-        assert predictor.index_stats.queries == 2
+        assert predictor.index_stats_dict()["queries"] == 2
 
     def test_serve_run_default_is_exact(self, run_dir):
         assert serve_run(run_dir).index is None

@@ -77,8 +77,9 @@ class TestExhaustiveBitIdentity:
         got = indexed.top_k_tails(heads, relations, k=10, filtered=True)
         np.testing.assert_array_equal(expected.ids, got.ids)
         np.testing.assert_array_equal(expected.scores, got.scores)
-        assert indexed.index_stats.probed_fraction == 1.0
-        assert indexed.index_stats.exhaustive_queries == 20
+        stats = indexed.index_stats_dict()
+        assert stats["probed_fraction"] == 1.0
+        assert stats["exhaustive_queries"] == 20
 
 
 class TestTieDeterminism:
@@ -174,7 +175,7 @@ class TestApproximateBehaviour:
         a = indexed.top_k_tails([4], [1], k=5, candidates=shortlist)
         b = plain.top_k_tails([4], [1], k=5, candidates=shortlist)
         np.testing.assert_array_equal(a.ids, b.ids)
-        assert indexed.index_stats.queries == 0
+        assert indexed.index_stats_dict()["queries"] == 0
 
     def test_index_over_other_model_rejected(self, dataset):
         model = _model(dataset)
@@ -227,9 +228,9 @@ class TestBookkeeping:
         predictor.top_k_tails(
             dataset.test.heads[:25], dataset.test.relations[:25], k=5
         )
-        stats = predictor.index_stats
-        assert stats.queries == 25
-        assert 0.0 < stats.probed_fraction < 1.0
+        stats = predictor.index_stats_dict()
+        assert stats["queries"] == 25
+        assert 0.0 < stats["probed_fraction"] < 1.0
 
     def test_recall_sampling(self, dataset):
         model = _model(dataset)
@@ -242,10 +243,27 @@ class TestBookkeeping:
         predictor.top_k_tails(
             dataset.test.heads[:20], dataset.test.relations[:20], k=10
         )
-        stats = predictor.index_stats
-        assert stats.recall_checks == 4
-        assert 0.0 <= stats.recall_estimate <= 1.0
+        stats = predictor.index_stats_dict()
+        assert stats["recall_checks"] == 4
+        assert 0.0 <= stats["recall_estimate"] <= 1.0
+        recall = predictor.metrics_snapshot().histograms["index.recall"]
+        assert recall.count == 4
+        assert stats["recall_estimate"] == recall.total / 4
 
     def test_no_index_no_stats(self, dataset):
         predictor = LinkPredictor(_model(dataset), dataset)
-        assert predictor.index_stats is None
+        assert predictor.index_stats_dict() is None
+        assert not any(
+            name.startswith("index.") for name in predictor.metrics_snapshot().counters
+        )
+
+    def test_probed_fraction_follows_the_grown_entity_table(self, dataset):
+        """The ratio is rendered over the model's current entity count."""
+        model = _model(dataset)
+        predictor = LinkPredictor(model, dataset, index=ExactIndex(model))
+        predictor.top_k_tails([0, 1], [0, 0], k=5)
+        assert predictor.index_stats_dict()["probed_fraction"] == 1.0
+        model.grow(model.num_entities * 2, model.num_relations)
+        stats = predictor.index_stats_dict()
+        assert stats["num_entities"] == model.num_entities
+        assert stats["probed_fraction"] == 0.5

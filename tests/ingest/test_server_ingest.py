@@ -204,3 +204,86 @@ class TestWireOp:
 
         with pytest.raises(ServingError, match="needs a delta object"):
             asyncio.run(main())
+
+
+class TestIngestCounters:
+    def test_one_applied_delta_counts_once_in_stats_and_metrics(self, model, dataset):
+        """The live delta's ``ingest.*`` counters land in the server's
+        registry, and ``deltas_applied`` renders from the one kept counter."""
+        delta = make_delta(dataset)
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset))
+            async with server:
+                await server.apply_delta(delta, epochs=1, seed=0)
+                return server.stats_dict(), server.metrics_dict()["metrics"]
+
+        stats, metrics = asyncio.run(main())
+        assert stats["deltas_applied"] == 1
+        assert metrics["counters"]["ingest.deltas_applied"] == 1
+        assert "server.deltas_applied" not in metrics["counters"]
+        assert metrics["counters"]["ingest.triples_added"] == 2
+        assert metrics["counters"]["ingest.triples_deleted"] == 0
+        assert metrics["histograms"]["ingest.delta_seconds"]["count"] == 1
+
+
+def _storage_run(root, memmap: bool):
+    from repro.pipeline.config import (
+        DatasetSection,
+        ModelSection,
+        RunConfig,
+        StorageSection,
+        TrainingSection,
+    )
+    from repro.pipeline.runner import run_pipeline
+
+    config = RunConfig(
+        dataset=DatasetSection(
+            generator="synthetic_wn18",
+            params={"num_entities": 80, "num_clusters": 4, "seed": 3},
+        ),
+        model=ModelSection(name="complex", total_dim=8),
+        training=TrainingSection(epochs=1, batch_size=256),
+        storage=StorageSection(memmap=memmap),
+    )
+    path = root / ("memmap" if memmap else "npz")
+    run_pipeline(config, run_dir=path)
+    return path
+
+
+class TestMemmapDeployment:
+    def test_delta_on_a_memmapped_run_matches_the_npz_run(self, tmp_path):
+        """Regression: the warm-start fine-tune wrote rows in place into
+        the read-only mapped tables of a ``storage.memmap`` run, so a live
+        delta among existing entities failed with ``ValueError:
+        assignment destination is read-only``."""
+        runs = [_storage_run(tmp_path, memmap) for memmap in (True, False)]
+
+        async def serve(run_dir):
+            server = PredictionServer()
+            async with server:
+                await server.load_run(run_dir, index=None)
+                dataset = server.deployment.predictor.dataset
+                known = (
+                    dataset.train.as_set() | dataset.valid.as_set() | dataset.test.as_set()
+                )
+                names = dataset.entities.to_list()
+                rels = dataset.relations.to_list()
+                fresh = [
+                    (names[head], names[head + 2], rels[0])
+                    for head in range(3, 40)
+                    if (head, head + 2, 0) not in known
+                ][:2]
+                delta = GraphDelta(add_triples=tuple(fresh))
+                receipt = await server.apply_delta(delta, epochs=2, seed=1)
+                served = await server.top_k_tails(3, 0, k=10)
+            return receipt, served
+
+        (mapped_receipt, mapped), (plain_receipt, plain) = [
+            asyncio.run(serve(run)) for run in runs
+        ]
+        assert mapped_receipt["applied"] and plain_receipt["applied"]
+        assert mapped_receipt["warm"]["grew_entities"] == 0
+        assert mapped_receipt["warm"]["steps"] > 0
+        np.testing.assert_array_equal(mapped.ids, plain.ids)
+        np.testing.assert_array_equal(mapped.scores, plain.scores)

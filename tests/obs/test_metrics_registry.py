@@ -30,11 +30,67 @@ class TestCounters:
     def test_missing_counter_reads_zero(self):
         assert MetricsRegistry().counter_value("nope") == 0
 
-    def test_set_counter_overwrites(self):
+    def test_counter_max_keeps_the_high_water_mark(self):
         registry = MetricsRegistry()
-        registry.inc("a", 10)
-        registry.set_counter("a", 3)
-        assert registry.counter_value("a") == 3
+        registry.counter_max("a", 10)
+        registry.counter_max("a", 3)
+        assert registry.counter_value("a") == 10
+
+    def test_snapshot_survives_writer_threads(self):
+        """A read on one thread while others add histograms must not fail
+        with "dictionary changed size during iteration" — even when a GC
+        pass during the read runs finalizers that switch threads — and
+        threads writing disjoint counters of one registry lose no update."""
+        import gc
+        import sys
+        import threading
+
+        class Cyclic:
+            """Garbage only the cyclic GC frees, with a Python finalizer."""
+
+            def __init__(self):
+                self.cycle = self
+
+            def __del__(self):
+                sum(range(10))
+
+        registry = MetricsRegistry()
+        rounds = 20_000
+
+        def write(name):
+            for index in range(rounds):
+                registry.inc(f"{name}.count")
+                registry.observe(f"{name}.h{index % 1000}", 0.001)
+
+        writers = [
+            threading.Thread(target=write, args=(f"writer{i}",)) for i in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        threshold = gc.get_threshold()
+        sys.setswitchinterval(1e-6)
+        gc.set_threshold(50)
+        try:
+            for writer in writers:
+                writer.start()
+            for _ in range(rounds):
+                registry.inc("reader.count")
+                if any(writer.is_alive() for writer in writers):
+                    Cyclic()
+                    registry.snapshot()
+            for writer in writers:
+                writer.join(timeout=60)
+        finally:
+            gc.set_threshold(*threshold)
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        snapshot = registry.snapshot()
+        assert snapshot.counters == {
+            "writer0.count": rounds,
+            "writer1.count": rounds,
+            "writer2.count": rounds,
+            "reader.count": rounds,
+        }
+        assert len(snapshot.histograms) == 3000
 
 
 class TestGauges:

@@ -70,40 +70,51 @@ def _slow_dispatch(delay_s: float, max_hits: int = 1) -> FaultInjector:
     )
 
 
+def _service_histogram(server):
+    return server.metrics.snapshot().histograms["server.service_seconds"]
+
+
 class TestRetryAfterClamp:
-    """Satellite: the EMA + retry hint are clamped to floor/ceiling."""
+    """Satellite: service-time samples and the retry hint are clamped."""
 
     def test_pathological_sample_clamps_to_ceiling(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset))
         server._observe_service_time(3600.0)  # one stuck batch
-        assert server._service_ema == SERVICE_EMA_CEILING_S
+        assert _service_histogram(server).max_value == SERVICE_EMA_CEILING_S
 
     def test_subnormal_sample_clamps_to_floor(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset))
         server._observe_service_time(1e-12)
-        assert server._service_ema == SERVICE_EMA_FLOOR_S
+        assert _service_histogram(server).min_value == SERVICE_EMA_FLOOR_S
 
-    def test_ema_blends_after_first_sample(self, model, dataset):
-        server = PredictionServer(LinkPredictor(model, dataset))
-        server._observe_service_time(0.1)
-        server._observe_service_time(0.2)
-        assert server._service_ema == pytest.approx(0.8 * 0.1 + 0.2 * 0.2)
+    def test_hint_prices_off_the_p90_sample(self, model, dataset):
+        server = PredictionServer(
+            LinkPredictor(model, dataset), max_batch=10, max_wait_ms=0.0
+        )
+        assert server._retry_after_ms() == RETRY_AFTER_FLOOR_MS  # 50ms prior, no queue
+        for _ in range(9):
+            server._observe_service_time(0.02)
+        server._observe_service_time(4.0)  # the outlier stays above p90
+        server._pending = collections.deque(range(40))
+        # p90 is the 25ms bucket edge: 40 queued / 10 per batch * 25ms.
+        assert _service_histogram(server).count == 10
+        assert server._retry_after_ms() == pytest.approx(100.0)
 
     def test_hint_ceiling(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset), queue_depth=4096)
-        server._service_ema = SERVICE_EMA_CEILING_S
+        server._observe_service_time(SERVICE_EMA_CEILING_S)
         server._pending = collections.deque(range(4096))
         assert server._retry_after_ms() == RETRY_AFTER_CEILING_MS
 
     def test_hint_floor(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=0.0)
-        server._service_ema = SERVICE_EMA_FLOOR_S
+        server._observe_service_time(SERVICE_EMA_FLOOR_S)
         assert server._retry_after_ms() == RETRY_AFTER_FLOOR_MS
 
     def test_overload_error_carries_clamped_hint(self, model, dataset):
         async def main():
             server = PredictionServer(LinkPredictor(model, dataset), queue_depth=1)
-            server._service_ema = 1e9  # would be absurd without the clamp
+            server._observe_service_time(1e9)  # would be absurd without the clamp
             server._submit("tail", 0, 0, 5, False)
             with pytest.raises(ServerOverloadedError) as caught:
                 server._submit("tail", 1, 0, 5, False)
@@ -124,7 +135,7 @@ class TestDeadlines:
             async with server:
                 with pytest.raises(DeadlineExceededError):
                     await server.top_k_tails(0, 0, k=5, deadline_ms=1.0)
-                assert server.stats.deadline_expired == 1
+                assert server.stats_dict()["deadline_expired"] == 1
                 # The server keeps serving normally afterwards.
                 served = await server.top_k_tails(0, 0, k=5)
                 assert len(served.ids) == 5
@@ -153,7 +164,7 @@ class TestDeadlines:
             async with server:
                 served = await server.top_k_tails(0, 0, k=5, deadline_ms=30_000.0)
                 assert served.degraded is False
-                assert server.stats.deadline_expired == 0
+                assert server.stats_dict()["deadline_expired"] == 0
 
         asyncio.run(main())
 
@@ -192,7 +203,7 @@ class TestServingTimeDegradation:
                 assert after.degraded is True
                 assert server.degraded
                 assert server.health_dict()["status"] == "degraded"
-                assert server.stats.degraded == 1
+                assert server.stats_dict()["degraded_served"] == 1
 
                 # Degraded answers are the exact full-sweep answers.
                 exact = reference.top_k_tails([1], [0], k=5, filtered=True)
@@ -240,8 +251,9 @@ class TestDrainAndSwapUnderInjectedLatency:
                     await server.close(drain=True)
                 results = await asyncio.gather(*pending)
             assert len(results) == 8
-            assert server.stats.served == 8
-            assert server.stats.failed == 0
+            stats = server.stats_dict()
+            assert stats["served"] == 8
+            assert stats["failed"] == 0
 
         asyncio.run(main())
 

@@ -50,9 +50,9 @@ class TestCacheHitCorrectness:
         heads, rels = queries
         predictor = LinkPredictor(model)
         first = predictor.top_k_tails(heads, rels, k=5)
-        assert predictor.cache_stats.hits == 0
+        assert predictor.metrics.counter_value("serving.cache.hits") == 0
         second = predictor.top_k_tails(heads, rels, k=5)
-        assert predictor.cache_stats.hits > 0
+        assert predictor.metrics.counter_value("serving.cache.hits") > 0
         assert np.array_equal(first.ids, second.ids)
         assert np.array_equal(first.scores, second.scores)
 
@@ -73,14 +73,14 @@ class TestCacheHitCorrectness:
         top = predictor.top_k_tails(heads, rels, k=4)
         assert np.array_equal(top.ids[0], top.ids[1])
         assert np.array_equal(top.ids[0], top.ids[2])
-        # one miss for the unique key, entries for it only
-        assert predictor.cache_stats.size == 1
+        # one sweep for the unique key, entries for it only
+        assert len(predictor.cache) == 1
 
     def test_filtered_and_raw_queries_share_cache_entries(self, model, queries):
         heads, rels = queries
         predictor = LinkPredictor(model)
         predictor.top_k_tails(heads, rels, k=5)
-        stats_before = predictor.cache_stats
+        misses_before = predictor.metrics.counter_value("serving.cache.misses")
         # A filtered query on the same keys must not recompute sweeps even
         # though its masked scores differ.
         from repro.kg.graph import FilterIndex
@@ -91,7 +91,29 @@ class TestCacheHitCorrectness:
         )
         predictor._filter_index = FilterIndex(triples)
         predictor.top_k_tails(heads, rels, k=5, filtered=True)
-        assert predictor.cache_stats.misses == stats_before.misses
+        assert predictor.metrics.counter_value("serving.cache.misses") == misses_before
+
+
+class TestCacheCounters:
+    def test_hits_misses_and_evictions_counted_per_call(self, model):
+        predictor = LinkPredictor(model, cache_size=2)
+        predictor.top_k_tails([0, 1, 2], [0, 0, 0], k=3)  # 3 misses, 1 eviction
+        predictor.top_k_tails([1, 2], [0, 0], k=3)  # 2 hits
+        snapshot = predictor.metrics_snapshot()
+        counters, gauges = snapshot.counters, snapshot.gauges
+        assert counters["serving.cache.hits"] == 2
+        assert counters["serving.cache.misses"] == 3
+        assert counters["serving.cache.evictions"] == 1
+        assert gauges["serving.cache.size"] == 2.0
+        assert gauges["serving.cache.capacity"] == 2.0
+        assert gauges["serving.cache.hit_rate"] == 2 / 5
+
+    def test_uncached_predictor_has_no_cache_metrics(self, model):
+        predictor = LinkPredictor(model, cache_size=0)
+        predictor.top_k_tails([0], [0], k=3)
+        snapshot = predictor.metrics_snapshot()
+        assert not any(name.startswith("serving.cache.") for name in snapshot.counters)
+        assert not any(name.startswith("serving.cache.") for name in snapshot.gauges)
 
 
 class TestCacheInvalidation:
@@ -149,7 +171,7 @@ class TestLRUScoreCache:
         cache.put((2, 0, "tail"), np.array([3.0]))
         assert (0, 0, "tail") in cache
         assert (1, 0, "tail") not in cache
-        assert cache.stats.evictions == 1
+        assert len(cache) == 2
 
     def test_stored_vectors_are_read_only_copies(self):
         cache = LRUScoreCache()
@@ -161,14 +183,13 @@ class TestLRUScoreCache:
         with pytest.raises(ValueError):
             cached[0] = 5.0
 
-    def test_stats_and_clear(self):
+    def test_get_put_and_clear(self):
         cache = LRUScoreCache(capacity=4)
         assert cache.get((0, 0, "tail")) is None
         cache.put((0, 0, "tail"), np.zeros(3))
         assert cache.get((0, 0, "tail")) is not None
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
-        assert stats.hit_rate == 0.5
+        assert len(cache) == 1
+        assert repr(cache) == "LRUScoreCache(size=1/4)"
         cache.clear()
         assert len(cache) == 0
 

@@ -118,8 +118,9 @@ class TestEmptyShortlist:
             model, dataset, index=DegeneratePartitionIndex(model, empty_for_all=True)
         )
         predictor.top_k_tails([0, 2, 4], [0, 0, 0], k=2)
-        assert predictor.index_stats.queries == 3
-        assert predictor.index_stats.entities_scored == 0
+        stats = predictor.index_stats_dict()
+        assert stats["queries"] == 3
+        assert stats["entities_scored"] == 0
 
 
 class TestLabeledDropsPads:

@@ -37,7 +37,7 @@ from repro.errors import (
 from repro.index.ivf import IVFIndex
 from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
 from repro.serving import LinkPredictor, PredictionServer
-from repro.serving.server import k_bucket, start_tcp_server
+from repro.serving.server import MAX_LINE_BYTES, k_bucket, start_tcp_server
 
 pytestmark = pytest.mark.serving_daemon
 
@@ -488,6 +488,48 @@ class TestTCPFrontend:
         response, is_set = asyncio.run(main())
         assert response["ok"] is True and response["closing"] is True
         assert is_set
+
+    @pytest.mark.parametrize("size", [70_000, 200_000, 3 * MAX_LINE_BYTES + 7])
+    @pytest.mark.parametrize("newline_in_first_write", [True, False])
+    def test_oversize_line_answered_once_then_connection_serves(
+        self, model, dataset, size, newline_in_first_write
+    ):
+        """Regression: a line past the reader limit raised out of the
+        connection handler, which dropped the connection unanswered."""
+        oversize = b'{"op": "ping", "pad": "' + b"x" * size + b'"}'
+        request = {"id": 1, "op": "top_k", "side": "tail", "head": 3, "relation": 0,
+                   "k": 5}
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=1.0)
+            tcp = await start_tcp_server(server, port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            follow_up = (json.dumps(request) + "\n").encode()
+            if newline_in_first_write:
+                writer.write(oversize + b"\n" + follow_up)
+            else:
+                # The line's end arrives only after the server has read
+                # past its limit.
+                writer.write(oversize)
+                await writer.drain()
+                await asyncio.sleep(0.05)
+                writer.write(b"\n" + follow_up)
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in range(2)]
+            writer.close()
+            await writer.wait_closed()
+            tcp.close()
+            await tcp.wait_closed()
+            await server.close()
+            return replies
+
+        refused, answered = asyncio.run(main())
+        assert refused["id"] is None and refused["ok"] is False
+        assert refused["error"]["code"] == "too_large"
+        expected = LinkPredictor(model, dataset).top_k_tails([3], [0], k=k_bucket(5))
+        assert answered["id"] == 1 and answered["ok"] is True
+        assert answered["ids"] == [int(i) for i in expected.ids[0, :5]]
 
 
 class TestRunDirIntegration:

@@ -113,7 +113,7 @@ class TestStatsCompatibility:
         server = asyncio.run(main())
         assert server.metrics.counter_value("server.served") == 4
         assert server.metrics.counter_value("server.submitted") == 4
-        assert server.stats.served == 4  # descriptor reads the registry
+        assert server.stats_dict()["served"] == 4  # rendered from the registry
 
     def test_slow_query_ms_must_be_positive(self, model, dataset):
         predictor = LinkPredictor(model, dataset)
@@ -272,7 +272,7 @@ class TestSlowQueryLog:
 
         server = asyncio.run(main())
         assert len(server._slow_queries) == SLOW_QUERY_RING
-        assert server.stats.slow_queries == SLOW_QUERY_RING + 8
+        assert server.metrics.counter_value("server.slow_queries") == SLOW_QUERY_RING + 8
 
     def test_fast_default_threshold_records_nothing(self, model, dataset):
         async def main():
@@ -336,8 +336,10 @@ class TestSwapResetsLatencyProfile:
         # falls back to the 50ms prior instead of the stale histogram.
         assert fresh_hint < 100
         assert server.metrics.histogram_count("server.service_seconds") == 0
-        assert server._service_ema is None
-        assert server.metrics.gauge_value("server.generation") == 2
+        # One post-swap measurement prices the hint again.
+        server._observe_service_time(0.001)
+        assert server.metrics.histogram_count("server.service_seconds") == 1
+        assert server.metrics_dict()["metrics"]["gauges"]["server.generation"] == 2
 
     def test_generation_counters_survive_swap(self, model, dataset):
         """Only the latency profile resets; cumulative counters do not."""
@@ -364,3 +366,152 @@ class TestSwapResetsLatencyProfile:
         assert 1 <= histograms["server.service_seconds"]["count"] <= 2
         # ...while the cumulative per-request wait histogram keeps all 5.
         assert histograms["server.wait_seconds"]["count"] == 5
+
+
+def _ivfpq_predictor(model, dataset):
+    from repro.index.ivf import IVFIndex
+    from repro.index.pq import PQConfig
+
+    index = IVFIndex(model, nlist=14, nprobe=3, spill=2, pq=PQConfig(m=4, refine=10))
+    return LinkPredictor(model, dataset, index=index)
+
+
+INDEX_KEYS = {
+    "num_entities", "queries", "entities_scored", "entities_scanned",
+    "exhaustive_queries", "recall_checks", "probed_fraction",
+    "recall_estimate", "fold_cache_hits", "fold_cache_misses",
+}
+
+
+class TestOneSnapshot:
+    """Every read renders one merged snapshot of the server's registry and
+    the active deployment's; nothing is copied between stores."""
+
+    def test_swap_to_a_bare_deployment_drops_the_old_counters(self, model, dataset):
+        """Regression: scrape-time copies left the previous deployment's
+        ``index.*`` / ``serving.cache.*`` values in the server registry,
+        so ``metrics`` kept reporting them after ``stats`` said no index."""
+
+        async def main():
+            server = PredictionServer(_ivfpq_predictor(model, dataset), max_wait_ms=1.0)
+            async with server:
+                await _serve_some(server, 6)
+                before = server.metrics_dict()["metrics"]
+                bare = LinkPredictor(_second_model(dataset), dataset, cache_size=0)
+                await server.swap_predictor(bare)
+                await _serve_some(server, 2)
+                return before, server.metrics_dict()["metrics"], server.stats_dict()
+
+        before, after, stats = asyncio.run(main())
+        assert before["counters"]["index.queries"] == 6
+        assert before["counters"]["serving.cache.misses"] == 0  # index path
+        stale = [
+            name
+            for family in ("counters", "gauges", "histograms")
+            for name in after[family]
+            if name.startswith(("index.", "serving.cache."))
+        ]
+        assert stale == []
+        assert stats["index"] is None
+        assert after["counters"]["server.served"] == 8  # server counters persist
+
+    def test_metrics_op_carries_the_index_pq_counters(self, model, dataset):
+        """Regression: ``index.pq.*`` went to an ambient registry the daemon
+        never installs, so the ``metrics`` op never showed them."""
+        predictor = _ivfpq_predictor(model, dataset)
+
+        async def main():
+            server = PredictionServer(predictor, max_batch=8, max_wait_ms=2.0)
+            async with server:
+                await _serve_some(server, 8)
+                return server.metrics_dict()["metrics"]["counters"], server.stats_dict()
+
+        counters, stats = asyncio.run(main())
+        recorded = predictor.index.metrics.snapshot().counters
+        assert counters["index.pq.rows_pruned"] == recorded["index.pq.rows_pruned"] > 0
+        assert counters["index.pq.candidates_pruned"] == recorded["index.pq.candidates_pruned"]
+        # Two owners, one event: every pruned row scanned its whole union
+        # and kept `refine` ids.
+        assert counters["index.pq.candidates_pruned"] == (
+            stats["index"]["entities_scanned"] - 10 * counters["index.pq.rows_pruned"]
+        )
+
+    def test_index_stats_key_sets_are_pinned(self, model, dataset):
+        from repro.index.exact import ExactIndex
+
+        async def main(predictor):
+            server = PredictionServer(predictor, max_wait_ms=1.0)
+            async with server:
+                await _serve_some(server, 3)
+                return server.stats_dict()["index"], server.metrics_dict()["metrics"]
+
+        ivf, ivf_metrics = asyncio.run(main(_ivfpq_predictor(model, dataset)))
+        exact, _ = asyncio.run(
+            main(LinkPredictor(model, dataset, index=ExactIndex(model)))
+        )
+        assert set(ivf) == INDEX_KEYS | {"fold_cache"}
+        assert set(ivf["fold_cache"]) == {"hits", "misses", "evictions", "store_hits"}
+        assert set(exact) == INDEX_KEYS
+        assert exact["probed_fraction"] == 1.0
+        assert exact["fold_cache_hits"] == exact["fold_cache_misses"] == 0
+        # The stats view and the metrics view read the same counters.
+        assert ivf["queries"] == ivf_metrics["counters"]["index.queries"] == 3
+        assert ivf["fold_cache"]["misses"] == ivf_metrics["counters"]["index.fold_cache.misses"]
+        assert ivf["probed_fraction"] == ivf_metrics["gauges"]["index.probed_fraction"]
+
+    def test_scrapes_race_requests_and_a_delta_without_errors(self, model, dataset):
+        """``stats``/``metrics`` read the deployment's registries on the event
+        loop while the scoring and ingest threads write them."""
+        from repro.ingest import GraphDelta
+
+        names = dataset.entities.to_list()
+        rels = dataset.relations.to_list()
+        delta = GraphDelta(add_triples=(("scrape_entity", names[0], rels[0]),))
+
+        async def scraper(port, stop):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            while not stop.is_set():
+                writer.write(b'{"op": "stats"}\n{"op": "metrics"}\n')
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
+                replies.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        async def traffic(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            requests = [
+                {"id": i, "op": "top_k", "head": i % 50, "relation": i % 3, "k": 5}
+                for i in range(40)
+            ]
+            requests.insert(20, {"id": "delta", "op": "apply_delta",
+                                 "delta": delta.to_dict(), "ingest": {"epochs": 1}})
+            writer.write("".join(json.dumps(r) + "\n" for r in requests).encode())
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in requests]
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        async def main():
+            server = PredictionServer(_ivfpq_predictor(model, dataset), max_batch=4)
+            tcp = await start_tcp_server(server, port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            stop = asyncio.Event()
+            scraping = asyncio.create_task(scraper(port, stop))
+            served = await traffic(port)
+            stop.set()
+            scrapes = await scraping
+            tcp.close()
+            await tcp.wait_closed()
+            await server.close()
+            return served, scrapes, server.stats_dict()
+
+        served, scrapes, stats = asyncio.run(main())
+        assert all(reply["ok"] for reply in served), served
+        assert len(scrapes) >= 2
+        assert all(reply["ok"] for reply in scrapes), [r for r in scrapes if not r["ok"]]
+        assert stats["deltas_applied"] == 1
+        assert stats["served"] == 40
