@@ -214,7 +214,7 @@ def run_benchmark(
     workdir = TemporaryDirectory(prefix="bench_memory_")
     root = Path(workdir.name)
     started = time.perf_counter()
-    save_model(model, root / "ckpt", memmap=True, dtype="float32")
+    save_model(model, root / "ckpt", dtype="float32")
     mapped_model = load_model(root / "ckpt")
     ckpt_meta = json.loads((root / "ckpt" / "meta.json").read_text(encoding="utf-8"))
 
@@ -239,7 +239,7 @@ def run_benchmark(
         fold_store=MemStore.open(root / "folds"),
     )
     builder.build(relations=bench_relations, sides=("tail",))
-    builder.save(root / "index", memmap=True)
+    builder.save(root / "index")
     build_seconds = time.perf_counter() - started
     artifact_bytes = _tree_bytes(root / "ckpt", root / "folds", root / "index")
     del builder, exact, model

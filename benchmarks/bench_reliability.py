@@ -183,7 +183,7 @@ def _bench_resume_heal(fast: bool, run_root: Path) -> dict:
     clean = sweep(config, grid, run_root=run_root / "clean")
     first = sweep(config, grid, run_root=run_root / "hurt")
 
-    victim = first[0].run_dir / "checkpoint" / "weights.npz"
+    victim = first[0].run_dir / "checkpoint" / "store" / "entity_embeddings.npy"
     raw = victim.read_bytes()
     victim.write_bytes(raw[: len(raw) // 2])
 
@@ -224,10 +224,10 @@ def _bench_degraded_serving(fast: bool, run_root: Path) -> dict:
 
     corrupt = run_root / "serving_corrupt"
     shutil.copytree(run_dir, corrupt)
-    npz = corrupt / "index" / "arrays.npz"
-    raw = bytearray(npz.read_bytes())
+    victim = sorted((corrupt / "index" / "store").glob("*.npy"))[0]
+    raw = bytearray(victim.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
-    npz.write_bytes(bytes(raw))
+    victim.write_bytes(bytes(raw))
 
     degraded, was_degraded, degraded_seconds = asyncio.run(answers(corrupt, "auto"))
     return {

@@ -7,14 +7,15 @@ injection in-process; this script is the integration layer CI runs
 processes and real files:
 
 1. sweep a tiny two-point grid into a temp dir, truncate one child's
-   checkpoint mid-file, resume, and require the torn child to heal by
-   re-run (``completed``) while the intact child stays ``cached`` —
-   with metrics bit-identical to an undisturbed sweep;
-2. byte-flip a persisted index, launch ``python -m repro serve`` as a
-   subprocess on the damaged run, and require the daemon to come up
-   **degraded** (health op over the wire), serve top-k answers tagged
-   ``degraded: true``, and match the exact in-process predictor
-   bit-for-bit.
+   checkpoint table mid-file, resume, and require the torn child to
+   heal by re-run (``completed``) while the intact child stays
+   ``cached`` — with metrics bit-identical to an undisturbed sweep;
+2. byte-flip one file of a persisted index's array store, launch
+   ``python -m repro serve`` as a subprocess on the damaged run, and
+   require the daemon to come up **degraded** (health op over the
+   wire), serve top-k answers tagged ``degraded: true``, and match the
+   exact in-process predictor bit-for-bit;
+3. the same with one index store file deleted instead of flipped.
 
 Exit code 0 means every step passed.  Stdlib only — no test framework —
 so it can run anywhere the library runs.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -67,7 +69,7 @@ def truncate_then_resume(root: Path) -> Path:
     first = sweep(tiny_config(), grid, run_root=root / "hurt")
     assert [run.status for run in first] == ["completed", "completed"], first
 
-    victim = first[0].run_dir / "checkpoint" / "weights.npz"
+    victim = first[0].run_dir / "checkpoint" / "store" / "entity_embeddings.npy"
     raw = victim.read_bytes()
     victim.write_bytes(raw[: len(raw) // 2])
     print(f"== chaos smoke: truncated {victim.name} to {len(raw) // 2} bytes ==")
@@ -107,16 +109,26 @@ def query(conn_file, conn, payload: dict) -> dict:
     return json.loads(conn_file.readline())
 
 
-def degraded_serving_round_trip(run_dir: Path) -> None:
-    """Byte-flip the index; the daemon must degrade, not die or lie."""
+def flip_index_store_file(run_dir: Path) -> str:
+    victim = sorted((run_dir / "index" / "store").glob("*.npy"))[0]
+    raw = bytearray(victim.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    victim.write_bytes(bytes(raw))
+    return f"byte-flipped index/store/{victim.name}"
+
+
+def delete_index_store_file(run_dir: Path) -> str:
+    victim = sorted((run_dir / "index" / "store").glob("*.npy"))[0]
+    victim.unlink()
+    return f"deleted index/store/{victim.name}"
+
+
+def degraded_serving_round_trip(run_dir: Path, damage) -> None:
+    """Damage the index; the daemon must degrade, not die or lie."""
     from repro.pipeline.runner import serve_run
     from repro.serving.server import k_bucket
 
-    npz = run_dir / "index" / "arrays.npz"
-    raw = bytearray(npz.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    npz.write_bytes(bytes(raw))
-    print("== chaos smoke: byte-flipped index/arrays.npz ==")
+    print(f"== chaos smoke: {damage(run_dir)} ==")
 
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
@@ -180,7 +192,10 @@ def main() -> int:
         root = Path(tmp)
         print("== chaos smoke: sweeping tiny grid ==")
         healed_run = truncate_then_resume(root)
-        degraded_serving_round_trip(healed_run)
+        for damage in (flip_index_store_file, delete_index_store_file):
+            run_dir = root / damage.__name__
+            shutil.copytree(healed_run, run_dir)
+            degraded_serving_round_trip(run_dir, damage)
     print("chaos smoke OK")
     return 0
 

@@ -52,7 +52,8 @@ echo "== serving daemon smoke =="
 python scripts/serving_smoke.py
 
 # Chaos smoke: tear a sweep child's checkpoint and resume (heal by
-# re-run), then byte-flip a persisted index and require the daemon to
-# serve degraded-but-exact answers over the wire.
+# re-run), then byte-flip, and separately delete, one file of a
+# persisted index and require the daemon to serve degraded-but-exact
+# answers over the wire.
 echo "== chaos smoke =="
 python scripts/chaos_smoke.py

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.core.models import MODEL_FACTORIES
 from repro.core.properties import analyze_weight_vector
+from repro.core.serialization import DOWNCAST_DTYPES
 from repro.core.weights import PRESETS
 from repro.errors import ConfigError, ReproError
 from repro.kg.io import load_dataset_directory, save_dataset_directory
@@ -100,11 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes scoring evaluation shards "
                             "(0 = in-process; default from --config, else 0)")
     train.add_argument("--quiet", action="store_true")
-    train.add_argument("--memmap", action="store_true",
-                       help="store the run checkpoint as a directory of mappable "
-                            ".npy files (workers/serving share OS pages) instead "
-                            "of one weights.npz")
-    train.add_argument("--dtype", choices=("float64", "float32", "float16"),
+    train.add_argument("--dtype", choices=DOWNCAST_DTYPES,
                        default=None,
                        help="downcast stored embedding tables; refused unless the "
                             "serving-path score deviation stays within the "
@@ -282,14 +279,11 @@ def _dataset_section(args: argparse.Namespace) -> DatasetSection:
 
 
 def _apply_storage_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Overlay ``--memmap``/``--dtype`` onto a config's storage section."""
-    if not args.memmap and args.dtype is None:
+    """Overlay ``--dtype`` onto a config's storage section."""
+    if args.dtype is None:
         return config
     data = config.to_dict()
-    if args.memmap:
-        data["storage"]["memmap"] = True
-    if args.dtype is not None:
-        data["storage"]["dtype"] = args.dtype
+    data["storage"]["dtype"] = args.dtype
     return RunConfig.from_dict(data)
 
 
@@ -612,7 +606,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     checkpoint_hashes = save_model(
         model,
         run_dir / "checkpoint",
-        memmap=storage.memmap,
         dtype=None if storage.dtype == "float64" else storage.dtype,
         equivalence_tol=storage.equivalence_tol,
     )
@@ -626,7 +619,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if index is not None:
         update = outcome.index_update
         if update is not None and not update.rebuild_triggered:
-            index.save(run_dir / "index", memmap=storage.memmap)
+            index.save(run_dir / "index")
             print(f"\nindex updated incrementally (drift {update.drift:.3f}) "
                   f"and re-persisted")
         else:

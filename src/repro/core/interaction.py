@@ -449,8 +449,14 @@ class MultiEmbeddingModel(KGEModel):
 
         Runs the fused kernel hot path by default; the dense reference
         step (``use_compiled_kernel=False``) computes the same update
-        through the original einsum/`aggregate_rows` pipeline.
+        through the original einsum/`aggregate_rows` pipeline.  Tables
+        still mapped read-only from a checkpoint become private copies
+        first (same values, same ``scoring_version``).
         """
+        if not self.entity_embeddings.flags.writeable:
+            self.entity_embeddings = np.array(self.entity_embeddings)
+        if not self.relation_embeddings.flags.writeable:
+            self.relation_embeddings = np.array(self.relation_embeddings)
         positives = np.asarray(positives, dtype=np.int64)
         negatives = np.asarray(negatives, dtype=np.int64)
         if self.use_compiled_kernel:

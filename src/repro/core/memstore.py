@@ -29,7 +29,7 @@ import io
 import json
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,11 +44,6 @@ _FORMAT_VERSION = 1
 
 #: Array names must be filesystem-safe (they become ``<name>.npy``).
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
-
-#: dtypes checkpoints may downcast embedding tables to (policy lives in
-#: :mod:`repro.core.serialization`; the store itself accepts any numeric
-#: dtype — PQ codes are uint8, member lists int32).
-DOWNCAST_DTYPES = ("float64", "float32", "float16")
 
 
 def npy_bytes(array: np.ndarray) -> bytes:
@@ -377,14 +372,3 @@ def mappable_source(array) -> tuple[str, str, tuple[int, ...]] | None:
         return None
     return path, str(array.dtype), tuple(int(s) for s in array.shape)
 
-
-def payload_meta(arrays: Mapping[str, np.ndarray]) -> dict[str, dict]:
-    """JSON-compatible layout summary of an array mapping (for logs/tests)."""
-    return {
-        name: {
-            "shape": [int(s) for s in np.asarray(array).shape],
-            "dtype": str(np.asarray(array).dtype),
-            "mapped": is_mapped(array),
-        }
-        for name, array in arrays.items()
-    }

@@ -1,16 +1,15 @@
 """Saving and loading trained multi-embedding models.
 
-Checkpoints are a directory with two layouts sharing one ``meta.json``:
+A checkpoint is a directory holding ``meta.json`` and a ``store/``
+subdirectory of plain ``.npy`` files
+(:class:`~repro.core.memstore.MemStore`) that :func:`load_model` maps
+read-only, so every process serving the same checkpoint shares OS
+page-cache pages instead of holding a private float64 copy each.
+Checkpoints written before the store became the only layout keep one
+``weights.npz`` instead; :func:`load_model` still reads them, and
+re-saving over such a directory converts it.
 
-* **packed** (default) — ``weights.npz`` holding every table, loaded
-  into private process memory;
-* **memory-mapped** (``save_model(..., memmap=True)``) — a ``store/``
-  subdirectory of plain ``.npy`` files (:class:`~repro.core.memstore.MemStore`)
-  that :func:`load_model` maps read-only, so every process serving the
-  same checkpoint shares OS page-cache pages instead of holding a
-  pickled float64 copy each.
-
-Either layout may downcast the embedding tables (``dtype="float32"`` /
+The embedding tables may be downcast (``dtype="float32"`` /
 ``"float16"``); the downcast is gated by :func:`score_equivalence_gap`,
 which measures the worst relative score deviation the parameter
 rounding introduces on a seeded probe batch and refuses to write a
@@ -39,16 +38,22 @@ import numpy as np
 
 from repro.core.interaction import MultiEmbeddingModel
 from repro.core.learned import LearnedWeightModel
-from repro.core.memstore import DOWNCAST_DTYPES, MemStore
+from repro.core.memstore import MemStore
 from repro.core.weights import WeightVector
 from repro.errors import CorruptArtifactError, ModelError
-from repro.reliability.atomic import atomic_write_bytes, atomic_write_text, npz_bytes
+from repro.reliability.atomic import atomic_write_text
 from repro.reliability.manifest import sha256_bytes, sha256_file
 
 _FORMAT_VERSION = 1
 
-#: Subdirectory of a memmap checkpoint holding the ``.npy`` store.
+#: Subdirectory of a checkpoint holding the ``.npy`` store.
 CHECKPOINT_STORE_DIR = "store"
+
+#: The single-file payload of checkpoints written before the store.
+LEGACY_WEIGHTS_FILE = "weights.npz"
+
+#: dtypes a checkpoint may store its embedding tables in.
+DOWNCAST_DTYPES = ("float64", "float32", "float16")
 
 #: Default score-equivalence tolerance for downcast checkpoints.
 DEFAULT_EQUIVALENCE_TOL = 1e-6
@@ -64,7 +69,7 @@ def model_state(model: MultiEmbeddingModel) -> tuple[dict, dict[str, np.ndarray]
     ``meta`` is JSON-compatible plain data, ``arrays`` maps array names
     to the live embedding tables (no copies are taken — callers that
     need isolation from further training must copy, and pickling or
-    ``np.savez`` both do).
+    writing a checkpoint both do).
     """
     if not isinstance(model, MultiEmbeddingModel):
         raise ModelError(
@@ -208,28 +213,28 @@ def save_model(
     model: MultiEmbeddingModel,
     directory: str | Path,
     *,
-    memmap: bool = False,
     dtype: str | None = None,
     equivalence_tol: float | None = DEFAULT_EQUIVALENCE_TOL,
     probes: int = 256,
 ) -> dict[str, str]:
     """Write *model* to *directory* (created if needed).
 
-    ``memmap=False`` (default) writes the packed ``weights.npz`` layout;
-    ``memmap=True`` writes a ``store/`` of plain ``.npy`` files that
-    :func:`load_model` memory-maps, so concurrent readers share pages.
-    ``dtype`` downcasts the embedding tables (``"float32"``/``"float16"``;
-    ω always stays float64); the downcast is refused — :class:`ModelError`
-    — when its measured :func:`score_equivalence_gap` exceeds
-    ``equivalence_tol`` (pass ``equivalence_tol=None`` to skip the gate,
-    e.g. for float16 where ~1e-3 gaps are expected and accepted).
+    The tables land in a ``store/`` of plain ``.npy`` files that
+    :func:`load_model` memory-maps, so concurrent readers share pages; a
+    ``weights.npz`` left by a checkpoint written before the store is
+    removed.  ``dtype`` downcasts the embedding tables
+    (``"float32"``/``"float16"``; ω always stays float64); the downcast
+    is refused — :class:`ModelError` — when its measured
+    :func:`score_equivalence_gap` exceeds ``equivalence_tol`` (pass
+    ``equivalence_tol=None`` to skip the gate, e.g. for float16 where
+    ~1e-3 gaps are expected and accepted).
 
     Everything is written crash-safely (tempfile + fsync + rename) and
-    ``meta.json``/``store.json`` record the sha256 of each payload, so a
-    torn or bit-rotted weights file is *detected* at load time instead
-    of surfacing as a numpy traceback (or, worse, silently wrong
-    parameters).  Returns the ``{relative filename: sha256}`` mapping of
-    everything written — run-dir manifests aggregate it.
+    ``store.json`` records the sha256 of each payload, so a torn or
+    bit-rotted table is *detected* at load time instead of surfacing as
+    a numpy traceback (or, worse, silently wrong parameters).  Returns
+    the ``{relative filename: sha256}`` mapping of everything written —
+    run-dir manifests aggregate it.
     """
     meta, arrays = model_state(model)
     dtype = dtype or "float64"
@@ -250,41 +255,61 @@ def save_model(
         meta = {**meta, "dtype": dtype}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    hashes: dict[str, str] = {}
-    if memmap:
-        # begin/flush so rewriting an existing checkpoint commits the
-        # store meta once, at the end — a torn rewrite leaves the
-        # previous store.json (and usually the previous payloads) intact.
-        store = MemStore.begin(directory / CHECKPOINT_STORE_DIR)
-        for name, array in arrays.items():
-            store.put(name, array, flush=False)
-        store.flush()
-        meta = {**meta, "storage": "memmap"}
-        hashes.update(store.hashes(prefix=f"{CHECKPOINT_STORE_DIR}/"))
-    else:
-        weights_payload = npz_bytes(arrays)
-        meta = {**meta, "storage": "npz", "weights_sha256": sha256_bytes(weights_payload)}
-        atomic_write_bytes(directory / "weights.npz", weights_payload)
-        hashes["weights.npz"] = meta["weights_sha256"]
+    # begin/flush so rewriting an existing checkpoint commits the store
+    # meta once, at the end — a torn rewrite leaves the previous
+    # store.json (and usually the previous payloads) intact.
+    store = MemStore.begin(directory / CHECKPOINT_STORE_DIR)
+    for name, array in arrays.items():
+        store.put(name, array, flush=False)
+    store.flush()
+    meta = {**meta, "storage": "memmap"}
+    hashes = store.hashes(prefix=f"{CHECKPOINT_STORE_DIR}/")
     meta_payload = json.dumps(meta, indent=2)
     atomic_write_text(directory / "meta.json", meta_payload)
     hashes["meta.json"] = sha256_bytes(meta_payload.encode("utf-8"))
+    (directory / LEGACY_WEIGHTS_FILE).unlink(missing_ok=True)
     return hashes
 
 
-def load_model(directory: str | Path, *, memmap: bool | None = None) -> MultiEmbeddingModel:
+def read_legacy_npz(path: str | Path, sha256: str | None) -> dict[str, np.ndarray]:
+    """Every array of an ``.npz`` artifact written before the ``.npy`` store.
+
+    The one reader of the retired layout, shared by checkpoints
+    (``weights.npz``) and indexes (``arrays.npz``).  *sha256* is the
+    hash the artifact's meta recorded (``None`` for files older than
+    the hash).  A missing file, a hash mismatch or an unparseable file
+    raises :class:`~repro.errors.CorruptArtifactError` naming *path*.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise CorruptArtifactError(
+            f"arrays recorded in meta.json are missing: {path}", path=path
+        )
+    if sha256 is not None and sha256_file(path) != sha256:
+        raise CorruptArtifactError(
+            f"arrays failed their integrity check (sha256 mismatch against "
+            f"meta.json): {path}",
+            path=path,
+        )
+    try:
+        with np.load(path, allow_pickle=False) as payload:
+            return {name: payload[name] for name in payload.files}
+    except Exception as error:  # zipfile.BadZipFile, ValueError, OSError
+        raise CorruptArtifactError(
+            f"arrays are unreadable ({error}): {path}", path=path
+        ) from None
+
+
+def load_model(directory: str | Path) -> MultiEmbeddingModel:
     """Rebuild a model saved by :func:`save_model`.
 
     The returned model scores identically to the saved one; optimizer
     state is not checkpointed (retraining restarts moments from zero).
-    Memmap-layout checkpoints come back with read-only mapped tables by
-    default (pass ``memmap=False`` to materialise private in-memory
-    copies — required before training, which updates tables in place);
-    ``memmap`` is ignored for packed ``weights.npz`` checkpoints, which
-    are never mappable.  Torn/corrupt checkpoint files raise
-    :class:`~repro.errors.CorruptArtifactError` naming the offending
-    path; checkpoints written before the integrity hash existed load
-    without the weights check (the npz parse still guards gross damage).
+    Tables come back as read-only mappings of the checkpoint store;
+    the first training step swaps in private copies.  A legacy
+    ``weights.npz`` checkpoint loads into private memory.  Torn/corrupt
+    checkpoint files raise :class:`~repro.errors.CorruptArtifactError`
+    naming the offending path.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -298,33 +323,15 @@ def load_model(directory: str | Path, *, memmap: bool | None = None) -> MultiEmb
             path=meta_path,
         ) from None
     if meta.get("storage") == "memmap":
-        store = MemStore.open(directory / CHECKPOINT_STORE_DIR)
-        arrays = store.get_all()
-        if memmap is False:
-            arrays = {name: np.array(array) for name, array in arrays.items()}
-        try:
-            return model_from_state(meta, arrays)
-        except KeyError as error:
-            raise CorruptArtifactError(
-                f"checkpoint store is missing array {error} promised by "
-                f"meta.json: {directory / CHECKPOINT_STORE_DIR}",
-                path=directory / CHECKPOINT_STORE_DIR,
-            ) from None
-    npz_path = directory / "weights.npz"
-    if not npz_path.exists():
-        raise ModelError(f"not a model checkpoint directory: {directory}")
-    expected = meta.get("weights_sha256")
-    if expected is not None and sha256_file(npz_path) != expected:
-        raise CorruptArtifactError(
-            "checkpoint weights failed their integrity check (sha256 mismatch "
-            f"against meta.json): {npz_path}",
-            path=npz_path,
-        )
+        source = directory / CHECKPOINT_STORE_DIR
+        arrays = MemStore.open(source).get_all()
+    else:
+        source = directory / LEGACY_WEIGHTS_FILE
+        arrays = read_legacy_npz(source, meta.get("weights_sha256"))
     try:
-        with np.load(npz_path) as payload:
-            arrays = {key: payload[key] for key in payload.files}
-    except Exception as error:  # zipfile.BadZipFile, ValueError, OSError
+        return model_from_state(meta, arrays)
+    except KeyError as error:
         raise CorruptArtifactError(
-            f"checkpoint weights are unreadable ({error}): {npz_path}", path=npz_path
+            f"checkpoint is missing array {error} promised by meta.json: {source}",
+            path=source,
         ) from None
-    return model_from_state(meta, arrays)

@@ -36,15 +36,17 @@ import numpy as np
 
 from repro.core.interaction import MultiEmbeddingModel
 from repro.core.memstore import STORE_META_FILE, MemStore
+from repro.core.serialization import read_legacy_npz
 from repro.errors import CorruptArtifactError, ServingError, StaleIndexError
 from repro.obs.registry import MetricsRegistry
-from repro.reliability.atomic import atomic_write_bytes, atomic_write_json, npz_bytes
-from repro.reliability.manifest import sha256_bytes, sha256_file
+from repro.reliability.atomic import atomic_write_json
+from repro.reliability.manifest import sha256_file
 
 #: Files that make up a saved index directory.
 INDEX_META_FILE = "meta.json"
-INDEX_ARRAYS_FILE = "arrays.npz"
 INDEX_STORE_DIR = "store"
+#: The single-file payload of indexes saved before the store.
+INDEX_ARRAYS_FILE = "arrays.npz"
 
 _FORMAT_VERSION = 1
 
@@ -203,19 +205,18 @@ class CandidateIndex(abc.ABC):
         """Subclass hook: arrays to persist."""
         return {}
 
-    def save(self, directory: str | Path, *, memmap: bool = False) -> Path:
+    def save(self, directory: str | Path) -> Path:
         """Write the index next to a checkpoint; returns the directory.
 
-        ``memmap=False`` packs every array into one ``arrays.npz``;
-        ``memmap=True`` writes a :class:`~repro.core.memstore.MemStore`
-        of plain ``.npy`` files instead, so loading maps the partition
-        tables (centroids, member lists, PQ codes) read-only and every
-        process serving the run shares the pages.
+        The arrays go to a :class:`~repro.core.memstore.MemStore` of
+        plain ``.npy`` files, so loading maps the partition tables
+        (centroids, member lists, PQ codes) read-only and every process
+        serving the run shares the pages.  An ``arrays.npz`` left by an
+        index saved before the store is removed.
 
-        Crash-safe either way: all files go through atomic writes, and
-        the meta records a sha256 chain over the payload (the npz bytes,
-        or the store meta — which in turn records per-file hashes) so a
-        torn or bit-flipped artifact raises
+        Crash-safe: all files go through atomic writes, and the meta
+        records the sha256 of the store meta — which in turn records
+        per-file hashes — so a torn or bit-flipped artifact raises
         :class:`~repro.errors.CorruptArtifactError` at load time (the
         serving layer then degrades to exact sweeps instead of serving
         from a silently damaged partition table).
@@ -227,11 +228,11 @@ class CandidateIndex(abc.ABC):
             "kind": self.kind,
             "num_entities": self.num_entities,
             "fingerprint": model_fingerprint(self.model),
-            "storage": "memmap" if memmap else "npz",
+            "storage": "memmap",
             **self._meta(),
         }
         arrays = self._arrays()
-        if arrays and memmap:
+        if arrays:
             # begin/flush: the store meta commits once, after every
             # payload landed, so a torn rewrite never half-replaces it.
             store = MemStore.begin(directory / INDEX_STORE_DIR, extra={"kind": self.kind})
@@ -241,13 +242,8 @@ class CandidateIndex(abc.ABC):
             meta["store_sha256"] = sha256_file(
                 directory / INDEX_STORE_DIR / STORE_META_FILE
             )
-            # Don't leave a stale npz from an earlier save of the other layout.
-            (directory / INDEX_ARRAYS_FILE).unlink(missing_ok=True)
-        elif arrays:
-            payload = npz_bytes(arrays)
-            meta["arrays_sha256"] = sha256_bytes(payload)
-            atomic_write_bytes(directory / INDEX_ARRAYS_FILE, payload)
         atomic_write_json(directory / INDEX_META_FILE, meta, sort_keys=True)
+        (directory / INDEX_ARRAYS_FILE).unlink(missing_ok=True)
         return directory
 
 
@@ -275,64 +271,28 @@ def read_index_meta(directory: str | Path) -> dict:
     return meta
 
 
-def verify_index_arrays(directory: str | Path, meta: dict) -> Path:
-    """Integrity-check a saved index's arrays file against its meta.
-
-    Returns the arrays path.  Raises
-    :class:`~repro.errors.CorruptArtifactError` when the file is
-    missing-but-promised or fails the sha256 recorded at save time;
-    indexes saved before the hash existed skip the check.
-    """
-    npz_path = Path(directory) / INDEX_ARRAYS_FILE
-    expected = meta.get("arrays_sha256")
-    if not npz_path.exists():
-        if expected is not None:
-            raise CorruptArtifactError(
-                f"index arrays recorded in meta.json are missing: {npz_path}",
-                path=npz_path,
-            )
-        return npz_path
-    if expected is not None and sha256_file(npz_path) != expected:
-        raise CorruptArtifactError(
-            "index arrays failed their integrity check (sha256 mismatch against "
-            f"meta.json): {npz_path}",
-            path=npz_path,
-        )
-    return npz_path
-
-
 def read_index_arrays(directory: str | Path, meta: dict) -> dict[str, np.ndarray]:
-    """Every persisted array of a saved index, dispatching on its layout.
+    """Every persisted array of a saved index.
 
-    ``storage == "memmap"`` opens the index's array store and returns
-    read-only mappings (verified against the sha256 chain rooted in
-    ``meta.json``); the npz layout verifies and unpacks ``arrays.npz``
-    into ordinary in-memory arrays.  Either way damage surfaces as a
-    typed :class:`~repro.errors.CorruptArtifactError`, and an index
-    saved with no arrays returns an empty dict.
+    Opens the index's array store and returns read-only mappings,
+    verified against the sha256 chain rooted in ``meta.json``; an index
+    saved before the store is read from its ``arrays.npz`` instead.
+    Either way damage surfaces as a typed
+    :class:`~repro.errors.ArtifactError`.
     """
     directory = Path(directory)
-    if meta.get("storage") == "memmap":
-        store_dir = directory / INDEX_STORE_DIR
-        store = MemStore.open(store_dir)
-        expected = meta.get("store_sha256")
-        if expected is not None and sha256_file(store_dir / STORE_META_FILE) != expected:
-            raise CorruptArtifactError(
-                "index array store meta failed its integrity check (sha256 "
-                f"mismatch against {INDEX_META_FILE}): {store_dir / STORE_META_FILE}",
-                path=store_dir / STORE_META_FILE,
-            )
-        return store.get_all()
-    npz_path = verify_index_arrays(directory, meta)
-    if not npz_path.exists():
-        return {}
-    try:
-        with np.load(npz_path) as payload:
-            return {name: payload[name] for name in payload.files}
-    except (OSError, ValueError) as error:  # zipfile damage, bad npy headers
+    if meta.get("storage") != "memmap":
+        return read_legacy_npz(directory / INDEX_ARRAYS_FILE, meta.get("arrays_sha256"))
+    store_dir = directory / INDEX_STORE_DIR
+    store = MemStore.open(store_dir)
+    expected = meta.get("store_sha256")
+    if expected is not None and sha256_file(store_dir / STORE_META_FILE) != expected:
         raise CorruptArtifactError(
-            f"index arrays are unreadable ({error}): {npz_path}", path=npz_path
-        ) from None
+            "index array store meta failed its integrity check (sha256 "
+            f"mismatch against {INDEX_META_FILE}): {store_dir / STORE_META_FILE}",
+            path=store_dir / STORE_META_FILE,
+        )
+    return store.get_all()
 
 
 def check_loaded_meta(meta: dict, model, on_stale: str) -> bool:

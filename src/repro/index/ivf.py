@@ -927,9 +927,9 @@ class IVFIndex(CandidateIndex):
         The persisted fingerprint must match the model's parameters;
         when it does not, ``on_stale="rebuild"`` returns an index with
         the saved hyperparameters but no partitions (they rebuild
-        lazily), and ``"error"`` raises.  Memmap-layout saves come back
-        as read-only mappings — partition tables stay file-backed and
-        shared across every process serving the run.
+        lazily), and ``"error"`` raises.  Partition tables come back as
+        read-only mappings — file-backed and shared across every
+        process serving the run.
         """
         meta = read_index_meta(directory)
         if meta.get("kind") != cls.kind:

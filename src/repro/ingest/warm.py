@@ -122,12 +122,6 @@ def fine_tune_delta(
     triples = rows[mask]
     if not len(triples):
         return WarmStartReport(seconds=time.perf_counter() - start)
-    # Steps update rows in place; a table still mapped read-only from a
-    # memmap checkpoint becomes a private copy (same values, same version).
-    for name in ("entity_embeddings", "relation_embeddings"):
-        table = getattr(model, name)
-        if not table.flags.writeable:
-            setattr(model, name, np.array(table))
     rng = np.random.default_rng(config.seed)
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
     loss = 0.0

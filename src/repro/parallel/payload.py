@@ -9,7 +9,7 @@ bit-identically to the parent's — the property the sharded evaluator's
 exactness guarantee rests on.
 
 Store-backed models ship by reference: when a table is a whole-file
-``.npy`` memory map (a memmap checkpoint or a
+``.npy`` memory map (a loaded checkpoint or any other
 :class:`~repro.core.memstore.MemStore` entry), the payload records its
 ``(path, dtype, shape)`` instead of copying the bytes, and the worker
 re-maps the same file read-only.  Every worker then shares the parent's

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.core.serialization import DOWNCAST_DTYPES
 from repro.errors import ConfigError
 from repro.kg.graph import KGDataset
 from repro.pipeline.components import DATASET_GENERATORS, MODELS, OMEGA_PRESETS
@@ -276,16 +277,12 @@ class IndexSection:
         return self.kind != "none"
 
 
-_STORAGE_DTYPES = ("float64", "float32", "float16")
-
-
 @dataclass(frozen=True)
 class StorageSection:
     """How the run directory stores its model checkpoint.
 
-    ``memmap=True`` writes the checkpoint as a directory of plain
-    ``.npy`` files (:mod:`repro.core.memstore`) instead of one
-    ``weights.npz``; loading then memory-maps the tables read-only, so
+    The checkpoint is always a directory of plain ``.npy`` files
+    (:mod:`repro.core.memstore`) that loading memory-maps read-only, so
     eval workers and the serving daemon share OS pages instead of
     private copies.  ``dtype`` optionally downcasts the embedding tables
     (``float32`` halves, ``float16`` quarters the footprint); the save
@@ -293,23 +290,17 @@ class StorageSection:
     probe triples exceeds ``equivalence_tol`` (``null`` disables the
     gate — explicitly accepting lossy storage).
 
-    ``float64`` + ``memmap`` is bit-identical to the npz layout; a lossy
-    ``dtype`` changes stored parameters and therefore re-evaluation
-    results, which is why it is opt-in and gated.
+    A lossy ``dtype`` changes stored parameters and therefore
+    re-evaluation results, which is why it is opt-in and gated.
     """
 
-    memmap: bool = False
     dtype: str = "float64"
     equivalence_tol: float | None = 1e-6
 
     def __post_init__(self) -> None:
-        if not isinstance(self.memmap, bool):
+        if self.dtype not in DOWNCAST_DTYPES:
             raise ConfigError(
-                f"storage.memmap must be a boolean, got {self.memmap!r}"
-            )
-        if self.dtype not in _STORAGE_DTYPES:
-            raise ConfigError(
-                f"storage.dtype must be one of {list(_STORAGE_DTYPES)}, "
+                f"storage.dtype must be one of {list(DOWNCAST_DTYPES)}, "
                 f"got {self.dtype!r}"
             )
         if self.equivalence_tol is not None and not self.equivalence_tol > 0:
@@ -566,6 +557,11 @@ class RunConfig:
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"run config field 'seed' must be an integer, got {seed!r}")
+        storage = data.get("storage", {})
+        if isinstance(storage, Mapping):
+            # ``memmap`` picked the checkpoint layout before the ``.npy``
+            # store became the only one; configs that set it still load.
+            storage = {key: value for key, value in storage.items() if key != "memmap"}
         return cls(
             dataset=_section_from_dict(
                 DatasetSection, data.get("dataset", {}), "dataset"
@@ -585,7 +581,7 @@ class RunConfig:
                 ServingSection, data.get("serving", {}), "serving"
             ),
             storage=_section_from_dict(
-                StorageSection, data.get("storage", {}), "storage"
+                StorageSection, storage, "storage"
             ),
             ingest=_section_from_dict(IngestSection, data.get("ingest", {}), "ingest"),
             observability=_section_from_dict(

@@ -228,9 +228,7 @@ def _train_and_evaluate_inner(
                     result.model, config.index, workers=config.parallel.eval_workers
                 )
                 index.build(workers=config.parallel.eval_workers)
-                index.save(
-                    result.run_dir / _INDEX_DIR, memmap=config.storage.memmap
-                )
+                index.save(result.run_dir / _INDEX_DIR)
     return result
 
 
@@ -357,7 +355,6 @@ def write_run_dir(result: RunResult, run_dir: str | Path) -> Path:
     checkpoint_hashes = save_model(
         result.model,
         run_dir / _CHECKPOINT_DIR,
-        memmap=storage.memmap,
         dtype=None if storage.dtype == "float64" else storage.dtype,
         equivalence_tol=storage.equivalence_tol,
     )
@@ -433,10 +430,9 @@ def load_run(run_dir: str | Path) -> LoadedRun:
     verify_artifact(run_dir, _CONFIG_FILE, manifest)
     verify_artifact(run_dir, f"{_CHECKPOINT_DIR}/meta.json", manifest)
     if manifest is not None:
-        # Verify whichever checkpoint layout was written: one weights.npz,
-        # or the memmap store's .npy files + store.json — every manifest
-        # entry under checkpoint/ is checked, so a torn mapped table is
-        # caught here, before any page of it is ever scored from.
+        # Every manifest entry under checkpoint/ is checked — the store's
+        # .npy files and store.json, or a legacy weights.npz — so a torn
+        # mapped table is caught here, before any page of it is scored.
         for relative in sorted(manifest):
             if relative.startswith(f"{_CHECKPOINT_DIR}/") and relative != (
                 f"{_CHECKPOINT_DIR}/meta.json"
@@ -491,7 +487,7 @@ def build_run_index(
         section = IndexSection(kind="ivf")
     index = build_index(loaded.model, section, workers=workers)
     index.build(sides=sides, workers=workers)
-    index.save(Path(run_dir) / _INDEX_DIR, memmap=loaded.config.storage.memmap)
+    index.save(Path(run_dir) / _INDEX_DIR)
     return index
 
 

@@ -26,11 +26,9 @@ wire op) in :class:`repro.serving.server.PredictionServer`.
 """
 
 from repro.reliability.atomic import (
-    atomic_savez,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
-    npz_bytes,
 )
 from repro.reliability.faults import (
     FaultHit,
@@ -58,13 +56,11 @@ __all__ = [
     "FaultSpec",
     "MANIFEST_FILE",
     "active_injector",
-    "atomic_savez",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
     "fault_scope",
     "install_fault_injector",
-    "npz_bytes",
     "read_manifest",
     "sha256_bytes",
     "sha256_file",

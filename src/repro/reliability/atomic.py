@@ -21,13 +21,10 @@ safety contract under test).
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from repro.reliability import faults
 
@@ -87,27 +84,3 @@ def atomic_write_json(
     text = json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
     return atomic_write_text(path, text, fsync=fsync)
 
-
-def npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
-    """The exact bytes ``np.savez`` would write for *arrays*.
-
-    Serialized in-memory so callers can hash the payload (for manifests
-    / corruption detection) and hand the same bytes to
-    :func:`atomic_write_bytes` — one serialization, both uses.
-    """
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
-
-
-def atomic_savez(path: str | Path, arrays: dict[str, np.ndarray], fsync: bool = True) -> bytes:
-    """Atomically persist *arrays* as an ``.npz``; returns the written bytes.
-
-    Returning the payload lets callers record its sha256 in a manifest
-    without re-reading the file (and without hashing a file an injected
-    fault may just have corrupted — manifests must hash the *intended*
-    bytes, or corruption would self-certify).
-    """
-    data = npz_bytes(arrays)
-    atomic_write_bytes(path, data, fsync=fsync)
-    return data

@@ -98,6 +98,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import (
+    ArtifactError,
     CorruptArtifactError,
     DeadlineExceededError,
     ReproError,
@@ -544,11 +545,13 @@ class PredictionServer:
         The checkpoint/dataset/index load happens in a worker thread —
         in-flight and newly arriving requests keep being served by the
         current deployment throughout.  Persisted indexes are loaded
-        with ``on_stale="error"``: under ``index="auto"`` a stale or
-        corrupt saved index **degrades** the deployment (it comes up
-        serving exact full sweeps, tagged in :meth:`health_dict`)
-        instead of refusing to serve; ``index="require"`` keeps the
-        strict behaviour and raises.
+        with ``on_stale="error"``: under ``index="auto"`` a stale,
+        corrupt or incomplete saved index **degrades** the deployment
+        (it comes up serving exact full sweeps, tagged in
+        :meth:`health_dict`) instead of refusing to serve;
+        ``index="require"`` keeps the strict behaviour and raises.  A
+        damaged checkpoint still fails the deploy, from the index-free
+        retry.
         """
 
         def _build() -> tuple[LinkPredictor, bool]:
@@ -561,7 +564,7 @@ class PredictionServer:
                     ),
                     False,
                 )
-            except (StaleIndexError, CorruptArtifactError):
+            except (StaleIndexError, ArtifactError):
                 if index != "auto":
                     raise
                 # Availability over latency: serve the checkpoint with

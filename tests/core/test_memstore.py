@@ -13,7 +13,6 @@ from repro.core.memstore import (
     mappable_source,
     npy_bytes,
     open_mapped,
-    payload_meta,
 )
 from repro.errors import CorruptArtifactError, MissingArtifactError, ServingError
 from repro.reliability.faults import FaultInjector, FaultPlan, FaultSpec, fault_scope
@@ -186,10 +185,3 @@ class TestStandaloneHelpers:
         in_process, mapped_bytes = array_memory([mapped, private, None])
         assert in_process == private.nbytes
         assert mapped_bytes == mapped.nbytes
-
-    def test_payload_meta_reports_mapping(self, tmp_path, rng):
-        store = _store(tmp_path)
-        mapped = store.put("w", rng.normal(size=(4, 4)))
-        meta = payload_meta({"w": mapped, "p": np.zeros(3, dtype=np.float32)})
-        assert meta["w"]["mapped"] is True
-        assert meta["p"] == {"shape": [3], "dtype": "float32", "mapped": False}

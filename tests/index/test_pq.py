@@ -207,14 +207,13 @@ class TestPredictorBitIdentityPins:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("memmap", [False, True], ids=["npz", "memmap"])
-    def test_round_trip_preserves_codes_and_results(self, model, tmp_path, memmap):
+    def test_round_trip_preserves_codes_and_results(self, model, tmp_path):
         pq = PQConfig(m=4, refine=12, iters=4, seed=3)
         index = IVFIndex(model, nlist=10, nprobe=4, seed=2, pq=pq)
         anchors = np.arange(20)
         relations = np.arange(20) % model.num_relations
         before = index.candidate_lists(anchors, relations, "tail")
-        index.save(tmp_path / "ix", memmap=memmap)
+        index.save(tmp_path / "ix")
         loaded = load_index(tmp_path / "ix", model)
         assert loaded.pq == pq
         after = loaded.candidate_lists(anchors, relations, "tail")

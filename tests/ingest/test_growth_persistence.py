@@ -34,7 +34,7 @@ def model(toy_dataset):
 
 def test_grown_memmap_checkpoint_round_trips(model, tmp_path):
     first = tmp_path / "ckpt"
-    save_model(model, first, memmap=True)
+    save_model(model, first)
     loaded = load_model(first)  # read-only memmapped tables
     assert is_mapped(loaded.entity_embeddings)
     assert not loaded.entity_embeddings.flags.writeable
@@ -44,7 +44,7 @@ def test_grown_memmap_checkpoint_round_trips(model, tmp_path):
     added = loaded.grow(old_ne + 4, rng=np.random.default_rng(0))
     assert added == (4, 0)
 
-    hashes = save_model(loaded, first, memmap=True)  # re-save in place
+    hashes = save_model(loaded, first)  # re-save in place
     assert f"{CHECKPOINT_STORE_DIR}/entity_embeddings.npy" in hashes
 
     reloaded = load_model(first)
@@ -57,10 +57,10 @@ def test_grown_memmap_checkpoint_round_trips(model, tmp_path):
 
 def test_resave_keeps_per_array_integrity_hashes(model, tmp_path):
     directory = tmp_path / "ckpt"
-    save_model(model, directory, memmap=True)
+    save_model(model, directory)
     loaded = load_model(directory)
     loaded.grow(loaded.num_entities + 2, rng=np.random.default_rng(1))
-    save_model(loaded, directory, memmap=True)
+    save_model(loaded, directory)
 
     store = MemStore.open(directory / CHECKPOINT_STORE_DIR)
     store.verify_all()  # every payload matches its recorded sha256
@@ -69,10 +69,10 @@ def test_resave_keeps_per_array_integrity_hashes(model, tmp_path):
 
 def test_corrupted_grown_table_detected_at_load(model, tmp_path):
     directory = tmp_path / "ckpt"
-    save_model(model, directory, memmap=True)
+    save_model(model, directory)
     loaded = load_model(directory)
     loaded.grow(loaded.num_entities + 2, rng=np.random.default_rng(1))
-    save_model(loaded, directory, memmap=True)
+    save_model(loaded, directory)
 
     payload_path = directory / CHECKPOINT_STORE_DIR / "entity_embeddings.npy"
     raw = bytearray(payload_path.read_bytes())
@@ -85,18 +85,18 @@ def test_corrupted_grown_table_detected_at_load(model, tmp_path):
 def test_ingest_on_memmapped_checkpoint_preserves_unreached_rows(
     toy_dataset, model, tmp_path
 ):
-    """The full loop: memmap checkpoint -> writable load -> ingest_delta
-    (growth + fine-tune) -> re-save -> reload.  Rows the delta never
-    touched must survive the whole trip bit-identically."""
+    """The full loop: memmap checkpoint -> mapped load -> ingest_delta
+    (growth + fine-tune on private copies) -> re-save -> reload.  Rows
+    the delta never touched must survive the whole trip bit-identically."""
     directory = tmp_path / "ckpt"
-    save_model(model, directory, memmap=True)
-    serving = load_model(directory, memmap=False)  # writable for training
+    save_model(model, directory)
+    serving = load_model(directory)  # read-only mapped tables
 
     delta = GraphDelta(add_triples=(("grace", "alice", "likes"),))
     outcome = ingest_delta(serving, toy_dataset, delta, epochs=2, seed=3)
     assert outcome.applied
 
-    save_model(serving, directory, memmap=True)
+    save_model(serving, directory)
     reloaded = load_model(directory)
     original = np.array(model.entity_embeddings)
     touched = set(outcome.stats.touched_entities.tolist())
@@ -118,9 +118,9 @@ def test_interrupted_resave_is_detected_and_healed_by_rerun(
     sha256 — the mismatch is *detected* at load, and re-running the
     save heals the checkpoint."""
     directory = tmp_path / "ckpt"
-    save_model(model, directory, memmap=True)
+    save_model(model, directory)
 
-    grown = load_model(directory, memmap=False)
+    grown = load_model(directory)
     grown_ne = grown.num_entities + 3
     grown.grow(grown_ne, rng=np.random.default_rng(2))
     expected = grown.entity_embeddings.copy()
@@ -128,13 +128,13 @@ def test_interrupted_resave_is_detected_and_healed_by_rerun(
     boom = RuntimeError("simulated crash before store.json commit")
     monkeypatch.setattr(MemStore, "flush", lambda self: (_ for _ in ()).throw(boom))
     with pytest.raises(RuntimeError, match="simulated crash"):
-        save_model(grown, directory, memmap=True)
+        save_model(grown, directory)
     monkeypatch.undo()
 
     with pytest.raises(CorruptArtifactError):
         load_model(directory)
 
-    save_model(grown, directory, memmap=True)  # heal by re-run
+    save_model(grown, directory)  # heal by re-run
     healed = load_model(directory)
     assert healed.num_entities == grown_ne
     np.testing.assert_array_equal(healed.entity_embeddings, expected)

@@ -227,12 +227,11 @@ class TestIngestCounters:
         assert metrics["histograms"]["ingest.delta_seconds"]["count"] == 1
 
 
-def _storage_run(root, memmap: bool):
+def _stored_run(root):
     from repro.pipeline.config import (
         DatasetSection,
         ModelSection,
         RunConfig,
-        StorageSection,
         TrainingSection,
     )
     from repro.pipeline.runner import run_pipeline
@@ -244,25 +243,36 @@ def _storage_run(root, memmap: bool):
         ),
         model=ModelSection(name="complex", total_dim=8),
         training=TrainingSection(epochs=1, batch_size=256),
-        storage=StorageSection(memmap=memmap),
     )
-    path = root / ("memmap" if memmap else "npz")
+    path = root / "run"
     run_pipeline(config, run_dir=path)
     return path
 
 
 class TestMemmapDeployment:
-    def test_delta_on_a_memmapped_run_matches_the_npz_run(self, tmp_path):
+    def test_delta_on_a_memmapped_run_matches_an_in_memory_copy(self, tmp_path):
         """Regression: the warm-start fine-tune wrote rows in place into
-        the read-only mapped tables of a ``storage.memmap`` run, so a live
-        delta among existing entities failed with ``ValueError:
-        assignment destination is read-only``."""
-        runs = [_storage_run(tmp_path, memmap) for memmap in (True, False)]
+        the read-only mapped tables of a loaded run, so a live delta
+        among existing entities failed with ``ValueError: assignment
+        destination is read-only``.  The mapped deployment must answer
+        exactly like the same delta applied to an in-memory copy."""
+        from repro.core.memstore import is_mapped
+        from repro.core.serialization import model_from_state, model_state
+        from repro.pipeline.runner import load_run
 
-        async def serve(run_dir):
+        run = _stored_run(tmp_path)
+        loaded = load_run(run)
+        assert is_mapped(loaded.model.entity_embeddings)
+        meta, arrays = model_state(loaded.model)
+        in_memory = model_from_state(
+            meta, {name: np.array(array) for name, array in arrays.items()}
+        )
+        plain_predictor = LinkPredictor(in_memory, loaded.build_dataset())
+
+        async def serve(deploy):
             server = PredictionServer()
             async with server:
-                await server.load_run(run_dir, index=None)
+                await deploy(server)
                 dataset = server.deployment.predictor.dataset
                 known = (
                     dataset.train.as_set() | dataset.valid.as_set() | dataset.test.as_set()
@@ -279,9 +289,12 @@ class TestMemmapDeployment:
                 served = await server.top_k_tails(3, 0, k=10)
             return receipt, served
 
-        (mapped_receipt, mapped), (plain_receipt, plain) = [
-            asyncio.run(serve(run)) for run in runs
-        ]
+        mapped_receipt, mapped = asyncio.run(
+            serve(lambda server: server.load_run(run, index=None))
+        )
+        plain_receipt, plain = asyncio.run(
+            serve(lambda server: server.swap_predictor(plain_predictor))
+        )
         assert mapped_receipt["applied"] and plain_receipt["applied"]
         assert mapped_receipt["warm"]["grew_entities"] == 0
         assert mapped_receipt["warm"]["steps"] > 0

@@ -93,7 +93,7 @@ def test_sweep_run_dir_trees_identical_across_worker_counts(tmp_path):
     # The trees contain the full artifact set, not just status stubs.
     names = set(reference)
     assert any(name.endswith("config.json") for name in names)
-    assert any(name.endswith("weights.npz") for name in names)
+    assert any(name.endswith("entity_embeddings.npy") for name in names)
     assert any(name.endswith("metrics.json") for name in names)
     assert any(name.endswith("status.json") for name in names)
 

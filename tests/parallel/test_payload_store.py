@@ -24,7 +24,7 @@ NE, NR = 90, 4
 
 def _mapped_model(tmp_path):
     model = make_complex(NE, NR, 16, np.random.default_rng(2))
-    save_model(model, tmp_path / "ckpt", memmap=True)
+    save_model(model, tmp_path / "ckpt")
     return model, load_model(tmp_path / "ckpt")
 
 

@@ -104,7 +104,7 @@ class TestRunPipeline:
 class TestRunDirectory:
     def test_artifact_files(self, run):
         assert (run.run_dir / "config.json").exists()
-        assert (run.run_dir / "checkpoint" / "weights.npz").exists()
+        assert (run.run_dir / "checkpoint" / "store" / "entity_embeddings.npy").exists()
         assert (run.run_dir / "checkpoint" / "meta.json").exists()
         assert (run.run_dir / "history.json").exists()
         assert (run.run_dir / "metrics.json").exists()
@@ -168,7 +168,7 @@ class TestCLIIntegration:
         ])
         assert code == 0
         assert "run artifacts written" in capsys.readouterr().out
-        assert (run_dir / "checkpoint" / "weights.npz").exists()
+        assert (run_dir / "checkpoint" / "store" / "entity_embeddings.npy").exists()
 
         # predict straight from the run directory: no --dataset, no retraining.
         loaded = load_run(run_dir)

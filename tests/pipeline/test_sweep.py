@@ -116,7 +116,7 @@ class TestSweep:
         assert dirs[0].startswith("run000-")
         for run in runs:
             assert run.result.run_dir is not None
-            assert (run.result.run_dir / "checkpoint" / "weights.npz").exists()
+            assert (run.result.run_dir / "checkpoint" / "store" / "store.json").exists()
 
     def test_empty_seeds_rejected(self, base):
         with pytest.raises(ConfigError, match="seeds"):

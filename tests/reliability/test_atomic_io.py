@@ -117,7 +117,13 @@ class TestCheckpointIntegrity:
             np.random.default_rng(0),
         )
         hashes = save_model(model, tmp_path / "ckpt")
-        assert set(hashes) == {"weights.npz", "meta.json"}
+        assert set(hashes) == {
+            "store/entity_embeddings.npy",
+            "store/relation_embeddings.npy",
+            "store/omega.npy",
+            "store/store.json",
+            "meta.json",
+        }
         restored = load_model(tmp_path / "ckpt")
         np.testing.assert_array_equal(
             restored.entity_embeddings, model.entity_embeddings
@@ -134,13 +140,13 @@ class TestCheckpointIntegrity:
             np.random.default_rng(0),
         )
         save_model(model, tmp_path / "ckpt")
-        npz = tmp_path / "ckpt" / "weights.npz"
-        raw = bytearray(npz.read_bytes())
+        table = tmp_path / "ckpt" / "store" / "entity_embeddings.npy"
+        raw = bytearray(table.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
-        npz.write_bytes(bytes(raw))
+        table.write_bytes(bytes(raw))
         with pytest.raises(CorruptArtifactError) as caught:
             load_model(tmp_path / "ckpt")
-        assert caught.value.path.endswith("weights.npz")
+        assert caught.value.path.endswith("entity_embeddings.npy")
 
     def test_torn_meta_detected(self, tmp_path, tiny_dataset):
         from repro.core.models import make_complex
@@ -166,7 +172,7 @@ class TestLoadRunTypedErrors:
         manifest = read_manifest(run_dir)
         assert manifest is not None
         assert "config.json" in manifest
-        assert "checkpoint/weights.npz" in manifest
+        assert "checkpoint/store/entity_embeddings.npy" in manifest
         assert "metrics.json" in manifest and "history.json" in manifest
         assert verify_manifest(run_dir) == sorted(manifest)
 
@@ -225,24 +231,25 @@ class TestIndexIntegrity:
         from repro.index import load_index
         from repro.pipeline.runner import load_run
 
-        # Bypass the run manifest: the index has its own arrays_sha256.
+        # Bypass the run manifest: the index store has its own hashes.
         loaded = load_run(run_copy)
-        npz = run_copy / "index" / "arrays.npz"
-        raw = bytearray(npz.read_bytes())
+        victim = run_copy / "index" / "store" / "tail_0_centroids.npy"
+        raw = bytearray(victim.read_bytes())
         raw[len(raw) // 3] ^= 0xFF
-        npz.write_bytes(bytes(raw))
+        victim.write_bytes(bytes(raw))
         with pytest.raises(CorruptArtifactError) as caught:
             load_index(run_copy / "index", loaded.model, on_stale="error")
-        assert caught.value.path.endswith("arrays.npz")
+        assert caught.value.path.endswith("tail_0_centroids.npy")
 
     def test_missing_promised_index_arrays_detected(self, run_copy):
         from repro.index import load_index
         from repro.pipeline.runner import load_run
 
         loaded = load_run(run_copy)
-        (run_copy / "index" / "arrays.npz").unlink()
-        with pytest.raises(CorruptArtifactError):
+        (run_copy / "index" / "store" / "head_0_members.npy").unlink()
+        with pytest.raises(MissingArtifactError) as caught:
             load_index(run_copy / "index", loaded.model, on_stale="error")
+        assert caught.value.path.endswith("head_0_members.npy")
 
     def test_torn_index_meta_detected(self, run_copy):
         from repro.index import load_index

@@ -8,13 +8,16 @@ The three end-to-end stories the fault-tolerance layer exists for:
 2. a sweep child's artifacts are torn on disk and resume heals the
    child by re-running it — final sweep results bit-equal to a clean
    sweep;
-3. a persisted index is byte-flipped and serving degrades to the exact
-   full-sweep path — answers bit-equal to serving without an index.
+3. a persisted index is byte-flipped, or loses a file, and serving
+   degrades to the exact full-sweep path — answers bit-equal to serving
+   without an index.
 
 Determinism makes "recovered" checkable as *equality*, not vibes.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -101,7 +104,7 @@ class TestTornSweepChildOnResume:
 
         # Tear child 0's checkpoint mid-file (a legacy torn write /
         # bit rot): resume must treat the cache entry as unusable.
-        victim = first[0].run_dir / "checkpoint" / "weights.npz"
+        victim = first[0].run_dir / "checkpoint" / "store" / "entity_embeddings.npy"
         raw = victim.read_bytes()
         victim.write_bytes(raw[: len(raw) // 2])
 
@@ -135,38 +138,60 @@ class TestTornSweepChildOnResume:
             assert chaotic.metrics["test"].mrr == reference.metrics["test"].mrr
 
 
+async def _answers(path, index, expect_degraded):
+    from repro.serving import PredictionServer
+
+    server = PredictionServer(max_batch=8, max_wait_ms=1.0)
+    async with server:
+        deployment = await server.load_run(path, index=index)
+        assert deployment.degraded is expect_degraded
+        served = [
+            await server.top_k_tails(h, 0, k=5, filtered=True)
+            for h in range(6)
+        ]
+        assert all(s.degraded is expect_degraded for s in served)
+        health = server.health_dict()
+        assert health["degraded"] is expect_degraded
+        return [(list(s.ids), list(s.scores)) for s in served]
+
+
 class TestByteFlippedIndexDegradesServing:
     def test_corrupt_index_serves_exact_answers(self, run_copy):
-        import asyncio
-
-        from repro.serving import PredictionServer
-
-        async def answers(path, index, expect_degraded):
-            server = PredictionServer(max_batch=8, max_wait_ms=1.0)
-            async with server:
-                deployment = await server.load_run(path, index=index)
-                assert deployment.degraded is expect_degraded
-                served = [
-                    await server.top_k_tails(h, 0, k=5, filtered=True)
-                    for h in range(6)
-                ]
-                assert all(s.degraded is expect_degraded for s in served)
-                health = server.health_dict()
-                assert health["degraded"] is expect_degraded
-                return [(list(s.ids), list(s.scores)) for s in served]
-
         # Sanity: the intact index deploys non-degraded.
-        asyncio.run(answers(run_copy, "auto", False))
+        asyncio.run(_answers(run_copy, "auto", False))
         # The bit-identity reference: the same checkpoint served with
         # no index at all (exact full sweeps).
-        exact = asyncio.run(answers(run_copy, None, False))
+        exact = asyncio.run(_answers(run_copy, None, False))
 
-        npz = run_copy / "index" / "arrays.npz"
-        raw = bytearray(npz.read_bytes())
+        victim = run_copy / "index" / "store" / "tail_0_members.npy"
+        raw = bytearray(victim.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
-        npz.write_bytes(bytes(raw))
+        victim.write_bytes(bytes(raw))
 
-        degraded = asyncio.run(answers(run_copy, "auto", True))
+        degraded = asyncio.run(_answers(run_copy, "auto", True))
         # Degraded mode must be *exactly* index-free serving — same
         # ids, same score bits — not merely a plausible approximation.
         assert degraded == exact
+
+
+class TestIncompleteIndexDegradesServing:
+    """Regression: a missing index store file failed the deploy with
+    :class:`~repro.errors.MissingArtifactError` instead of degrading."""
+
+    @pytest.mark.parametrize("missing", ["head_0_centroids.npy", "store.json"])
+    def test_missing_store_file_serves_exact_answers(self, run_copy, missing):
+        from repro.errors import MissingArtifactError
+        from repro.serving import PredictionServer
+
+        exact = asyncio.run(_answers(run_copy, None, False))
+        (run_copy / "index" / "store" / missing).unlink()
+        degraded = asyncio.run(_answers(run_copy, "auto", True))
+        assert degraded == exact
+
+        async def require():
+            server = PredictionServer()
+            async with server:
+                await server.load_run(run_copy, index="require")
+
+        with pytest.raises(MissingArtifactError):
+            asyncio.run(require())

@@ -1,8 +1,7 @@
 """Memory-mapped artifacts under fault: typed errors, manifests, recovery.
 
-The memmap checkpoint layout (``checkpoint/store/*.npy``) must give the
-same crash-safety contract as the packed ``weights.npz`` path: injected
-write corruption or direct file surgery surfaces as a typed
+The checkpoint store (``checkpoint/store/*.npy``) must be crash-safe:
+injected write corruption or direct file surgery surfaces as a typed
 :class:`~repro.errors.ArtifactError` naming the damaged file — never a
 raw numpy traceback — the run manifest's sha256 chain covers every
 mapped file, and a torn write recovers bit-identically on retry.
@@ -57,11 +56,11 @@ class TestInjectedCorruption:
     def test_save_detects_damage_as_typed_error(self, tmp_path, model, spec):
         with fault_scope(FaultInjector(FaultPlan.of(spec))):
             with pytest.raises(ArtifactError):
-                save_model(model, tmp_path / "ckpt", memmap=True)
+                save_model(model, tmp_path / "ckpt")
 
     @pytest.mark.parametrize("surgery", ["truncate", "byteflip"])
     def test_load_detects_on_disk_damage(self, tmp_path, model, surgery):
-        save_model(model, tmp_path / "ckpt", memmap=True)
+        save_model(model, tmp_path / "ckpt")
         path = tmp_path / "ckpt" / CHECKPOINT_STORE_DIR / "entity_embeddings.npy"
         raw = bytearray(path.read_bytes())
         if surgery == "truncate":
@@ -74,7 +73,7 @@ class TestInjectedCorruption:
         assert "entity_embeddings.npy" in str(caught.value)
 
     def test_missing_mapped_file_is_typed(self, tmp_path, model):
-        save_model(model, tmp_path / "ckpt", memmap=True)
+        save_model(model, tmp_path / "ckpt")
         (tmp_path / "ckpt" / CHECKPOINT_STORE_DIR / "relation_embeddings.npy").unlink()
         with pytest.raises(MissingArtifactError):
             load_model(tmp_path / "ckpt")
@@ -82,7 +81,7 @@ class TestInjectedCorruption:
 
 class TestManifestCoversMappedFiles:
     def test_save_hashes_enumerate_every_store_file(self, tmp_path, model):
-        hashes = save_model(model, tmp_path / "ckpt", memmap=True)
+        hashes = save_model(model, tmp_path / "ckpt")
         assert f"{CHECKPOINT_STORE_DIR}/entity_embeddings.npy" in hashes
         assert f"{CHECKPOINT_STORE_DIR}/store.json" in hashes
         assert "meta.json" in hashes
@@ -90,7 +89,7 @@ class TestManifestCoversMappedFiles:
         assert set(verify_manifest(tmp_path / "ckpt")) == set(hashes)
 
     def test_manifest_catches_mapped_file_corruption(self, tmp_path, model):
-        hashes = save_model(model, tmp_path / "ckpt", memmap=True)
+        hashes = save_model(model, tmp_path / "ckpt")
         write_manifest(tmp_path / "ckpt", hashes)
         path = tmp_path / "ckpt" / CHECKPOINT_STORE_DIR / "entity_embeddings.npy"
         raw = bytearray(path.read_bytes())
@@ -109,18 +108,18 @@ class TestTornWriteRecovery:
         )
         with fault_scope(FaultInjector(plan)):
             with pytest.raises(InjectedFault):
-                save_model(model, tmp_path / "ckpt", memmap=True)
-            save_model(model, tmp_path / "ckpt", memmap=True)  # retry, fault spent
+                save_model(model, tmp_path / "ckpt")
+            save_model(model, tmp_path / "ckpt")  # retry, fault spent
         restored = load_model(tmp_path / "ckpt")
         _assert_scores_equal(model, restored)
 
     def test_aborted_rewrite_preserves_previous_checkpoint(self, tmp_path, model):
-        save_model(model, tmp_path / "ckpt", memmap=True)
+        save_model(model, tmp_path / "ckpt")
         trained = make_complex(80, 4, 16, np.random.default_rng(99))
         plan = FaultPlan.of(FaultSpec(site="io.write", kind="exception", match=".npy"))
         with fault_scope(FaultInjector(plan)):
             with pytest.raises(InjectedFault):
-                save_model(trained, tmp_path / "ckpt", memmap=True)
+                save_model(trained, tmp_path / "ckpt")
         # Atomic replacement: the old complete artifact is still served.
         _assert_scores_equal(model, load_model(tmp_path / "ckpt"))
 
@@ -133,7 +132,6 @@ class TestRunDirIntegration:
             IndexSection,
             ModelSection,
             RunConfig,
-            StorageSection,
             TrainingSection,
         )
         from repro.pipeline.runner import run_pipeline
@@ -146,7 +144,6 @@ class TestRunDirIntegration:
             model=ModelSection(name="complex", total_dim=8),
             training=TrainingSection(epochs=1, batch_size=256),
             index=IndexSection(kind="ivf", nlist=6, nprobe=2),
-            storage=StorageSection(memmap=True),
         )
         path = tmp_path_factory.mktemp("memmap_run") / "run"
         run_pipeline(config, run_dir=path)
@@ -178,3 +175,36 @@ class TestRunDirIntegration:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptArtifactError):
             load_run(copy)
+
+    def test_loaded_run_can_be_trained(self, memmap_run):
+        """Regression: a loaded run's tables are read-only mappings, and
+        the first ``Trainer`` epoch failed with ``ValueError: assignment
+        destination is read-only``.  Training and a delta fine-tune now
+        work on private copies and never write through the mapping."""
+        from repro.ingest import GraphDelta, ingest_delta
+        from repro.pipeline.runner import load_run
+        from repro.reliability.manifest import sha256_file
+        from repro.training.trainer import Trainer, TrainingConfig
+
+        store_files = sorted((memmap_run / "checkpoint" / "store").glob("*.npy"))
+        before = {path.name: sha256_file(path) for path in store_files}
+
+        loaded = load_run(memmap_run)
+        dataset = loaded.build_dataset()
+        Trainer(
+            dataset, TrainingConfig(epochs=1, batch_size=256, seed=0, verbose=False)
+        ).train(loaded.model)
+
+        loaded = load_run(memmap_run)
+        known = dataset.train.as_set() | dataset.valid.as_set() | dataset.test.as_set()
+        head, tail = next(
+            (h, t) for h in range(10) for t in range(10, 40) if (h, t, 0) not in known
+        )
+        names = dataset.entities.to_list()
+        delta = GraphDelta(
+            add_triples=((names[head], names[tail], dataset.relations.name(0)),)
+        )
+        outcome = ingest_delta(loaded.model, dataset, delta, epochs=1, seed=0)
+        assert outcome.applied and outcome.warm.steps > 0
+
+        assert {path.name: sha256_file(path) for path in store_files} == before

@@ -299,10 +299,10 @@ class TestWireProtocol:
         async def main():
             server = PredictionServer(max_batch=4, max_wait_ms=1.0)
             # Corrupt the persisted index: the TCP deployment degrades.
-            npz = run_copy / "index" / "arrays.npz"
-            raw = bytearray(npz.read_bytes())
+            victim = run_copy / "index" / "store" / "tail_0_centroids.npy"
+            raw = bytearray(victim.read_bytes())
             raw[0] ^= 0xFF
-            npz.write_bytes(bytes(raw))
+            victim.write_bytes(bytes(raw))
             await server.load_run(run_copy)
             tcp = await start_tcp_server(server)
             host, port = tcp.sockets[0].getsockname()[:2]

@@ -592,7 +592,8 @@ class TestRunDirIntegration:
             write_manifest(run_dir, manifest)
 
         model = load_model(run_dir / "checkpoint")
-        model.entity_embeddings[:] += 0.25  # "trained" past the index build
+        # "Trained" past the index build.
+        model.entity_embeddings = model.entity_embeddings + 0.25
         checkpoint(model)
         try:
             async def main():
@@ -610,5 +611,5 @@ class TestRunDirIntegration:
 
             assert asyncio.run(main()) == 1
         finally:
-            model.entity_embeddings[:] -= 0.25
+            model.entity_embeddings = model.entity_embeddings - 0.25
             checkpoint(model)
