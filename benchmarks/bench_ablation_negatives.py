@@ -10,8 +10,11 @@ models.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.models import make_complex, make_cp
-from repro.experiments import format_table, run_experiment_row, seeded_rng
+from repro.paper_tables import format_table
+from repro.pipeline.runner import train_and_evaluate
 from benchmarks.conftest import is_fast, make_settings, publish_table
 
 NEGATIVE_COUNTS = (1, 2, 4)
@@ -20,20 +23,27 @@ NEGATIVE_COUNTS = (1, 2, 4)
 def run_sweep(dataset, base_settings):
     rows = []
     for offset, k in enumerate(NEGATIVE_COUNTS):
-        settings = make_settings(num_negatives=k)
+        config = make_settings({
+            "training.num_negatives": k,
+            "model.seed_offset": 500 + offset,
+            "label": f"ComplEx negatives={k}",
+        })
         model = make_complex(
-            dataset.num_entities, dataset.num_relations, settings.total_dim,
-            seeded_rng(settings, 500 + offset), regularization=settings.regularization,
+            dataset.num_entities, dataset.num_relations, config.model.total_dim,
+            np.random.default_rng(config.model_init_seed),
+            regularization=config.model.regularization,
         )
-        rows.append(run_experiment_row(model, dataset, settings,
-                                       label=f"ComplEx negatives={k}"))
+        rows.append(train_and_evaluate(config, dataset, model))
     # The separation check at 1 negative: CP must remain far below.
-    settings = make_settings(num_negatives=1)
+    config = make_settings({
+        "training.num_negatives": 1, "model.seed_offset": 550, "label": "CP negatives=1",
+    })
     cp = make_cp(
-        dataset.num_entities, dataset.num_relations, settings.total_dim,
-        seeded_rng(settings, 550), regularization=settings.regularization,
+        dataset.num_entities, dataset.num_relations, config.model.total_dim,
+        np.random.default_rng(config.model_init_seed),
+        regularization=config.model.regularization,
     )
-    rows.append(run_experiment_row(cp, dataset, settings, label="CP negatives=1"))
+    rows.append(train_and_evaluate(config, dataset, cp))
     return rows
 
 

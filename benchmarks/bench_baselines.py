@@ -9,49 +9,52 @@ full-matrix (RESCAL), neural (ER-MLP), and the trilinear family's best
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines import ERMLP, RESCAL, TransE
 from repro.core.models import make_complex
-from repro.experiments import format_table, run_experiment_row, seeded_rng
+from repro.paper_tables import format_table
+from repro.pipeline.runner import train_and_evaluate
+from repro.pipeline.sweep import apply_overrides
 from benchmarks.conftest import is_fast, publish_table
 
 
 def run_baselines(dataset, settings):
+    def row(label, seed_offset, overrides=None):
+        config = apply_overrides(
+            settings, {"label": label, "model.seed_offset": seed_offset, **(overrides or {})}
+        )
+        return config, np.random.default_rng(config.model_init_seed)
+
+    dim = settings.model.total_dim
     rows = []
+    config, rng = row("ComplEx (trilinear)", 300)
     complex_model = make_complex(
-        dataset.num_entities, dataset.num_relations, settings.total_dim,
-        seeded_rng(settings, 300), regularization=settings.regularization,
+        dataset.num_entities, dataset.num_relations, dim, rng,
+        regularization=config.model.regularization,
     )
-    rows.append(run_experiment_row(complex_model, dataset, settings,
-                                   label="ComplEx (trilinear)"))
+    rows.append(train_and_evaluate(config, dataset, complex_model))
 
-    transe = TransE(dataset.num_entities, dataset.num_relations,
-                    settings.total_dim, seeded_rng(settings, 301))
-    rows.append(run_experiment_row(transe, dataset, settings,
-                                   label="TransE (translation)"))
+    config, rng = row("TransE (translation)", 301)
+    transe = TransE(dataset.num_entities, dataset.num_relations, dim, rng)
+    rows.append(train_and_evaluate(config, dataset, transe))
 
-    rescal = RESCAL(dataset.num_entities, dataset.num_relations,
-                    settings.total_dim // 2, seeded_rng(settings, 302),
-                    regularization=settings.regularization)
-    rows.append(run_experiment_row(rescal, dataset, settings,
-                                   label="RESCAL (bilinear)"))
+    config, rng = row("RESCAL (bilinear)", 302)
+    rescal = RESCAL(dataset.num_entities, dataset.num_relations, dim // 2, rng,
+                    regularization=config.model.regularization)
+    rows.append(train_and_evaluate(config, dataset, rescal))
 
     # ER-MLP's 1-vs-all scoring is O(entities) forward passes per query;
     # train it with a shorter schedule to keep the bench tractable.
-    mlp_settings = type(settings)(
-        dataset_config=settings.dataset_config,
-        total_dim=settings.total_dim,
-        epochs=min(settings.epochs, 60),
-        batch_size=settings.batch_size,
-        learning_rate=0.01,
-        regularization=0.0,
-        validate_every=10_000,
-        patience=10_000,
-        seed=settings.seed,
-    )
-    er_mlp = ERMLP(dataset.num_entities, dataset.num_relations,
-                   settings.total_dim // 2, seeded_rng(settings, 303))
-    rows.append(run_experiment_row(er_mlp, dataset, mlp_settings,
-                                   label="ER-MLP (neural)"))
+    config, rng = row("ER-MLP (neural)", 303, {
+        "training.epochs": min(settings.training.epochs, 60),
+        "training.learning_rate": 0.01,
+        "model.regularization": 0.0,
+        "training.validate_every": 10_000,
+        "training.patience": 10_000,
+    })
+    er_mlp = ERMLP(dataset.num_entities, dataset.num_relations, dim // 2, rng)
+    rows.append(train_and_evaluate(config, dataset, er_mlp))
     return rows
 
 
@@ -67,7 +70,7 @@ def test_baseline_categories(benchmark, dataset, settings):
     if is_fast():
         return  # smoke mode: tables only, shape assertions need full training
 
-    by_label = {row.label.split(" ")[0]: row.test_metrics.mrr for row in rows}
+    by_label = {row.config.label.split(" ")[0]: row.test_metrics.mrr for row in rows}
     # §2's motivation: the trilinear family leads on this kind of data.
     assert by_label["ComplEx"] >= by_label["TransE"]
     assert by_label["ComplEx"] >= by_label["ER-MLP"]

@@ -126,8 +126,8 @@ def run_benchmark(
     relations = dataset.test.relations[:num_queries]
 
     exact = LinkPredictor(model, dataset, cache_size=0)
-    exact_seconds = _time_batch(lambda: exact.top_k_tails(heads, relations, k=TOP_K))
-    exact_ids = exact.top_k_tails(heads, relations, k=TOP_K).ids
+    exact_seconds = _time_batch(lambda: exact.top_k(heads, relations, side="tail", k=TOP_K))
+    exact_ids = exact.top_k(heads, relations, side="tail", k=TOP_K).ids
 
     index = IVFIndex(
         model,
@@ -145,9 +145,9 @@ def run_benchmark(
         index.nprobe = nprobe
         predictor = LinkPredictor(model, dataset, cache_size=0, index=index)
         index_seconds = _time_batch(
-            lambda: predictor.top_k_tails(heads, relations, k=TOP_K)
+            lambda: predictor.top_k(heads, relations, side="tail", k=TOP_K)
         )
-        result = predictor.top_k_tails(heads, relations, k=TOP_K)
+        result = predictor.top_k(heads, relations, side="tail", k=TOP_K)
         recall = float(
             np.mean(
                 [

@@ -191,11 +191,11 @@ def run_benchmark(
     # ------------------------------------------------- baseline: exact float64
     exact = LinkPredictor(model, dataset, cache_size=0)
     exact_batch_seconds = _time_batch(
-        lambda: exact.top_k_tails(heads, relations, k=TOP_K)
+        lambda: exact.top_k(heads, relations, side="tail", k=TOP_K)
     )
-    exact_ids = exact.top_k_tails(heads, relations, k=TOP_K).ids
+    exact_ids = exact.top_k(heads, relations, side="tail", k=TOP_K).ids
     baseline_latency = _per_query_latency_ms(
-        lambda h, r: exact.top_k_tails(h, r, k=TOP_K),
+        lambda h, r: exact.top_k(h, r, side="tail", k=TOP_K),
         heads,
         relations,
         scale_config["latency_queries"],
@@ -251,11 +251,11 @@ def run_benchmark(
     )
     predictor = LinkPredictor(mapped_model, dataset, cache_size=0, index=index)
     mapped_batch_seconds = _time_batch(
-        lambda: predictor.top_k_tails(heads, relations, k=TOP_K)
+        lambda: predictor.top_k(heads, relations, side="tail", k=TOP_K)
     )
-    mapped_ids = predictor.top_k_tails(heads, relations, k=TOP_K).ids
+    mapped_ids = predictor.top_k(heads, relations, side="tail", k=TOP_K).ids
     mapped_latency = _per_query_latency_ms(
-        lambda h, r: predictor.top_k_tails(h, r, k=TOP_K),
+        lambda h, r: predictor.top_k(h, r, side="tail", k=TOP_K),
         heads,
         relations,
         scale_config["latency_queries"],

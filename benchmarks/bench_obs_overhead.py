@@ -208,7 +208,7 @@ def _bench_serving_overhead(fast: bool) -> dict:
                 start = time.perf_counter()
                 for chunk in range(0, len(heads), 32):
                     await asyncio.gather(*[
-                        server.top_k_tails(h, 0, k=5)
+                        server.top_k(h, 0, side="tail", k=5)
                         for h in heads[chunk : chunk + 32]
                     ])
                 return time.perf_counter() - start

@@ -16,8 +16,9 @@ import numpy as np
 
 from repro.core.models import make_complex, make_distmult
 from repro.eval.per_relation import evaluate_per_relation, format_per_relation_table
-from repro.experiments import run_experiment_row, seeded_rng
 from repro.kg.synthetic import symmetric_relation_names
+from repro.pipeline.runner import train_and_evaluate
+from repro.pipeline.sweep import apply_overrides
 from benchmarks.conftest import is_fast, publish_table
 
 
@@ -27,11 +28,13 @@ def run_per_relation(dataset, settings):
     for offset, (name, factory) in enumerate(
         [("DistMult", make_distmult), ("ComplEx", make_complex)]
     ):
+        config = apply_overrides(settings, {"label": name, "model.seed_offset": 600 + offset})
         model = factory(
-            dataset.num_entities, dataset.num_relations, settings.total_dim,
-            seeded_rng(settings, 600 + offset), regularization=settings.regularization,
+            dataset.num_entities, dataset.num_relations, config.model.total_dim,
+            np.random.default_rng(config.model_init_seed),
+            regularization=config.model.regularization,
         )
-        run_experiment_row(model, dataset, settings, label=name)
+        train_and_evaluate(config, dataset, model)
         results = evaluate_per_relation(model, dataset, split="test", min_triples=3)
         tables[name] = format_per_relation_table(results)
         symmetric = set(symmetric_relation_names())

@@ -212,7 +212,7 @@ def _bench_degraded_serving(fast: bool, run_root: Path) -> dict:
         async with server:
             deployment = await server.load_run(path, index=index)
             start = time.perf_counter()
-            served = [await server.top_k_tails(h, 0, k=5) for h in heads]
+            served = [await server.top_k(h, 0, side="tail", k=5) for h in heads]
             seconds = time.perf_counter() - start
             return (
                 [(list(s.ids), list(s.scores)) for s in served],

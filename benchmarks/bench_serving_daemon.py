@@ -107,7 +107,7 @@ async def _drive_open_loop(
         delay = target - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
-        result = await server.top_k_tails(int(anchors[i]), int(relations[i]), k=k)
+        result = await server.top_k(int(anchors[i]), int(relations[i]), side="tail", k=k)
         latencies_ms[i] = (time.perf_counter() - target) * 1000.0
         ids[i] = result.ids
         coalesced[i] = result.coalesced
@@ -140,7 +140,7 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
     async with serial:
         started = time.perf_counter()
         for i in range(CAPACITY_PROBE_REQUESTS):
-            await serial.top_k_tails(int(heads[i]), int(relations[i]), k=k)
+            await serial.top_k(int(heads[i]), int(relations[i]), side="tail", k=k)
         capacity = CAPACITY_PROBE_REQUESTS / (time.perf_counter() - started)
         offered = OFFERED_MULTIPLIER * capacity
         serial_stats = await _drive_open_loop(
@@ -154,7 +154,7 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
         queue_depth=max(2 * num, 1024),
     )
     async with batched:
-        await batched.top_k_tails(int(heads[0]), int(relations[0]), k=k)  # warm
+        await batched.top_k(int(heads[0]), int(relations[0]), side="tail", k=k)  # warm
         batched_stats = await _drive_open_loop(
             batched, heads, relations, k, offered, seed=seed
         )

@@ -47,7 +47,7 @@ def test_topk_latency_cold(benchmark, queries):
     """Single-query top-k with no cache: the worst-case request."""
     heads, rels = queries
     predictor = LinkPredictor(_model(), cache_size=0)
-    result = benchmark(lambda: predictor.top_k_tails(heads[:1], rels[:1], k=TOP_K))
+    result = benchmark(lambda: predictor.top_k(heads[:1], rels[:1], side="tail", k=TOP_K))
     assert result.ids.shape == (1, TOP_K)
 
 
@@ -56,7 +56,7 @@ def test_topk_latency_cached(benchmark, queries):
     heads, rels = queries
     predictor = LinkPredictor(_model())
     predictor.warm_cache(heads[:1], rels[:1])
-    result = benchmark(lambda: predictor.top_k_tails(heads[:1], rels[:1], k=TOP_K))
+    result = benchmark(lambda: predictor.top_k(heads[:1], rels[:1], side="tail", k=TOP_K))
     assert result.ids.shape == (1, TOP_K)
     assert predictor.metrics.counter_value("serving.cache.hits") > 0
 
@@ -65,7 +65,7 @@ def test_topk_batched_throughput(benchmark, queries):
     """A full batch of queries through one folded, chunked sweep."""
     heads, rels = queries
     predictor = LinkPredictor(_model(), cache_size=0)
-    result = benchmark(lambda: predictor.top_k_tails(heads, rels, k=TOP_K))
+    result = benchmark(lambda: predictor.top_k(heads, rels, side="tail", k=TOP_K))
     assert result.ids.shape == (BATCH, TOP_K)
 
 
@@ -76,7 +76,7 @@ def test_topk_candidate_shortlist(benchmark, queries):
     shortlist = rng.integers(0, NUM_ENTITIES, (BATCH, SHORTLIST))
     predictor = LinkPredictor(_model(), cache_size=0)
     result = benchmark(
-        lambda: predictor.top_k_tails(heads, rels, k=TOP_K, candidates=shortlist)
+        lambda: predictor.top_k(heads, rels, side="tail", k=TOP_K, candidates=shortlist)
     )
     assert result.ids.shape == (BATCH, TOP_K)
 
@@ -88,7 +88,7 @@ def test_relation_prediction_latency(benchmark, queries):
     rng = np.random.default_rng(3)
     tails = rng.integers(0, NUM_ENTITIES, 16)
     predictor = LinkPredictor(_model())
-    result = benchmark(lambda: predictor.top_k_relations(heads[:16], tails, k=5))
+    result = benchmark(lambda: predictor.top_k(heads[:16], tails, side="relation", k=5))
     assert result.ids.shape == (16, 5)
 
 
@@ -110,10 +110,10 @@ def test_cache_hits_are_cheaper_than_sweeps():
     heads, rels = hot_heads[picks], hot_rels[picks]
 
     def run(predictor) -> float:
-        predictor.top_k_tails(heads[:8], rels[:8], k=TOP_K)  # warm / JIT caches
+        predictor.top_k(heads[:8], rels[:8], side="tail", k=TOP_K)  # warm / JIT caches
         start = time.perf_counter()
         for row in range(0, len(heads), 4):
-            predictor.top_k_tails(heads[row : row + 4], rels[row : row + 4], k=TOP_K)
+            predictor.top_k(heads[row : row + 4], rels[row : row + 4], side="tail", k=TOP_K)
         return time.perf_counter() - start
 
     cold = run(LinkPredictor(model, cache_size=0))

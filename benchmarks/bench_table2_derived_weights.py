@@ -13,19 +13,18 @@ bad and two good ω examples.  The paper's qualitative shape to verify:
 
 from __future__ import annotations
 
-from repro.experiments import format_table
 from repro.paper_tables import TABLE2_ROWS as ROWS
-from repro.paper_tables import run_table2
+from repro.paper_tables import format_table, run_table2
 from benchmarks.conftest import is_fast, publish_table
 
 
 def test_table2_derived_weight_vectors(benchmark, dataset, settings):
     rows = benchmark.pedantic(
-        run_table2, args=(dataset, settings), rounds=1, iterations=1
+        run_table2, args=(settings, dataset), rounds=1, iterations=1
     )
     table = format_table(
         f"Table 2: derived weight vectors on {dataset.name} "
-        f"(entities={dataset.num_entities}, total_dim={settings.total_dim})",
+        f"(entities={dataset.num_entities}, total_dim={settings.model.total_dim})",
         rows,
     )
     publish_table("table2_derived_weights", table)
@@ -33,7 +32,7 @@ def test_table2_derived_weight_vectors(benchmark, dataset, settings):
     if is_fast():
         return  # smoke mode: tables only, shape assertions need full training
 
-    by_label = {row.label: row for row in rows}
+    by_label = {row.config.label: row for row in rows}
     complex_mrr = by_label[ROWS[1][0]].test_metrics.mrr
     cp_mrr = by_label[ROWS[2][0]].test_metrics.mrr
     cph_mrr = by_label[ROWS[3][0]].test_metrics.mrr

@@ -10,24 +10,18 @@ symmetric to break ω's symmetry (§6.2).
 
 from __future__ import annotations
 
-from repro.experiments import format_table
-from repro.paper_tables import TABLE3_ROWS as ROWS
-from repro.paper_tables import run_table3
+from repro.paper_tables import format_learned_omegas, format_table, run_table3
 from benchmarks.conftest import is_fast, publish_table
 
 
 def test_table3_learned_weight_vectors(benchmark, dataset, settings):
-    rows, learned_omegas = benchmark.pedantic(
-        run_table3, args=(dataset, settings), rounds=1, iterations=1
+    rows = benchmark.pedantic(
+        run_table3, args=(settings, dataset), rounds=1, iterations=1
     )
     table = format_table(
         f"Table 3: auto-learned weight vectors on {dataset.name}", rows
     )
-    lines = [table, "", "learned omega snapshots:"]
-    for label, omega in learned_omegas.items():
-        values = ", ".join(f"{v:+.2f}" for v in omega.flatten())
-        lines.append(f"  {label:<42} ({values})")
-    publish_table("table3_learned_weights", "\n".join(lines))
+    publish_table("table3_learned_weights", table + "\n\n" + format_learned_omegas(rows))
 
     if is_fast():
         return  # smoke mode: tables only, shape assertions need full training
@@ -36,4 +30,4 @@ def test_table3_learned_weight_vectors(benchmark, dataset, settings):
     for row in rows[1:]:
         # §6.2: learned variants perform like the symmetric uniform
         # baseline (DistMult level), never like ComplEx.
-        assert abs(row.test_metrics.mrr - uniform_mrr) < 0.22, row.label
+        assert abs(row.test_metrics.mrr - uniform_mrr) < 0.22, row.config.label

@@ -8,14 +8,13 @@ Hits@10, and near-perfect train metrics (overfitting-prone, §6.3).
 
 from __future__ import annotations
 
-from repro.experiments import format_table
-from repro.paper_tables import run_table4
+from repro.paper_tables import format_table, run_table4
 from benchmarks.conftest import is_fast, publish_table
 
 
 def test_table4_quaternion_four_embedding(benchmark, dataset, settings):
     quaternion_row, complex_row = benchmark.pedantic(
-        run_table4, args=(dataset, settings), rounds=1, iterations=1
+        run_table4, args=(settings, dataset), rounds=1, iterations=1
     )
     table = format_table(
         f"Table 4: quaternion-based four-embedding model on {dataset.name}",

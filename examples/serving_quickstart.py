@@ -68,10 +68,10 @@ def main() -> None:
 
     # 6. Batched head prediction and relation prediction, id-level API.
     test = dataset.test.array
-    heads_top = predictor.top_k_heads(test[:8, 1], test[:8, 2], k=5, filtered=True)
+    heads_top = predictor.top_k(test[:8, 1], test[:8, 2], side="head", k=5, filtered=True)
     print(f"\nbatched head prediction ids, shape {heads_top.ids.shape}:")
     print(heads_top.ids)
-    rel_top = predictor.top_k_relations(test[:4, 0], test[:4, 1], k=3)
+    rel_top = predictor.top_k(test[:4, 0], test[:4, 1], side="relation", k=3)
     print("\nrelation prediction for 4 (head, tail) pairs:")
     for row, (head_id, tail_id) in enumerate(zip(test[:4, 0], test[:4, 1])):
         labels = dataset.relations.names(list(rel_top.ids[row]))

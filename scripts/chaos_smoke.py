@@ -163,8 +163,8 @@ def degraded_serving_round_trip(run_dir: Path, damage) -> None:
                 )
                 assert served["ok"], served
                 assert served["degraded"] is True, served
-                expected = exact.top_k_tails(
-                    [head], [1], k=k_bucket(5), filtered=True
+                expected = exact.top_k(
+                    [head], [1], side="tail", k=k_bucket(5), filtered=True
                 )
                 assert served["ids"] == [int(i) for i in expected.ids[0, :5]], (
                     f"degraded wire ids {served['ids']} != exact "

@@ -46,6 +46,27 @@ fi
 echo "== benchmark smoke tests =="
 python -m pytest -q "${SMOKE_TESTS[@]}"
 
+# Callers tier-1 never executes: the pytest-benchmark suites at toy
+# scale (timing off, host-dependent `slow` timing assertions deselected;
+# nothing is written under benchmarks/results/) and every example end to
+# end, so a call to a deleted name cannot break unseen.
+BENCH_SUITES=(
+  benchmarks/bench_table2_derived_weights.py
+  benchmarks/bench_table3_learned_weights.py
+  benchmarks/bench_table4_quaternion.py
+  benchmarks/bench_ablation_negatives.py
+  benchmarks/bench_ablation_embedding_size.py
+  benchmarks/bench_baselines.py
+  benchmarks/bench_per_relation.py
+  benchmarks/bench_scoring_throughput.py
+  benchmarks/bench_serving_latency.py
+)
+REPRO_BENCH_FAST=1 python -m pytest -q -m "not slow" --benchmark-disable "${BENCH_SUITES[@]}"
+for example in examples/*.py; do
+  echo "-- $example"
+  python "$example" > /dev/null
+done
+
 # End-to-end daemon smoke: train a tiny run, start `repro serve` as a
 # real subprocess, drive concurrent wire requests, shut down cleanly.
 echo "== serving daemon smoke =="

@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="regenerate a paper table (2, 3 or 4)")
     table.add_argument("number", type=int, choices=(2, 3, 4))
-    table.add_argument("--config", help="RunConfig JSON file supplying the shared "
-                                        "dataset/training setup for every row")
+    table.add_argument("--config", help="base RunConfig JSON file for every row; a row "
+                                        "replaces only its model, label and "
+                                        "evaluation.evaluate_train")
     table.add_argument("--run-dir", help="root directory; each table row is persisted "
                                          "as a reloadable run under it")
     table.add_argument("--entities", type=int, default=800)
@@ -633,50 +634,40 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.experiments import ExperimentSettings, build_dataset, format_table
-    from repro.paper_tables import run_table2, run_table3, run_table4
+    from repro.paper_tables import (
+        TABLE_DEFAULTS,
+        format_learned_omegas,
+        format_table,
+        run_table2,
+        run_table3,
+        run_table4,
+    )
+    from repro.pipeline.sweep import apply_overrides
 
     if args.config:
-        settings = ExperimentSettings.from_run_config(RunConfig.load(args.config))
+        config = RunConfig.load(args.config)
     else:
-        settings = ExperimentSettings(
-            dataset_config=SyntheticKGConfig(
-                num_entities=args.entities,
-                num_clusters=max(1, args.entities // 20),
-                num_domains=max(1, args.entities // 100),
-                seed=7,
-            ),
-            total_dim=args.total_dim,
-            epochs=args.epochs,
-            seed=args.seed,
-        )
-    if args.shards is not None or args.workers is not None:
-        import dataclasses
-
-        replacements = {}
-        if args.shards is not None:
-            replacements["eval_shards"] = args.shards
-        if args.workers is not None:
-            replacements["eval_workers"] = args.workers
-        settings = dataclasses.replace(settings, **replacements)
-    dataset = build_dataset(settings)
+        config = apply_overrides(TABLE_DEFAULTS, {
+            "dataset.params.num_entities": args.entities,
+            "dataset.params.num_clusters": max(1, args.entities // 20),
+            "dataset.params.num_domains": max(1, args.entities // 100),
+            "model.total_dim": args.total_dim,
+            "training.epochs": args.epochs,
+            "seed": args.seed,
+        })
+    config = _apply_parallel_flags(config, args)
+    dataset = config.dataset.build()
     run_root = args.run_dir
     if args.number == 2:
-        rows = run_table2(dataset, settings, run_root=run_root)
-        print(format_table(f"Table 2: derived weight vectors on {dataset.name}", rows))
+        results = run_table2(config, dataset, run_root=run_root)
+        print(format_table(f"Table 2: derived weight vectors on {dataset.name}", results))
     elif args.number == 3:
-        rows, learned = run_table3(dataset, settings, run_root=run_root)
-        print(format_table(f"Table 3: auto-learned weight vectors on {dataset.name}", rows))
-        print("\nlearned omega snapshots:")
-        for label, omega in learned.items():
-            values = ", ".join(f"{v:+.2f}" for v in omega.flatten())
-            print(f"  {label:<42} ({values})")
+        results = run_table3(config, dataset, run_root=run_root)
+        print(format_table(f"Table 3: auto-learned weight vectors on {dataset.name}", results))
+        print("\n" + format_learned_omegas(results))
     else:
-        quaternion_row, complex_row = run_table4(dataset, settings, run_root=run_root)
-        print(format_table(
-            f"Table 4: quaternion four-embedding on {dataset.name}",
-            [quaternion_row, complex_row],
-        ))
+        results = run_table4(config, dataset, run_root=run_root)
+        print(format_table(f"Table 4: quaternion four-embedding on {dataset.name}", results))
     if run_root:
         print(f"\nper-row run artifacts written under {run_root}")
     return 0

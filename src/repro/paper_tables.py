@@ -1,34 +1,50 @@
 """Programmatic reproduction of the paper's evaluation tables.
 
 Each ``run_tableN`` function trains every row of the corresponding table
-on a synthetic WN18-like dataset and returns
-:class:`~repro.experiments.ExperimentRow` objects; ``format_table``
+from one base :class:`~repro.pipeline.config.RunConfig` and returns the
+rows' :class:`~repro.pipeline.runner.RunResult` objects; ``format_table``
 renders them in the paper's layout.  The pytest-benchmark files under
-``benchmarks/`` are thin wrappers over these functions that add timing
-and shape assertions; the CLI exposes them as ``repro-kge table N``.
+``benchmarks/`` wrap these functions with timing and shape assertions;
+the CLI exposes them as ``repro-kge table N``.
 
-Every row is declarative — a model name resolved through the pipeline
-registries (ω preset keys double as model names) plus a per-row
-``seed_offset`` — and runs through
-:func:`~repro.pipeline.runner.run_pipeline`.  Pass ``run_root`` to any
-runner to persist each row as a reloadable run directory.
+A row is the base config with three things replaced: the model (a name
+resolved through the pipeline registries — ω preset keys double as
+model names — plus a per-row ``seed_offset`` and options, keeping the
+base ``total_dim`` and ``regularization``), the ``label``, and
+``evaluation.evaluate_train``.  Every other field of the base — the
+evaluation split, storage dtype, telemetry, parallel evaluation — reaches
+:func:`~repro.pipeline.runner.run_pipeline` unchanged.
+:data:`TABLE_DEFAULTS` is the base the tables use unless given another.
+Pass ``run_root`` to any runner to persist each row as a reloadable run
+directory.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
-from repro.core.weights import WeightVector
-from repro.experiments import (
-    ExperimentRow,
-    ExperimentSettings,
-    row_from_result,
-    run_config_row,
-)
+from repro.errors import ConfigError
+from repro.eval.metrics import RankingMetrics
 from repro.kg.graph import KGDataset
-from repro.pipeline.config import ModelSection
-from repro.pipeline.runner import run_pipeline
+from repro.kg.synthetic import SyntheticKGConfig
+from repro.pipeline.config import DatasetSection, ModelSection, RunConfig, TrainingSection
+from repro.pipeline.runner import RunResult, run_pipeline
+
+#: The scaled-down analogue of the paper's §5.3 setup (WN18, embedding
+#: budget 400, Adam, 1 negative, validation every 50 epochs with 100
+#: epochs patience): 800 synthetic entities, ``total_dim`` 64, 300 epochs.
+TABLE_DEFAULTS = RunConfig(
+    dataset=DatasetSection(
+        generator="synthetic_wn18",
+        params=dataclasses.asdict(
+            SyntheticKGConfig(num_entities=800, num_clusters=40, num_domains=8, seed=7)
+        ),
+    ),
+    model=ModelSection(total_dim=64),
+    training=TrainingSection(epochs=300),
+)
 
 #: Table 2 rows: (label, model/preset registry key, evaluate-train-too).
 TABLE2_ROWS: tuple[tuple[str, str, bool], ...] = (
@@ -64,87 +80,106 @@ def _row_dir(run_root: str | Path | None, index: int, label: str) -> str | None:
     return str(Path(run_root) / f"row{index:02d}-{slug}")
 
 
-def _model_section(
-    settings: ExperimentSettings,
-    name: str,
-    seed_offset: int,
-    **options: object,
-) -> ModelSection:
-    return ModelSection(
-        name=name,
-        total_dim=settings.total_dim,
-        regularization=settings.regularization,
-        seed_offset=seed_offset,
-        options=dict(options),
-    )
+def _run_rows(
+    base: RunConfig,
+    rows: list[tuple[str, str, int, bool, dict]],
+    dataset: KGDataset | None,
+    run_root: str | Path | None,
+) -> list[RunResult]:
+    """Run ``(label, model name, seed_offset, evaluate_train, options)``
+    rows as *base* with those fields replaced, on one shared dataset."""
+    if dataset is None:
+        dataset = base.dataset.build()
+    results = []
+    for index, (label, name, seed_offset, evaluate_train, options) in enumerate(rows):
+        config = dataclasses.replace(
+            base,
+            model=ModelSection(
+                name=name,
+                total_dim=base.model.total_dim,
+                regularization=base.model.regularization,
+                seed_offset=seed_offset,
+                options=options,
+            ),
+            label=label,
+            evaluation=dataclasses.replace(base.evaluation, evaluate_train=evaluate_train),
+        )
+        results.append(
+            run_pipeline(config, dataset=dataset, run_dir=_row_dir(run_root, index, label))
+        )
+    return results
 
 
 def run_table2(
-    dataset: KGDataset,
-    settings: ExperimentSettings,
+    base: RunConfig,
+    dataset: KGDataset | None = None,
     run_root: str | Path | None = None,
-) -> list[ExperimentRow]:
+) -> list[RunResult]:
     """Train and evaluate every Table 2 row (derived ω + variants)."""
-    rows = []
-    for offset, (label, name, with_train) in enumerate(TABLE2_ROWS):
-        config = settings.to_run_config(
-            model=_model_section(settings, name, offset),
-            evaluate_train=with_train,
-            label=label,
-        )
-        rows.append(
-            run_config_row(config, dataset=dataset, run_dir=_row_dir(run_root, offset, label))
-        )
-    return rows
+    rows = [
+        (label, name, offset, with_train, {})
+        for offset, (label, name, with_train) in enumerate(TABLE2_ROWS)
+    ]
+    return _run_rows(base, rows, dataset, run_root)
 
 
 def run_table3(
-    dataset: KGDataset,
-    settings: ExperimentSettings,
+    base: RunConfig,
+    dataset: KGDataset | None = None,
     run_root: str | Path | None = None,
-) -> tuple[list[ExperimentRow], dict[str, WeightVector]]:
-    """Train every Table 3 row; also return the learned ω snapshots."""
+) -> list[RunResult]:
+    """Train every Table 3 row: fixed uniform ω, then learned ω variants.
+
+    A learned row's ω snapshot is ``result.model.current_weight_vector()``.
+    """
     rows = []
-    learned_omegas: dict[str, WeightVector] = {}
     for offset, (label, transform, sparse) in enumerate(TABLE3_ROWS):
         if transform is None:
-            model = _model_section(settings, "uniform", 100 + offset)
+            rows.append((label, "uniform", 100 + offset, False, {}))
         else:
-            model = _model_section(
-                settings, "learned", 100 + offset, transform=transform, sparse=sparse
-            )
-        config = settings.to_run_config(model=model, label=label)
-        result = run_pipeline(
-            config, dataset=dataset, run_dir=_row_dir(run_root, offset, label)
-        )
-        rows.append(row_from_result(result, label=label))
-        if transform is not None:
-            learned_omegas[label] = result.model.current_weight_vector()
-    return rows, learned_omegas
+            options = {"transform": transform, "sparse": sparse}
+            rows.append((label, "learned", 100 + offset, False, options))
+    return _run_rows(base, rows, dataset, run_root)
 
 
 def run_table4(
-    dataset: KGDataset,
-    settings: ExperimentSettings,
+    base: RunConfig,
+    dataset: KGDataset | None = None,
     run_root: str | Path | None = None,
-) -> tuple[ExperimentRow, ExperimentRow]:
-    """Train the Table 4 quaternion model plus a ComplEx reference."""
-    quaternion_label = "Quaternion-based four-embedding"
-    quaternion_row = run_config_row(
-        settings.to_run_config(
-            model=_model_section(settings, "quaternion", 200),
-            evaluate_train=True,
-            label=quaternion_label,
-        ),
-        dataset=dataset,
-        run_dir=_row_dir(run_root, 0, quaternion_label),
-    )
-    complex_row = run_config_row(
-        settings.to_run_config(
-            model=_model_section(settings, "complex", 201),
-            label="ComplEx (reference)",
-        ),
-        dataset=dataset,
-        run_dir=_row_dir(run_root, 1, "ComplEx (reference)"),
-    )
-    return quaternion_row, complex_row
+) -> list[RunResult]:
+    """Train the Table 4 quaternion model, then a ComplEx reference."""
+    rows = [
+        ("Quaternion-based four-embedding", "quaternion", 200, True, {}),
+        ("ComplEx (reference)", "complex", 201, False, {}),
+    ]
+    return _run_rows(base, rows, dataset, run_root)
+
+
+def format_table(title: str, results: list[RunResult], label_width: int = 42) -> str:
+    """Render results in the layout of the paper's Tables 2-4, each row
+    labelled by its ``config.label``."""
+    if not results:
+        raise ConfigError("cannot format an empty table")
+    lines = [title, RankingMetrics.header_row(label_width=label_width)]
+    lines.append("-" * len(lines[-1]))
+    for result in results:
+        lines.append(result.test_metrics.format_row(result.config.label, label_width))
+    train_rows = [result for result in results if result.train_metrics is not None]
+    if train_rows:
+        lines.append("-" * len(lines[1]))
+        for result in train_rows:
+            lines.append(
+                result.train_metrics.format_row(f"{result.config.label} on train", label_width)
+            )
+    return "\n".join(lines)
+
+
+def format_learned_omegas(results: list[RunResult]) -> str:
+    """The learned ω snapshot of every learned-ω row, one line each."""
+    lines = ["learned omega snapshots:"]
+    for result in results:
+        if result.config.model.name == "learned":
+            omega = result.model.current_weight_vector()
+            values = ", ".join(f"{v:+.2f}" for v in omega.flatten())
+            lines.append(f"  {result.config.label:<42} ({values})")
+    return "\n".join(lines)

@@ -240,9 +240,9 @@ def train_and_evaluate(
 ) -> RunResult:
     """Train a pre-built *model* per *config* and evaluate it.
 
-    This is the engine under :func:`run_pipeline`; it also backs the
-    legacy :func:`repro.experiments.run_experiment_row` shim, which
-    supplies externally-constructed models (e.g. the baselines).
+    This is the engine under :func:`run_pipeline`, and the one entry
+    point for models built outside the pipeline (the baseline and
+    ablation benchmarks seed theirs from ``config.model_init_seed``).
 
     Telemetry: when ``config.observability.enabled`` is set *or* an
     ambient registry/tracer is installed (:class:`repro.obs.telemetry_scope`),

@@ -31,10 +31,10 @@ Three layers, each usable on its own:
     same scorer, so evaluation and serving share one code path.
 
 ``LinkPredictor`` (:mod:`repro.serving.predictor`)
-    The request-level API: one unified ``top_k(side="tail"|"head"|
-    "relation")`` entry point over id batches with shared knobs (``k``,
-    ``filtered``, ``exact``) — ``top_k_tails`` / ``top_k_heads`` /
-    ``top_k_relations`` remain as thin delegating wrappers — plus
+    The request-level API: one ``top_k(side="tail"|"head"|"relation")``
+    entry point over id batches with shared knobs (``k``, ``filtered``,
+    ``exact``), checked by one ``check_query`` that the serving daemon's
+    ``PredictionServer.top_k`` also runs at admission — plus
     name-level ``predict`` for single queries, optional *filtered*
     masking of already-known true triples (reusing
     :class:`~repro.kg.graph.FilterIndex`), explicit candidate sets via
@@ -56,7 +56,7 @@ Quickstart
 >>> model = make_complex(dataset.num_entities, dataset.num_relations,
 ...                      total_dim=32, rng=np.random.default_rng(1))
 >>> predictor = LinkPredictor(model, dataset)
->>> top = predictor.top_k_tails(heads=[0, 1], relations=[0, 0], k=5, filtered=True)
+>>> top = predictor.top_k([0, 1], [0, 0], side="tail", k=5, filtered=True)
 >>> top.ids.shape, top.scores.shape
 ((2, 5), (2, 5))
 >>> predictor.predict(head=dataset.entities.name(0),

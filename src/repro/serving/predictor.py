@@ -57,6 +57,20 @@ QUERY_SLOTS = {
 RECALL_BUCKETS = (0.5, 0.8, 0.9, 0.95, 0.99, 1.0)
 
 
+def query_slots(side: str) -> tuple[str, str]:
+    """The ``(anchor, other)`` slot names of a *side*'s query.
+
+    Raises :class:`~repro.errors.ServingError` for an unknown side; the
+    predictor's :meth:`LinkPredictor.check_query` and the daemon's wire
+    handler both refuse through here, with one message.
+    """
+    if side not in QUERY_SLOTS:
+        raise ServingError(
+            f"unknown side {side!r}; expected 'tail', 'head' or 'relation'"
+        )
+    return QUERY_SLOTS[side]
+
+
 @dataclass(frozen=True)
 class TopKResult:
     """Top-k candidate ids and scores for a batch of queries.
@@ -265,7 +279,7 @@ class LinkPredictor:
         """The model ``scoring_version`` this predictor last synced to.
 
         Every query path syncs before answering, so after any
-        ``top_k_*``/``predict`` call this equals the version the answer
+        ``top_k``/``predict`` call this equals the version the answer
         was computed at — the serving daemon tags responses with it.
         """
         return self._model_version
@@ -472,8 +486,6 @@ class LinkPredictor:
         candidates,
         exact: bool = False,
     ) -> TopKResult:
-        if k < 1:
-            raise ServingError("k must be >= 1")
         self._sync_version()
         anchors = np.atleast_1d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_1d(np.asarray(relations, dtype=np.int64))
@@ -504,7 +516,7 @@ class LinkPredictor:
             return self._top_k_via_index(anchors, relations, k, side, filtered)
         return self._full_top_k(anchors, relations, side, filtered, k)
 
-    def _top_k_relations(self, heads, tails, k: int) -> TopKResult:
+    def _relation_top_k(self, heads, tails, k: int) -> TopKResult:
         self._sync_version()
         heads = np.atleast_1d(np.asarray(heads, dtype=np.int64))
         tails = np.atleast_1d(np.asarray(tails, dtype=np.int64))
@@ -559,9 +571,39 @@ class LinkPredictor:
         ``candidates``: the filter index and the candidate fast paths
         are entity-keyed.
         """
+        self.check_query(
+            anchors, others, side=side, k=k, filtered=filtered, candidates=candidates
+        )
+        if side == "relation":
+            return self._relation_top_k(anchors, others, k)
+        return self._top_k_one_side(
+            anchors, others, k, side, filtered, candidates, exact=exact
+        )
+
+    def check_query(
+        self,
+        anchors,
+        others,
+        *,
+        side: str = "tail",
+        k: int = 10,
+        filtered: bool = False,
+        candidates=None,
+    ) -> None:
+        """Refuse a :meth:`top_k` query this predictor cannot answer as asked.
+
+        Raises :class:`~repro.errors.ServingError` for an unknown *side*,
+        ``k < 1``, ``filtered`` or ``candidates`` on a relation query, or
+        an id outside the served model's tables (naming the first bad
+        one).  Unchecked, numpy indexing would answer a negative id as an
+        entity counted from the end of the table, and fail one past the
+        end with a bare ``IndexError``.  The serving daemon runs this same
+        check at admission, before a request can join a micro-batch, so
+        the library and the daemon refuse the same queries alike.
+        """
+        slots = query_slots(side)
         if k < 1:
             raise ServingError("k must be >= 1")
-        self.check_ids(anchors, others, side)
         if side == "relation":
             if filtered:
                 raise ServingError(
@@ -572,25 +614,7 @@ class LinkPredictor:
                 raise ServingError(
                     "candidates are not supported for side='relation'"
                 )
-            return self._top_k_relations(anchors, others, k)
-        return self._top_k_one_side(
-            anchors, others, k, side, filtered, candidates, exact=exact
-        )
-
-    def check_ids(self, anchors, others, side: str) -> None:
-        """Refuse any id outside the served model's tables.
-
-        Raises :class:`~repro.errors.ServingError` naming the first bad
-        id.  Unchecked, numpy indexing would answer a negative id as an
-        entity counted from the end of the table, and fail one past the
-        end with a bare ``IndexError``.  The serving daemon runs the same
-        check at admission, before a request can join a micro-batch.
-        """
-        if side not in QUERY_SLOTS:
-            raise ServingError(
-                f"unknown side {side!r}; expected 'tail', 'head' or 'relation'"
-            )
-        for slot, ids in zip(QUERY_SLOTS[side], (anchors, others)):
+        for slot, ids in zip(slots, (anchors, others)):
             bound = (
                 self.model.num_relations if slot == "relation" else self.model.num_entities
             )
@@ -599,54 +623,16 @@ class LinkPredictor:
             if bad.size:
                 raise ServingError(f"{slot} id {bad.flat[0]} out of range [0, {bound})")
 
-    def top_k_tails(
-        self,
-        heads,
-        relations,
-        k: int = 10,
-        filtered: bool = False,
-        candidates=None,
-        exact: bool = False,
-    ) -> TopKResult:
-        """Best tail completions of ``(h, ?, r)``; delegates to :meth:`top_k`."""
-        return self.top_k(
-            heads,
-            relations,
-            side="tail",
-            k=k,
-            filtered=filtered,
-            candidates=candidates,
-            exact=exact,
-        )
-
-    def top_k_heads(
-        self,
-        tails,
-        relations,
-        k: int = 10,
-        filtered: bool = False,
-        candidates=None,
-        exact: bool = False,
-    ) -> TopKResult:
-        """Best head completions of ``(?, t, r)``; delegates to :meth:`top_k`."""
-        return self.top_k(
-            tails,
-            relations,
-            side="head",
-            k=k,
-            filtered=filtered,
-            candidates=candidates,
-            exact=exact,
-        )
-
-    def top_k_relations(self, heads, tails, k: int = 10) -> TopKResult:
-        """Best relation completions of ``(h, ?, t)``; delegates to :meth:`top_k`."""
-        return self.top_k(heads, tails, side="relation", k=k)
-
     def warm_cache(self, anchors, relations, side: str = "tail") -> None:
-        """Precompute and cache the sweeps for the given queries."""
+        """Precompute and cache the sweeps for the given queries.
+
+        The queries pass the same :meth:`check_query` as :meth:`top_k`, so
+        an out-of-range id is refused instead of caching another entity's
+        sweep under its key.
+        """
         if self.cache is None:
             raise ServingError("warm_cache needs caching enabled (cache_size > 0)")
+        self.check_query(anchors, relations, side=side)
         self._sync_version()
         anchors = np.atleast_1d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_1d(np.asarray(relations, dtype=np.int64))

@@ -6,9 +6,10 @@ concurrent requests, not as pre-assembled batches.  This module closes
 that gap with a stdlib-only asyncio service:
 
 ``PredictionServer``
-    The core loop.  Concurrent ``top_k_tails``/``top_k_heads``/
-    ``top_k_relations`` awaits land in one bounded queue; a batcher task
-    drains up to ``max_batch`` requests per tick (waiting at most
+    The core loop.  Concurrent :meth:`PredictionServer.top_k` awaits
+    (one entry point, the missing slot as ``side``) are checked at
+    admission and land in one bounded queue; a batcher task drains up
+    to ``max_batch`` requests per tick (waiting at most
     ``max_wait_ms`` for stragglers), groups them by
     ``(side, filtered, k-bucket)`` and dispatches **one**
     :class:`~repro.serving.predictor.LinkPredictor` call per group —
@@ -111,7 +112,7 @@ from repro.obs.expo import prometheus_text
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot, metrics_scope
 from repro.obs.trace import current_span_id, trace_scope
 from repro.reliability import faults
-from repro.serving.predictor import QUERY_SLOTS, LinkPredictor
+from repro.serving.predictor import LinkPredictor, query_slots
 
 _LOG = logging.getLogger("repro.serving")
 
@@ -152,8 +153,6 @@ def k_bucket(k: int) -> int:
         raise ServingError("k must be >= 1")
     return 1 << (int(k) - 1).bit_length()
 
-
-_SIDES = ("tail", "head", "relation")
 
 #: Keyword knobs the wire ``apply_delta`` op may forward to
 #: :func:`repro.ingest.ingest_delta` (mirrors ``IngestSection``).
@@ -673,55 +672,6 @@ class PredictionServer:
             return receipt
 
     # ------------------------------------------------------------- requests
-    def _submit(
-        self,
-        side: str,
-        first: int,
-        second: int,
-        k: int,
-        filtered: bool,
-        deadline_ms: float | None = None,
-    ) -> asyncio.Future:
-        if side not in _SIDES:
-            raise ServingError(f"unknown side {side!r}; known: {_SIDES}")
-        if k < 1:
-            raise ServingError("k must be >= 1")
-        if deadline_ms is None:
-            deadline_ms = self.default_deadline_ms
-        elif deadline_ms <= 0:
-            raise ServingError("deadline_ms must be > 0 (or None)")
-        if self._closing:
-            raise ServerClosedError("server is shutting down; request refused")
-        if self._active is None:
-            raise ServingError("no model deployed; call load_run/swap_predictor first")
-        # Range-check against the deployment admitting the request: one
-        # bad id must fail alone, never the micro-batch it would join.
-        first, second = int(first), int(second)
-        self._active.predictor.check_ids([first], [second], side)
-        if len(self._pending) >= self.queue_depth:
-            self.metrics.inc("server.rejected")
-            raise ServerOverloadedError(
-                f"request queue at admission cap ({self.queue_depth}); retry later",
-                retry_after_ms=self._retry_after_ms(),
-            )
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        request = _Pending(
-            side=side,
-            first=first,
-            second=second,
-            k=int(k),
-            filtered=bool(filtered),
-            future=loop.create_future(),
-            enqueued_at=now,
-            deadline_at=now + deadline_ms / 1000.0 if deadline_ms else None,
-        )
-        self._pending.append(request)
-        self.metrics.inc("server.submitted")
-        self.metrics.counter_max("server.peak_depth", len(self._pending))
-        self._wake.set()
-        return request.future
-
     def _observe_service_time(self, per_request: float) -> None:
         """Record one per-request service time in ``server.service_seconds``.
 
@@ -745,35 +695,69 @@ class PredictionServer:
         hint = 1000.0 * backlog + self.max_wait_ms
         return min(max(hint, RETRY_AFTER_FLOOR_MS), RETRY_AFTER_CEILING_MS)
 
-    async def top_k_tails(
+    async def top_k(
         self,
-        head: int,
-        relation: int,
+        anchor: int,
+        other: int,
         *,
+        side: str = "tail",
         k: int = 10,
         filtered: bool = False,
         deadline_ms: float | None = None,
     ) -> ServedTopK:
-        """Await the best tail completions of ``(head, ?, relation)``."""
-        return await self._submit("tail", head, relation, k, filtered, deadline_ms)
+        """Await the top-k completions of one query, micro-batched.
 
-    async def top_k_heads(
-        self,
-        tail: int,
-        relation: int,
-        *,
-        k: int = 10,
-        filtered: bool = False,
-        deadline_ms: float | None = None,
-    ) -> ServedTopK:
-        """Await the best head completions of ``(?, tail, relation)``."""
-        return await self._submit("head", tail, relation, k, filtered, deadline_ms)
-
-    async def top_k_relations(
-        self, head: int, tail: int, *, k: int = 10, deadline_ms: float | None = None
-    ) -> ServedTopK:
-        """Await the best relation completions of ``(head, ?, tail)``."""
-        return await self._submit("relation", head, tail, k, False, deadline_ms)
+        The slots follow :meth:`LinkPredictor.top_k
+        <repro.serving.predictor.LinkPredictor.top_k>`: ``side="tail"``
+        takes ``(head, relation)``, ``side="head"`` takes ``(tail,
+        relation)`` and ``side="relation"`` takes ``(head, tail)``.  The
+        query is checked at admission by the active predictor's
+        :meth:`~repro.serving.predictor.LinkPredictor.check_query` — one
+        bad request fails alone, never the micro-batch it would join.
+        ``deadline_ms`` must be a finite number of milliseconds > 0;
+        ``None`` inherits the server's ``default_deadline_ms``.
+        """
+        if deadline_ms is None:
+            deadline_ms = self.default_deadline_ms
+        elif (
+            not isinstance(deadline_ms, (int, float))
+            or isinstance(deadline_ms, bool)
+            or not (math.isfinite(deadline_ms) and deadline_ms > 0)
+        ):
+            raise ServingError(
+                f"deadline_ms must be a finite number > 0 (or None), got {deadline_ms!r}"
+            )
+        if self._closing:
+            raise ServerClosedError("server is shutting down; request refused")
+        if self._active is None:
+            raise ServingError("no model deployed; call load_run/swap_predictor first")
+        anchor, other = int(anchor), int(other)
+        self._active.predictor.check_query(
+            [anchor], [other], side=side, k=k, filtered=filtered
+        )
+        if len(self._pending) >= self.queue_depth:
+            self.metrics.inc("server.rejected")
+            raise ServerOverloadedError(
+                f"request queue at admission cap ({self.queue_depth}); retry later",
+                retry_after_ms=self._retry_after_ms(),
+            )
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        request = _Pending(
+            side=side,
+            first=anchor,
+            second=other,
+            k=int(k),
+            filtered=bool(filtered),
+            future=loop.create_future(),
+            enqueued_at=now,
+            deadline_at=now + deadline_ms / 1000.0 if deadline_ms else None,
+        )
+        self._pending.append(request)
+        self.metrics.inc("server.submitted")
+        self.metrics.counter_max("server.peak_depth", len(self._pending))
+        self._wake.set()
+        return await request.future
 
     # -------------------------------------------------------------- batcher
     async def _batch_loop(self) -> None:
@@ -876,9 +860,8 @@ class PredictionServer:
             ):
                 faults.fire(DISPATCH_SITE, context=f"side:{side};bucket:{bucket}")
                 # One entry point for every side: the predictor's unified
-                # top_k.  Relation groups are admitted with filtered=False
-                # (the filter index is entity-keyed), so the shared knobs
-                # pass through unchanged.
+                # top_k.  Admission refused relation + filtered, so the
+                # shared knobs pass through unchanged.
                 return predictor.top_k(
                     first, second, side=side, k=bucket, filtered=filtered, exact=exact
                 )
@@ -1019,38 +1002,26 @@ def _json_scores(scores: np.ndarray) -> list:
 
 
 async def _handle_top_k(server: PredictionServer, message: dict) -> dict:
+    # JSON types are checked here, before admission, so a string "false"
+    # is never read as filtered and an unhashable side is a bad request,
+    # not an internal error.  Everything else is PredictionServer.top_k's.
     side = message.get("side", "tail")
     k = message.get("k", 10)
-    filtered = bool(message.get("filtered", False))
-    deadline_ms = message.get("deadline_ms")
+    filtered = message.get("filtered", False)
+    if not isinstance(side, str):
+        raise ServingError(f"side must be a string, got {side!r}")
     if not isinstance(k, int) or isinstance(k, bool):
         raise ServingError("k must be an integer")
-    if deadline_ms is not None and (
-        not isinstance(deadline_ms, (int, float)) or isinstance(deadline_ms, bool)
-    ):
-        raise ServingError("deadline_ms must be a number (milliseconds)")
-    if side not in QUERY_SLOTS:
-        raise ServingError(f"unknown side {side!r}; known: {sorted(QUERY_SLOTS)}")
-    names = QUERY_SLOTS[side]
-    values = []
-    for name in names:
-        value = message.get(name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ServingError(f"top_k side={side!r} needs integer {names[0]!r} and "
-                               f"{names[1]!r} ids")
-        values.append(value)
-    if side == "tail":
-        served = await server.top_k_tails(
-            values[0], values[1], k=k, filtered=filtered, deadline_ms=deadline_ms
-        )
-    elif side == "head":
-        served = await server.top_k_heads(
-            values[0], values[1], k=k, filtered=filtered, deadline_ms=deadline_ms
-        )
-    else:
-        served = await server.top_k_relations(
-            values[0], values[1], k=k, deadline_ms=deadline_ms
-        )
+    if not isinstance(filtered, bool):
+        raise ServingError(f"filtered must be a JSON boolean, got {filtered!r}")
+    names = query_slots(side)
+    values = [message.get(name) for name in names]
+    if any(not isinstance(value, int) or isinstance(value, bool) for value in values):
+        raise ServingError(f"top_k side={side!r} needs integer {names[0]!r} and "
+                           f"{names[1]!r} ids")
+    served = await server.top_k(
+        *values, side=side, k=k, filtered=filtered, deadline_ms=message.get("deadline_ms")
+    )
     return {
         "ids": [int(i) for i in served.ids],
         "scores": _json_scores(served.scores),

@@ -119,7 +119,7 @@ class TestRunnerIntegration:
     def test_serve_run_auto_attaches_index(self, run_dir):
         predictor = serve_run(run_dir, index="auto")
         assert predictor.index is not None
-        result = predictor.top_k_tails([0, 1], [0, 0], k=5)
+        result = predictor.top_k([0, 1], [0, 0], side="tail", k=5)
         assert result.ids.shape == (2, 5)
         assert predictor.index_stats_dict()["queries"] == 2
 
@@ -146,8 +146,8 @@ class TestRunnerIntegration:
 
         assert isinstance(predictor.index, ExactIndex)
         plain = serve_run(path)
-        a = predictor.top_k_tails([0, 1], [0, 0], k=5)
-        b = plain.top_k_tails([0, 1], [0, 0], k=5)
+        a = predictor.top_k([0, 1], [0, 0], side="tail", k=5)
+        b = plain.top_k([0, 1], [0, 0], side="tail", k=5)
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.scores, b.scores)
 

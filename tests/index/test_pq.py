@@ -186,8 +186,8 @@ class TestPredictorBitIdentityPins:
         )
         anchors = np.arange(12)
         relations = np.arange(12) % model.num_relations
-        expected = plain.top_k_tails(anchors, relations, k=5)
-        got = indexed.top_k_tails(anchors, relations, k=5)
+        expected = plain.top_k(anchors, relations, side="tail", k=5)
+        got = indexed.top_k(anchors, relations, side="tail", k=5)
         np.testing.assert_array_equal(got.ids, expected.ids)
         np.testing.assert_array_equal(got.scores, expected.scores)
 
@@ -200,8 +200,8 @@ class TestPredictorBitIdentityPins:
         )
         anchors = np.arange(12)
         relations = np.arange(12) % model.num_relations
-        a = before.top_k_tails(anchors, relations, k=5)
-        b = after.top_k_tails(anchors, relations, k=5)
+        a = before.top_k(anchors, relations, side="tail", k=5)
+        b = after.top_k(anchors, relations, side="tail", k=5)
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.scores, b.scores)
 
@@ -233,7 +233,7 @@ class TestServingStats:
         )
         anchors = np.arange(16)
         relations = np.arange(16) % model.num_relations
-        predictor.top_k_tails(anchors, relations, k=5)
+        predictor.top_k(anchors, relations, side="tail", k=5)
         stats = predictor.index_stats_dict()
         assert stats is not None
         assert stats["entities_scanned"] > 0

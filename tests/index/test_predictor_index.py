@@ -57,13 +57,13 @@ class TestExhaustiveBitIdentity:
         )
         heads = dataset.test.heads[:12]
         relations = dataset.test.relations[:12]
-        expected = plain.top_k_tails(heads, relations, k=8, filtered=filtered)
-        got = indexed.top_k_tails(heads, relations, k=8, filtered=filtered)
+        expected = plain.top_k(heads, relations, side="tail", k=8, filtered=filtered)
+        got = indexed.top_k(heads, relations, side="tail", k=8, filtered=filtered)
         np.testing.assert_array_equal(expected.ids, got.ids)
         np.testing.assert_array_equal(expected.scores, got.scores)
         tails = dataset.test.tails[:12]
-        expected = plain.top_k_heads(tails, relations, k=8, filtered=filtered)
-        got = indexed.top_k_heads(tails, relations, k=8, filtered=filtered)
+        expected = plain.top_k(tails, relations, side="head", k=8, filtered=filtered)
+        got = indexed.top_k(tails, relations, side="head", k=8, filtered=filtered)
         np.testing.assert_array_equal(expected.ids, got.ids)
         np.testing.assert_array_equal(expected.scores, got.scores)
 
@@ -73,8 +73,8 @@ class TestExhaustiveBitIdentity:
         indexed = LinkPredictor(model, dataset, index=ExactIndex(model))
         heads = dataset.test.heads[:20]
         relations = dataset.test.relations[:20]
-        expected = plain.top_k_tails(heads, relations, k=10, filtered=True)
-        got = indexed.top_k_tails(heads, relations, k=10, filtered=True)
+        expected = plain.top_k(heads, relations, side="tail", k=10, filtered=True)
+        got = indexed.top_k(heads, relations, side="tail", k=10, filtered=True)
         np.testing.assert_array_equal(expected.ids, got.ids)
         np.testing.assert_array_equal(expected.scores, got.scores)
         stats = indexed.index_stats_dict()
@@ -90,8 +90,9 @@ class TestTieDeterminism:
         predictor = LinkPredictor(
             model, dataset, index=IVFIndex(model, nlist=15, nprobe=4, spill=2)
         )
-        result = predictor.top_k_tails(
-            dataset.test.heads[:40], dataset.test.relations[:40], k=10, filtered=True
+        result = predictor.top_k(
+            dataset.test.heads[:40], dataset.test.relations[:40], side="tail", k=10,
+            filtered=True,
         )
         for row_ids, row_scores in zip(result.ids, result.scores):
             real = row_ids >= 0
@@ -113,7 +114,7 @@ class TestTieDeterminism:
         model._bump_scoring_version()
         index = IVFIndex(model, nlist=15, nprobe=3)
         predictor = LinkPredictor(model, dataset, index=index)
-        result = predictor.top_k_tails([5], [0], k=10)
+        result = predictor.top_k([5], [0], side="tail", k=10)
         batch = index.candidate_lists([5], [0], "tail")
         np.testing.assert_array_equal(result.ids[0], batch.rows[0][:10])
         assert (result.scores[0] == 0.0).all()
@@ -123,8 +124,8 @@ class TestTieDeterminism:
         predictor = LinkPredictor(
             model, dataset, index=IVFIndex(model, nlist=15, nprobe=4)
         )
-        first = predictor.top_k_tails([3, 9], [0, 2], k=6)
-        second = predictor.top_k_tails([3, 9], [0, 2], k=6)
+        first = predictor.top_k([3, 9], [0, 2], side="tail", k=6)
+        second = predictor.top_k([3, 9], [0, 2], side="tail", k=6)
         np.testing.assert_array_equal(first.ids, second.ids)
         np.testing.assert_array_equal(first.scores, second.scores)
 
@@ -135,7 +136,7 @@ class TestApproximateBehaviour:
         predictor = LinkPredictor(
             model, dataset, index=IVFIndex(model, nlist=15, nprobe=4), cache_size=0
         )
-        result = predictor.top_k_tails([4], [1], k=5)
+        result = predictor.top_k([4], [1], side="tail", k=5)
         expected = model.score_triples(
             np.full(5, 4), result.ids[0], np.full(5, 1)
         )
@@ -146,7 +147,7 @@ class TestApproximateBehaviour:
         predictor = LinkPredictor(
             model, dataset, index=IVFIndex(model, nlist=125, nprobe=1, spill=1)
         )
-        result = predictor.top_k_tails([4], [1], k=200)
+        result = predictor.top_k([4], [1], side="tail", k=200)
         row = result.ids[0]
         assert (row >= 0).any()
         padded = row == -1
@@ -172,8 +173,8 @@ class TestApproximateBehaviour:
         indexed = LinkPredictor(model, dataset, index=IVFIndex(model, nlist=15))
         plain = LinkPredictor(model, dataset)
         shortlist = np.arange(30)
-        a = indexed.top_k_tails([4], [1], k=5, candidates=shortlist)
-        b = plain.top_k_tails([4], [1], k=5, candidates=shortlist)
+        a = indexed.top_k([4], [1], side="tail", k=5, candidates=shortlist)
+        b = plain.top_k([4], [1], side="tail", k=5, candidates=shortlist)
         np.testing.assert_array_equal(a.ids, b.ids)
         assert indexed.index_stats_dict()["queries"] == 0
 
@@ -191,12 +192,12 @@ class TestStalenessThroughTraining:
         model = _model(dataset)
         index = IVFIndex(model, nlist=15, nprobe=4)
         predictor = LinkPredictor(model, dataset, index=index)
-        predictor.top_k_tails([1], [0], k=5)
+        predictor.top_k([1], [0], side="tail", k=5)
         positives = dataset.train.array[:32]
         negatives = positives.copy()
         negatives[:, 1] = (negatives[:, 1] + 7) % dataset.num_entities
         model.train_step(positives, negatives, make_optimizer("adam", 0.05))
-        predictor.top_k_tails([1], [0], k=5)
+        predictor.top_k([1], [0], side="tail", k=5)
         assert index.rebuilds == 1
         assert index.built_version == model.scoring_version
 
@@ -204,16 +205,16 @@ class TestStalenessThroughTraining:
         model = _model(dataset)
         index = IVFIndex(model, nlist=15, nprobe=4, on_stale="error")
         predictor = LinkPredictor(model, dataset, index=index)
-        predictor.top_k_tails([1], [0], k=5)
+        predictor.top_k([1], [0], side="tail", k=5)
         model._bump_scoring_version()
         with pytest.raises(StaleIndexError):
-            predictor.top_k_tails([1], [0], k=5)
+            predictor.top_k([1], [0], side="tail", k=5)
 
     def test_clear_cache_invalidates_index(self, dataset):
         model = _model(dataset)
         index = IVFIndex(model, nlist=15, nprobe=4)
         predictor = LinkPredictor(model, dataset, index=index)
-        predictor.top_k_tails([1], [0], k=5)
+        predictor.top_k([1], [0], side="tail", k=5)
         assert index.built_partitions
         predictor.clear_cache()
         assert index.built_partitions == ()
@@ -225,8 +226,8 @@ class TestBookkeeping:
         predictor = LinkPredictor(
             model, dataset, index=IVFIndex(model, nlist=15, nprobe=2, spill=1)
         )
-        predictor.top_k_tails(
-            dataset.test.heads[:25], dataset.test.relations[:25], k=5
+        predictor.top_k(
+            dataset.test.heads[:25], dataset.test.relations[:25], side="tail", k=5
         )
         stats = predictor.index_stats_dict()
         assert stats["queries"] == 25
@@ -240,8 +241,8 @@ class TestBookkeeping:
             index=IVFIndex(model, nlist=15, nprobe=6),
             recall_sample_every=5,
         )
-        predictor.top_k_tails(
-            dataset.test.heads[:20], dataset.test.relations[:20], k=10
+        predictor.top_k(
+            dataset.test.heads[:20], dataset.test.relations[:20], side="tail", k=10
         )
         stats = predictor.index_stats_dict()
         assert stats["recall_checks"] == 4
@@ -261,7 +262,7 @@ class TestBookkeeping:
         """The ratio is rendered over the model's current entity count."""
         model = _model(dataset)
         predictor = LinkPredictor(model, dataset, index=ExactIndex(model))
-        predictor.top_k_tails([0, 1], [0, 0], k=5)
+        predictor.top_k([0, 1], [0, 0], side="tail", k=5)
         assert predictor.index_stats_dict()["probed_fraction"] == 1.0
         model.grow(model.num_entities * 2, model.num_relations)
         stats = predictor.index_stats_dict()

@@ -56,9 +56,9 @@ class TestApplyDelta:
         async def main():
             server = PredictionServer(LinkPredictor(model, dataset))
             async with server:
-                before = await server.top_k_tails(0, 0, k=5)
+                before = await server.top_k(0, 0, side="tail", k=5)
                 receipt = await server.apply_delta(delta, epochs=1, seed=0)
-                after = await server.top_k_tails(0, 0, k=5)
+                after = await server.top_k(0, 0, side="tail", k=5)
                 health = server.health_dict()
                 stats = server.stats_dict()
             return before, receipt, after, health, stats
@@ -82,7 +82,7 @@ class TestApplyDelta:
             async with server:
                 await server.apply_delta(delta, epochs=1)
                 new_id = dataset.num_entities  # first fresh id
-                return await server.top_k_tails(new_id, 0, k=5)
+                return await server.top_k(new_id, 0, side="tail", k=5)
 
         served = asyncio.run(main())
         assert len(served.ids) == 5
@@ -126,7 +126,7 @@ class TestApplyDelta:
                 receipt = await server.apply_delta(
                     make_delta(dataset), epochs=1, drift_threshold=1.0
                 )
-                served = await server.top_k_tails(dataset.num_entities, 0, k=5)
+                served = await server.top_k(dataset.num_entities, 0, side="tail", k=5)
             return receipt, served
 
         receipt, served = asyncio.run(main())
@@ -286,7 +286,7 @@ class TestMemmapDeployment:
                 ][:2]
                 delta = GraphDelta(add_triples=tuple(fresh))
                 receipt = await server.apply_delta(delta, epochs=2, seed=1)
-                served = await server.top_k_tails(3, 0, k=10)
+                served = await server.top_k(3, 0, side="tail", k=10)
             return receipt, served
 
         mapped_receipt, mapped = asyncio.run(

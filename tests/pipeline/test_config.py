@@ -179,17 +179,14 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="'seed' must be an integer"):
             RunConfig.from_dict({"seed": "7"})
 
-    def test_settings_round_trip_keeps_optimizer_and_sampler(self):
-        from repro.experiments import ExperimentSettings
-
-        settings = ExperimentSettings(optimizer="sgd", negative_sampler="bernoulli")
-        config = settings.to_run_config()
-        assert config.training.optimizer == "sgd"
-        assert config.training.negative_sampler == "bernoulli"
-        back = ExperimentSettings.from_run_config(config)
-        assert back.optimizer == "sgd"
-        assert back.negative_sampler == "bernoulli"
-        assert back.training_config().optimizer == "sgd"
+    def test_settings_round_trip_keeps_optimizer_and_sampler(self, tmp_path):
+        config = toy_config(
+            training=TrainingSection(epochs=2, optimizer="sgd", negative_sampler="bernoulli")
+        )
+        back = RunConfig.load(config.save(tmp_path / "run.json"))
+        assert back.training.optimizer == "sgd"
+        assert back.training.negative_sampler == "bernoulli"
+        assert back.training.training_config(seed=back.seed).optimizer == "sgd"
 
 
 class TestSeeding:

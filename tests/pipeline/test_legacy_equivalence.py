@@ -1,14 +1,15 @@
 """Regression: pipeline metrics are bit-identical to the pre-refactor path.
 
-The pre-refactor harness wired dataset → model → Trainer → evaluator by
-hand (`experiments.run_experiment_row` before PR 3); these tests inline
-that exact recipe — same RNG streams, same call order — and assert the
-declarative pipeline reproduces it float-for-float for the paper-table
-row shapes (fixed-ω rows, the n=1 DistMult special case, and learned-ω
-rows).
+The harness that predates the pipeline wired dataset → model → Trainer →
+evaluator by hand; these tests inline that exact recipe — same RNG
+streams, same call order — and assert the declarative pipeline
+reproduces it float-for-float for the paper-table row shapes (fixed-ω
+rows, the n=1 DistMult special case, and learned-ω rows).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,36 +17,45 @@ import pytest
 from repro.core.models import make_distmult, make_learned_weight_model, make_model
 from repro.core.weights import PRESETS
 from repro.eval.evaluator import LinkPredictionEvaluator
-from repro.experiments import ExperimentSettings, build_dataset, run_experiment_row
 from repro.kg.synthetic import SyntheticKGConfig
 from repro.paper_tables import TABLE2_ROWS, run_table2
-from repro.pipeline.config import ModelSection
-from repro.pipeline.runner import run_pipeline
+from repro.pipeline.config import DatasetSection, ModelSection, RunConfig, TrainingSection
+from repro.pipeline.runner import run_pipeline, train_and_evaluate
 from repro.training.trainer import Trainer
 
 pytestmark = pytest.mark.pipeline
 
 
 @pytest.fixture(scope="module")
-def settings() -> ExperimentSettings:
-    return ExperimentSettings(
-        dataset_config=SyntheticKGConfig(
-            num_entities=100, num_clusters=8, num_domains=3, seed=5
+def settings() -> RunConfig:
+    return RunConfig(
+        dataset=DatasetSection(
+            params=dataclasses.asdict(
+                SyntheticKGConfig(num_entities=100, num_clusters=8, num_domains=3, seed=5)
+            )
         ),
-        total_dim=8,
-        epochs=3,
-        batch_size=256,
+        model=ModelSection(total_dim=8),
+        training=TrainingSection(epochs=3, batch_size=256),
     )
 
 
 @pytest.fixture(scope="module")
 def dataset(settings):
-    return build_dataset(settings)
+    return settings.dataset.build()
+
+
+def row_config(settings, model, evaluate_train=False):
+    """*settings* with one row's model section and evaluate-train flag."""
+    return dataclasses.replace(
+        settings,
+        model=model,
+        evaluation=dataclasses.replace(settings.evaluation, evaluate_train=evaluate_train),
+    )
 
 
 def legacy_row(model, dataset, settings, evaluate_train=False):
     """The pre-refactor recipe, verbatim: manual Trainer + evaluator."""
-    trainer = Trainer(dataset, settings.training_config())
+    trainer = Trainer(dataset, settings.training.training_config(seed=settings.seed))
     result = trainer.train(model)
     evaluator = LinkPredictionEvaluator(dataset)
     test_metrics = evaluator.evaluate(model, split="test").overall
@@ -53,7 +63,7 @@ def legacy_row(model, dataset, settings, evaluate_train=False):
     if evaluate_train:
         train_metrics = evaluator.evaluate_triples(
             model, dataset.train, split_name="train",
-            max_triples=settings.train_eval_triples,
+            max_triples=settings.evaluation.train_eval_triples,
         ).overall
     return test_metrics, train_metrics, result.epochs_run
 
@@ -71,16 +81,17 @@ class TestPipelineMatchesLegacyPath:
         legacy_model = make_model(
             PRESETS.get("cph"), dataset.num_entities, dataset.num_relations,
             np.random.default_rng(settings.seed + 1000 + offset),
-            total_dim=settings.total_dim, regularization=settings.regularization,
+            total_dim=settings.model.total_dim, regularization=settings.model.regularization,
         )
         legacy_test, legacy_train, legacy_epochs = legacy_row(
             legacy_model, dataset, settings, evaluate_train=True
         )
 
-        config = settings.to_run_config(
-            model=ModelSection(
-                name="cph", total_dim=settings.total_dim,
-                regularization=settings.regularization, seed_offset=offset,
+        config = row_config(
+            settings,
+            ModelSection(
+                name="cph", total_dim=settings.model.total_dim,
+                regularization=settings.model.regularization, seed_offset=offset,
             ),
             evaluate_train=True,
         )
@@ -92,17 +103,18 @@ class TestPipelineMatchesLegacyPath:
     def test_distmult_n1_row(self, dataset, settings):
         """The n=1 special case: make_distmult vs the distmult_n1 preset."""
         legacy_model = make_distmult(
-            dataset.num_entities, dataset.num_relations, settings.total_dim,
+            dataset.num_entities, dataset.num_relations, settings.model.total_dim,
             np.random.default_rng(settings.seed + 1000),
-            regularization=settings.regularization,
+            regularization=settings.model.regularization,
         )
         legacy_test, _, _ = legacy_row(legacy_model, dataset, settings)
 
-        config = settings.to_run_config(
-            model=ModelSection(
-                name="distmult_n1", total_dim=settings.total_dim,
-                regularization=settings.regularization,
-            )
+        config = row_config(
+            settings,
+            ModelSection(
+                name="distmult_n1", total_dim=settings.model.total_dim,
+                regularization=settings.model.regularization,
+            ),
         )
         result = run_pipeline(config, dataset=dataset)
         assert_metrics_equal(result.test_metrics, legacy_test)
@@ -110,19 +122,20 @@ class TestPipelineMatchesLegacyPath:
     def test_learned_omega_row(self, dataset, settings):
         offset = 101
         legacy_model = make_learned_weight_model(
-            dataset.num_entities, dataset.num_relations, settings.total_dim,
+            dataset.num_entities, dataset.num_relations, settings.model.total_dim,
             np.random.default_rng(settings.seed + 1000 + offset),
-            transform="tanh", sparse=True, regularization=settings.regularization,
+            transform="tanh", sparse=True, regularization=settings.model.regularization,
         )
         legacy_test, _, _ = legacy_row(legacy_model, dataset, settings)
         legacy_omega = legacy_model.current_weight_vector()
 
-        config = settings.to_run_config(
-            model=ModelSection(
-                name="learned", total_dim=settings.total_dim,
-                regularization=settings.regularization, seed_offset=offset,
+        config = row_config(
+            settings,
+            ModelSection(
+                name="learned", total_dim=settings.model.total_dim,
+                regularization=settings.model.regularization, seed_offset=offset,
                 options={"transform": "tanh", "sparse": True},
-            )
+            ),
         )
         result = run_pipeline(config, dataset=dataset)
         assert_metrics_equal(result.test_metrics, legacy_test)
@@ -130,20 +143,21 @@ class TestPipelineMatchesLegacyPath:
             result.model.current_weight_vector().tensor, legacy_omega.tensor
         )
 
-    def test_run_experiment_row_shim_matches_pipeline(self, dataset, settings):
-        """The legacy entry point and run_pipeline share one engine."""
+    def test_train_and_evaluate_matches_pipeline(self, dataset, settings):
+        """A model built outside the pipeline and run_pipeline share one engine."""
         shim_model = make_model(
             PRESETS.get("complex"), dataset.num_entities, dataset.num_relations,
             np.random.default_rng(settings.seed + 1000),
-            total_dim=settings.total_dim, regularization=settings.regularization,
+            total_dim=settings.model.total_dim, regularization=settings.model.regularization,
         )
-        shim = run_experiment_row(shim_model, dataset, settings, label="X")
+        shim = train_and_evaluate(dataclasses.replace(settings, label="X"), dataset, shim_model)
 
-        config = settings.to_run_config(
-            model=ModelSection(
-                name="complex", total_dim=settings.total_dim,
-                regularization=settings.regularization,
-            )
+        config = row_config(
+            settings,
+            ModelSection(
+                name="complex", total_dim=settings.model.total_dim,
+                regularization=settings.model.regularization,
+            ),
         )
         result = run_pipeline(config, dataset=dataset)
         assert_metrics_equal(result.test_metrics, shim.test_metrics)
@@ -155,24 +169,24 @@ class TestPipelineMatchesLegacyPath:
             rng = np.random.default_rng(settings.seed + 1000 + offset)
             if name == "distmult_n1":
                 model = make_distmult(
-                    dataset.num_entities, dataset.num_relations, settings.total_dim,
-                    rng, regularization=settings.regularization,
+                    dataset.num_entities, dataset.num_relations, settings.model.total_dim,
+                    rng, regularization=settings.model.regularization,
                 )
             else:
                 model = make_model(
                     PRESETS.get(name), dataset.num_entities, dataset.num_relations,
-                    rng, total_dim=settings.total_dim,
-                    regularization=settings.regularization,
+                    rng, total_dim=settings.model.total_dim,
+                    regularization=settings.model.regularization,
                 )
             test_metrics, train_metrics, _ = legacy_row(
                 model, dataset, settings, evaluate_train=with_train
             )
             legacy.append((label, test_metrics, train_metrics))
 
-        rows = run_table2(dataset, settings)
+        rows = run_table2(settings, dataset)
         assert len(rows) == len(legacy)
         for row, (label, test_metrics, train_metrics) in zip(rows, legacy):
-            assert row.label == label
+            assert row.config.label == label
             assert_metrics_equal(row.test_metrics, test_metrics)
             if train_metrics is None:
                 assert row.train_metrics is None

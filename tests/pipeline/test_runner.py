@@ -137,7 +137,7 @@ class TestRunDirectory:
 
     def test_serve_run_without_retraining(self, run):
         predictor = serve_run(run.run_dir)
-        result = predictor.top_k_tails([0], [0], k=5)
+        result = predictor.top_k([0], [0], side="tail", k=5)
         assert result.ids.shape == (1, 5)
         assert np.isfinite(result.scores).any()
 

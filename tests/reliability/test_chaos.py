@@ -146,7 +146,7 @@ async def _answers(path, index, expect_degraded):
         deployment = await server.load_run(path, index=index)
         assert deployment.degraded is expect_degraded
         served = [
-            await server.top_k_tails(h, 0, k=5, filtered=True)
+            await server.top_k(h, 0, side="tail", k=5, filtered=True)
             for h in range(6)
         ]
         assert all(s.degraded is expect_degraded for s in served)

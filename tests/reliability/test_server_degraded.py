@@ -115,9 +115,12 @@ class TestRetryAfterClamp:
         async def main():
             server = PredictionServer(LinkPredictor(model, dataset), queue_depth=1)
             server._observe_service_time(1e9)  # would be absurd without the clamp
-            server._submit("tail", 0, 0, 5, False)
+            # Never started, so the first request holds the only queue slot.
+            queued = asyncio.ensure_future(server.top_k(0, 0, side="tail", k=5))
+            await asyncio.sleep(0)
             with pytest.raises(ServerOverloadedError) as caught:
-                server._submit("tail", 1, 0, 5, False)
+                await server.top_k(1, 0, side="tail", k=5)
+            queued.cancel()
             return caught.value.retry_after_ms
 
         hint = asyncio.run(main())
@@ -134,10 +137,10 @@ class TestDeadlines:
             )
             async with server:
                 with pytest.raises(DeadlineExceededError):
-                    await server.top_k_tails(0, 0, k=5, deadline_ms=1.0)
+                    await server.top_k(0, 0, side="tail", k=5, deadline_ms=1.0)
                 assert server.stats_dict()["deadline_expired"] == 1
                 # The server keeps serving normally afterwards.
-                served = await server.top_k_tails(0, 0, k=5)
+                served = await server.top_k(0, 0, side="tail", k=5)
                 assert len(served.ids) == 5
 
         asyncio.run(main())
@@ -152,7 +155,7 @@ class TestDeadlines:
             )
             async with server:
                 with pytest.raises(DeadlineExceededError):
-                    await server.top_k_heads(0, 0, k=5)
+                    await server.top_k(0, 0, side="head", k=5)
 
         asyncio.run(main())
 
@@ -162,7 +165,7 @@ class TestDeadlines:
                 LinkPredictor(model, dataset), max_batch=1, max_wait_ms=0.0
             )
             async with server:
-                served = await server.top_k_tails(0, 0, k=5, deadline_ms=30_000.0)
+                served = await server.top_k(0, 0, side="tail", k=5, deadline_ms=30_000.0)
                 assert served.degraded is False
                 assert server.stats_dict()["deadline_expired"] == 0
 
@@ -176,7 +179,7 @@ class TestDeadlines:
             server = PredictionServer(LinkPredictor(model, dataset))
             async with server:
                 with pytest.raises(ServingError, match="deadline_ms"):
-                    await server.top_k_tails(0, 0, k=5, deadline_ms=-1.0)
+                    await server.top_k(0, 0, side="tail", k=5, deadline_ms=-1.0)
 
         asyncio.run(main())
 
@@ -192,21 +195,21 @@ class TestServingTimeDegradation:
         async def main():
             server = PredictionServer(predictor, max_batch=4, max_wait_ms=1.0)
             async with server:
-                before = await server.top_k_tails(1, 0, k=5, filtered=True)
+                before = await server.top_k(1, 0, side="tail", k=5, filtered=True)
                 assert before.degraded is False
                 assert server.health_dict()["status"] == "ok"
 
                 # Simulate training racing the serving path: the version
                 # moves, the on_stale="error" index refuses to answer.
                 model._bump_scoring_version()
-                after = await server.top_k_tails(1, 0, k=5, filtered=True)
+                after = await server.top_k(1, 0, side="tail", k=5, filtered=True)
                 assert after.degraded is True
                 assert server.degraded
                 assert server.health_dict()["status"] == "degraded"
                 assert server.stats_dict()["degraded_served"] == 1
 
                 # Degraded answers are the exact full-sweep answers.
-                exact = reference.top_k_tails([1], [0], k=5, filtered=True)
+                exact = reference.top_k([1], [0], side="tail", k=5, filtered=True)
                 assert list(after.ids) == list(exact.ids[0])
                 assert list(after.scores) == list(exact.scores[0])
                 return server
@@ -221,13 +224,13 @@ class TestServingTimeDegradation:
             server = PredictionServer(predictor, max_batch=4, max_wait_ms=1.0)
             async with server:
                 model._bump_scoring_version()
-                served = await server.top_k_tails(0, 0, k=3)
+                served = await server.top_k(0, 0, side="tail", k=3)
                 assert served.degraded and server.degraded
                 # A fresh, healthy deployment resets the sticky flag.
                 await server.swap_predictor(LinkPredictor(model, dataset))
                 assert not server.degraded
                 assert server.health_dict()["status"] == "ok"
-                healthy = await server.top_k_tails(0, 0, k=3)
+                healthy = await server.top_k(0, 0, side="tail", k=3)
                 assert healthy.degraded is False
 
         asyncio.run(main())
@@ -244,7 +247,7 @@ class TestDrainAndSwapUnderInjectedLatency:
             with fault_scope(_slow_dispatch(0.15, max_hits=2)):
                 async with server:
                     pending = [
-                        asyncio.ensure_future(server.top_k_tails(h, 0, k=4))
+                        asyncio.ensure_future(server.top_k(h, 0, side="tail", k=4))
                         for h in range(8)
                     ]
                     await asyncio.sleep(0)  # let the batcher pick them up
@@ -270,7 +273,7 @@ class TestDrainAndSwapUnderInjectedLatency:
             with fault_scope(_slow_dispatch(0.2, max_hits=1)):
                 async with server:
                     first = [
-                        asyncio.ensure_future(server.top_k_tails(h, 0, k=4))
+                        asyncio.ensure_future(server.top_k(h, 0, side="tail", k=4))
                         for h in range(4)
                     ]
                     await asyncio.sleep(0.05)  # batch now slow-scoring in-thread
@@ -279,7 +282,7 @@ class TestDrainAndSwapUnderInjectedLatency:
                     )
                     assert deployment.generation == 2
                     batch_one = await asyncio.gather(*first)
-                    after = await server.top_k_tails(0, 0, k=4)
+                    after = await server.top_k(0, 0, side="tail", k=4)
             # Every pre-swap response came from generation 1 — the swap
             # could not land mid-batch even with the batch artificially
             # slowed; post-swap traffic sees generation 2.

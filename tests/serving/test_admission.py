@@ -21,7 +21,7 @@ from repro.errors import ServingError
 from repro.ingest import GraphDelta
 from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
 from repro.serving import LinkPredictor, PredictionServer
-from repro.serving.server import k_bucket, start_tcp_server
+from repro.serving.server import _handle_message, k_bucket, start_tcp_server
 
 pytestmark = pytest.mark.serving_daemon
 
@@ -110,10 +110,10 @@ class TestAdmission:
             )
             async with server:
                 calls = [
-                    server.top_k_tails(h, r, k=k, filtered=True)
+                    server.top_k(h, r, side="tail", k=k, filtered=True)
                     for h, r in zip(heads, relations)
                 ]
-                calls.insert(3, server.top_k_tails(dataset.num_entities + 5, 0, k=k))
+                calls.insert(3, server.top_k(dataset.num_entities + 5, 0, side="tail", k=k))
                 return await asyncio.gather(*calls, return_exceptions=True)
 
         results = asyncio.run(main())
@@ -121,8 +121,8 @@ class TestAdmission:
         assert isinstance(refused, ServingError)
         assert "out of range" in str(refused)
         assert all(served.coalesced == len(heads) for served in results)
-        direct = LinkPredictor(model, dataset).top_k_tails(
-            heads, relations, k=k_bucket(k), filtered=True
+        direct = LinkPredictor(model, dataset).top_k(
+            heads, relations, side="tail", k=k_bucket(k), filtered=True
         )
         for row, served in enumerate(results):
             np.testing.assert_array_equal(served.ids, direct.ids[row, :k])
@@ -141,10 +141,113 @@ class TestAdmission:
             server = PredictionServer(LinkPredictor(model, dataset))
             async with server:
                 with pytest.raises(ServingError, match="out of range"):
-                    await server.top_k_tails(fresh, 0, k=5)
+                    await server.top_k(fresh, 0, side="tail", k=5)
                 await server.apply_delta(delta, epochs=1, seed=0)
-                return await server.top_k_tails(fresh, 0, k=5)
+                return await server.top_k(fresh, 0, side="tail", k=5)
 
         served = asyncio.run(main())
         assert len(served.ids) == 5
         assert served.graph_version == 1
+
+
+class TestOneCheck:
+    @pytest.mark.parametrize(
+        "side, anchor, other, k, filtered",
+        [
+            ("edge", 0, 0, 3, False),
+            ("tail", 0, 0, 0, False),
+            ("relation", 0, 1, 3, True),
+            ("head", -2, 0, 3, False),
+        ],
+    )
+    def test_library_and_daemon_refuse_alike(
+        self, model, dataset, side, anchor, other, k, filtered
+    ):
+        predictor = LinkPredictor(model, dataset)
+        with pytest.raises(ServingError) as library:
+            predictor.top_k([anchor], [other], side=side, k=k, filtered=filtered)
+
+        async def main():
+            async with PredictionServer(predictor) as server:
+                with pytest.raises(ServingError) as daemon:
+                    await server.top_k(anchor, other, side=side, k=k, filtered=filtered)
+                return daemon
+
+        assert str(asyncio.run(main()).value) == str(library.value)
+
+    def test_warm_cache_refuses_out_of_range_ids(self, model, dataset):
+        predictor = LinkPredictor(model, dataset)
+        with pytest.raises(ServingError, match="head id -1 out of range"):
+            predictor.warm_cache([-1], [0])
+        with pytest.raises(ServingError, match="out of range"):
+            predictor.warm_cache([dataset.num_entities], [0])
+        assert len(predictor.cache) == 0
+
+
+class TestWireTypes:
+    def test_every_side_enters_through_one_top_k(self, model, dataset, monkeypatch):
+        calls = []
+        original = PredictionServer.top_k
+
+        async def spy(self, anchor, other, **kwargs):
+            calls.append((kwargs["side"], anchor, other))
+            return await original(self, anchor, other, **kwargs)
+
+        monkeypatch.setattr(PredictionServer, "top_k", spy)
+        messages = [
+            {"op": "top_k", "side": "tail", "head": 3, "relation": 0, "k": 2},
+            {"op": "top_k", "side": "head", "tail": 4, "relation": 1, "k": 2},
+            {"op": "top_k", "side": "relation", "head": 3, "tail": 4, "k": 2},
+        ]
+
+        async def main():
+            async with PredictionServer(LinkPredictor(model, dataset)) as server:
+                return [await _handle_message(server, m, None) for m in messages]
+
+        replies = asyncio.run(main())
+        assert calls == [("tail", 3, 0), ("head", 4, 1), ("relation", 3, 4)]
+        assert all(len(reply["ids"]) == 2 for reply in replies)
+
+    def test_malformed_fields_are_refused_before_admission(self, model, dataset):
+        """Each malformed request gets bad_request; a well-formed one sent in
+        the same burst on the same connection gets its exact answer."""
+        bad = [
+            {"side": "tail", "head": 3, "relation": 0, "filtered": "false"},
+            {"side": "tail", "head": 3, "relation": 0, "filtered": "0"},
+            {"side": "head", "tail": 3, "relation": 0, "filtered": [0]},
+            {"side": "relation", "head": 3, "tail": 4, "filtered": True},
+            {"side": [1], "head": 3, "relation": 0},
+            {"side": {"a": 1}, "head": 3, "relation": 0},
+            {"side": "tail", "head": 3, "relation": 0, "deadline_ms": float("nan")},
+            {"side": "tail", "head": 3, "relation": 0, "deadline_ms": float("inf")},
+        ]
+        good = {"side": "tail", "head": 3, "relation": 0, "k": 5, "filtered": False}
+        messages = [{"id": i, "op": "top_k", **fields} for i, fields in enumerate(bad)]
+        messages.append({"id": len(bad), "op": "top_k", **good})
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=20.0)
+            tcp = await start_tcp_server(server, port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write("".join(json.dumps(m) + "\n" for m in messages).encode())
+            await writer.drain()
+            responses = {}
+            for _ in messages:
+                response = json.loads(await reader.readline())
+                responses[response["id"]] = response
+            writer.close()
+            await writer.wait_closed()
+            tcp.close()
+            await tcp.wait_closed()
+            await server.close()
+            return responses
+
+        responses = asyncio.run(main())
+        for request_id in range(len(bad)):
+            assert responses[request_id]["ok"] is False, bad[request_id]
+            assert responses[request_id]["error"]["code"] == "bad_request", bad[request_id]
+        answer = responses[len(bad)]
+        assert answer["ok"] is True
+        expected = LinkPredictor(model, dataset).top_k([3], [0], side="tail", k=k_bucket(5))
+        assert answer["ids"] == [int(i) for i in expected.ids[0, :5]]

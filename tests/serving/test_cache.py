@@ -49,9 +49,9 @@ class TestCacheHitCorrectness:
     def test_results_identical_after_cache_hits(self, model, queries):
         heads, rels = queries
         predictor = LinkPredictor(model)
-        first = predictor.top_k_tails(heads, rels, k=5)
+        first = predictor.top_k(heads, rels, side="tail", k=5)
         assert predictor.metrics.counter_value("serving.cache.hits") == 0
-        second = predictor.top_k_tails(heads, rels, k=5)
+        second = predictor.top_k(heads, rels, side="tail", k=5)
         assert predictor.metrics.counter_value("serving.cache.hits") > 0
         assert np.array_equal(first.ids, second.ids)
         assert np.array_equal(first.scores, second.scores)
@@ -60,9 +60,9 @@ class TestCacheHitCorrectness:
         heads, rels = queries
         cached = LinkPredictor(model, cache_size=64)
         uncached = LinkPredictor(model, cache_size=0)
-        cached.top_k_tails(heads, rels, k=5)  # populate
-        a = cached.top_k_tails(heads, rels, k=5)
-        b = uncached.top_k_tails(heads, rels, k=5)
+        cached.top_k(heads, rels, side="tail", k=5)  # populate
+        a = cached.top_k(heads, rels, side="tail", k=5)
+        b = uncached.top_k(heads, rels, side="tail", k=5)
         assert np.array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.scores, b.scores)
 
@@ -70,7 +70,7 @@ class TestCacheHitCorrectness:
         predictor = LinkPredictor(model)
         heads = np.array([2, 2, 2])
         rels = np.array([1, 1, 1])
-        top = predictor.top_k_tails(heads, rels, k=4)
+        top = predictor.top_k(heads, rels, side="tail", k=4)
         assert np.array_equal(top.ids[0], top.ids[1])
         assert np.array_equal(top.ids[0], top.ids[2])
         # one sweep for the unique key, entries for it only
@@ -79,7 +79,7 @@ class TestCacheHitCorrectness:
     def test_filtered_and_raw_queries_share_cache_entries(self, model, queries):
         heads, rels = queries
         predictor = LinkPredictor(model)
-        predictor.top_k_tails(heads, rels, k=5)
+        predictor.top_k(heads, rels, side="tail", k=5)
         misses_before = predictor.metrics.counter_value("serving.cache.misses")
         # A filtered query on the same keys must not recompute sweeps even
         # though its masked scores differ.
@@ -90,15 +90,15 @@ class TestCacheHitCorrectness:
             np.array([[0, 1, 0]], dtype=np.int64), NUM_ENTITIES, NUM_RELATIONS
         )
         predictor._filter_index = FilterIndex(triples)
-        predictor.top_k_tails(heads, rels, k=5, filtered=True)
+        predictor.top_k(heads, rels, side="tail", k=5, filtered=True)
         assert predictor.metrics.counter_value("serving.cache.misses") == misses_before
 
 
 class TestCacheCounters:
     def test_hits_misses_and_evictions_counted_per_call(self, model):
         predictor = LinkPredictor(model, cache_size=2)
-        predictor.top_k_tails([0, 1, 2], [0, 0, 0], k=3)  # 3 misses, 1 eviction
-        predictor.top_k_tails([1, 2], [0, 0], k=3)  # 2 hits
+        predictor.top_k([0, 1, 2], [0, 0, 0], side="tail", k=3)  # 3 misses, 1 eviction
+        predictor.top_k([1, 2], [0, 0], side="tail", k=3)  # 2 hits
         snapshot = predictor.metrics_snapshot()
         counters, gauges = snapshot.counters, snapshot.gauges
         assert counters["serving.cache.hits"] == 2
@@ -110,7 +110,7 @@ class TestCacheCounters:
 
     def test_uncached_predictor_has_no_cache_metrics(self, model):
         predictor = LinkPredictor(model, cache_size=0)
-        predictor.top_k_tails([0], [0], k=3)
+        predictor.top_k([0], [0], side="tail", k=3)
         snapshot = predictor.metrics_snapshot()
         assert not any(name.startswith("serving.cache.") for name in snapshot.counters)
         assert not any(name.startswith("serving.cache.") for name in snapshot.gauges)
@@ -120,12 +120,12 @@ class TestCacheInvalidation:
     def test_train_step_between_predictions_invalidates(self, model, queries):
         heads, rels = queries
         predictor = LinkPredictor(model)
-        before = predictor.top_k_tails(heads, rels, k=5)
+        before = predictor.top_k(heads, rels, side="tail", k=5)
         version_before = model.scoring_version
         _train_one_step(model, np.random.default_rng(9))
         assert model.scoring_version > version_before
-        after = predictor.top_k_tails(heads, rels, k=5)
-        fresh = LinkPredictor(model, cache_size=0).top_k_tails(heads, rels, k=5)
+        after = predictor.top_k(heads, rels, side="tail", k=5)
+        fresh = LinkPredictor(model, cache_size=0).top_k(heads, rels, side="tail", k=5)
         assert np.array_equal(after.ids, fresh.ids)
         np.testing.assert_array_equal(after.scores, fresh.scores)
         # and training genuinely moved the scores, so a stale cache would
@@ -136,11 +136,11 @@ class TestCacheInvalidation:
         heads, rels = queries
         predictor = LinkPredictor(model)
         assert predictor.scorer.uses_folding
-        predictor.top_k_tails(heads, rels, k=3)
+        predictor.top_k(heads, rels, side="tail", k=3)
         _train_one_step(model, np.random.default_rng(13))
-        after = predictor.top_k_tails(heads, rels, k=3)
-        expected = LinkPredictor(model, cache_size=0, folded=False).top_k_tails(
-            heads, rels, k=3
+        after = predictor.top_k(heads, rels, side="tail", k=3)
+        expected = LinkPredictor(model, cache_size=0, folded=False).top_k(
+            heads, rels, side="tail", k=3
         )
         assert np.array_equal(after.ids, expected.ids)
         np.testing.assert_allclose(after.scores, expected.scores, atol=1e-9)
@@ -151,12 +151,14 @@ class TestCacheInvalidation:
         drop both the LRU entries and any stale folded tensor."""
         heads, rels = queries
         predictor = LinkPredictor(model, folded=folded)
-        before = predictor.top_k_tails(heads, rels, k=3)
+        before = predictor.top_k(heads, rels, side="tail", k=3)
         model.entity_embeddings[:] = model.entity_embeddings[::-1].copy()
         model.relation_embeddings[:] = -model.relation_embeddings
         predictor.clear_cache()
-        after = predictor.top_k_tails(heads, rels, k=3)
-        fresh = LinkPredictor(model, cache_size=0, folded=False).top_k_tails(heads, rels, k=3)
+        after = predictor.top_k(heads, rels, side="tail", k=3)
+        fresh = LinkPredictor(model, cache_size=0, folded=False).top_k(
+            heads, rels, side="tail", k=3
+        )
         assert np.array_equal(after.ids, fresh.ids)
         np.testing.assert_allclose(after.scores, fresh.scores, atol=1e-9)
         assert not np.array_equal(before.scores, after.scores)

@@ -73,9 +73,9 @@ class TestTopKMatchesBruteForce:
         predictor = LinkPredictor(model)
         k = 7
         if side == "tail":
-            got = predictor.top_k_tails(anchors, relations, k=k)
+            got = predictor.top_k(anchors, relations, side="tail", k=k)
         else:
-            got = predictor.top_k_heads(anchors, relations, k=k)
+            got = predictor.top_k(anchors, relations, side="head", k=k)
         want_ids, want_scores = brute_force_top_k(model, anchors, relations, k, side)
         assert np.array_equal(got.ids, want_ids), name
         np.testing.assert_allclose(got.scores, want_scores, atol=1e-9)
@@ -90,9 +90,9 @@ class TestTopKMatchesBruteForce:
         predictor = LinkPredictor(model)
         k = 4
         if side == "tail":
-            got = predictor.top_k_tails(anchors, relations, k=k, candidates=candidates)
+            got = predictor.top_k(anchors, relations, side="tail", k=k, candidates=candidates)
         else:
-            got = predictor.top_k_heads(anchors, relations, k=k, candidates=candidates)
+            got = predictor.top_k(anchors, relations, side="head", k=k, candidates=candidates)
         ref = score_candidates_direct(model, anchors, relations, candidates, side)
         for row in range(len(anchors)):
             # Independent reference: descending score, ties by lower id.
@@ -121,7 +121,7 @@ def test_relation_top_k_matches_brute_force(name, queries):
     rng = np.random.default_rng(19)
     tails = rng.integers(0, NUM_ENTITIES, len(anchors))
     predictor = LinkPredictor(model)
-    got = predictor.top_k_relations(anchors, tails, k=3)
+    got = predictor.top_k(anchors, tails, side="relation", k=3)
     scores = np.empty((len(anchors), model.num_relations))
     for row in range(len(anchors)):
         for rel in range(model.num_relations):
@@ -147,7 +147,7 @@ class TestTieEdgeCases:
         predictor = LinkPredictor(model)
         anchors = np.array([0, 1, 2])
         relations = np.array([0, 1, 2])
-        top = predictor.top_k_tails(anchors, relations, k=NUM_ENTITIES)
+        top = predictor.top_k(anchors, relations, side="tail", k=NUM_ENTITIES)
         for row in range(len(anchors)):
             positions = {int(e): int(np.flatnonzero(top.ids[row] == e)[0]) for e in (4, 9, 17)}
             assert positions[4] < positions[9] < positions[17]
@@ -159,7 +159,7 @@ class TestTieEdgeCases:
         predictor = LinkPredictor(model)
         anchors = np.array([3])
         relations = np.array([1])
-        top = predictor.top_k_tails(anchors, relations, k=NUM_ENTITIES)
+        top = predictor.top_k(anchors, relations, side="tail", k=NUM_ENTITIES)
         scores = brute_force_scores(model, anchors, relations, "tail")[0]
         # Entity 4 is the lowest id of its tie group, so its top-k position
         # (1-based) equals its optimistic rank; entity 17 is the highest id,
@@ -173,8 +173,8 @@ class TestTieEdgeCases:
         model = self._tied_model()
         predictor = LinkPredictor(model)
         # 17 listed before 4: ids must still come back id-ascending.
-        top = predictor.top_k_tails(
-            np.array([0]), np.array([0]), k=3, candidates=np.array([17, 9, 4])
+        top = predictor.top_k(
+            np.array([0]), np.array([0]), side="tail", k=3, candidates=np.array([17, 9, 4])
         )
         assert list(top.ids[0]) == [4, 9, 17]
         assert top.scores[0][0] == top.scores[0][1] == top.scores[0][2]
@@ -183,6 +183,6 @@ class TestTieEdgeCases:
         model = make_distmult(NUM_ENTITIES, NUM_RELATIONS, BUDGET, np.random.default_rng(29))
         model.entity_embeddings[:] = 0.0
         predictor = LinkPredictor(model)
-        top = predictor.top_k_tails(np.array([0]), np.array([0]), k=10)
+        top = predictor.top_k(np.array([0]), np.array([0]), side="tail", k=10)
         assert np.array_equal(top.ids[0], np.arange(10))
         assert (top.scores == 0.0).all()

@@ -88,7 +88,7 @@ class TestEmptyShortlist:
         predictor = LinkPredictor(
             model, dataset, index=DegeneratePartitionIndex(model, empty_for_all=True)
         )
-        result = predictor.top_k_tails([0, 2], [0, 1], k=4)
+        result = predictor.top_k([0, 2], [0, 1], side="tail", k=4)
         assert result.ids.shape == (2, 4)
         assert (result.ids == -1).all()
         assert np.isneginf(result.scores).all()
@@ -96,7 +96,7 @@ class TestEmptyShortlist:
     def test_mixed_empty_and_short_rows(self, model, dataset):
         """Empty rows pad fully; nonempty rows still rank their shortlist."""
         predictor = LinkPredictor(model, dataset, index=DegeneratePartitionIndex(model))
-        result = predictor.top_k_tails([2, 3], [0, 0], k=4)
+        result = predictor.top_k([2, 3], [0, 0], side="tail", k=4)
         assert (result.ids[0] == -1).all()
         assert np.isneginf(result.scores[0]).all()
         # The odd-anchor row ranks candidates {0..4} with true model scores.
@@ -110,14 +110,14 @@ class TestEmptyShortlist:
         predictor = LinkPredictor(
             model, dataset, index=DegeneratePartitionIndex(model, empty_for_all=True)
         )
-        result = predictor.top_k_tails([4], [0], k=3, filtered=True)
+        result = predictor.top_k([4], [0], side="tail", k=3, filtered=True)
         assert (result.ids == -1).all()
 
     def test_empty_shortlist_counts_as_a_query(self, model, dataset):
         predictor = LinkPredictor(
             model, dataset, index=DegeneratePartitionIndex(model, empty_for_all=True)
         )
-        predictor.top_k_tails([0, 2, 4], [0, 0, 0], k=2)
+        predictor.top_k([0, 2, 4], [0, 0, 0], side="tail", k=2)
         stats = predictor.index_stats_dict()
         assert stats["queries"] == 3
         assert stats["entities_scored"] == 0
@@ -163,13 +163,13 @@ class TestVersionSyncWithoutCache:
         assert predictor.model_version == model.scoring_version
         model._bump_scoring_version()
         assert predictor.model_version != model.scoring_version
-        predictor.top_k_tails([0], [0], k=3)
+        predictor.top_k([0], [0], side="tail", k=3)
         assert predictor.model_version == model.scoring_version
 
     def test_relation_queries_sync_too(self, model):
         predictor = LinkPredictor(model, cache_size=0)
         model._bump_scoring_version()
-        predictor.top_k_relations([0], [1], k=2)
+        predictor.top_k([0], [1], side="relation", k=2)
         assert predictor.model_version == model.scoring_version
 
     def test_staleness_through_training(self, model, dataset):
@@ -178,17 +178,17 @@ class TestVersionSyncWithoutCache:
         from repro.training.trainer import Trainer, TrainingConfig
 
         predictor = LinkPredictor(model, dataset, cache_size=0)
-        before = predictor.top_k_tails([0, 1], [0, 0], k=5)
+        before = predictor.top_k([0, 1], [0, 0], side="tail", k=5)
         Trainer(
             dataset,
             TrainingConfig(
                 epochs=2, batch_size=256, validate_every=10**9, patience=10**9, seed=5
             ),
         ).train(model)
-        after = predictor.top_k_tails([0, 1], [0, 0], k=5)
+        after = predictor.top_k([0, 1], [0, 0], side="tail", k=5)
         assert predictor.model_version == model.scoring_version
-        fresh = LinkPredictor(model, dataset, cache_size=0).top_k_tails(
-            [0, 1], [0, 0], k=5
+        fresh = LinkPredictor(model, dataset, cache_size=0).top_k(
+            [0, 1], [0, 0], side="tail", k=5
         )
         np.testing.assert_array_equal(after.ids, fresh.ids)
         np.testing.assert_array_equal(after.scores, fresh.scores)
@@ -199,5 +199,5 @@ class TestVersionSyncWithoutCache:
         model._bump_scoring_version()
         predictor.clear_cache()
         assert predictor.model_version == model.scoring_version
-        predictor.top_k_tails([0], [0], k=2)
+        predictor.top_k([0], [0], side="tail", k=2)
         assert predictor.model_version == model.scoring_version

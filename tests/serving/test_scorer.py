@@ -104,9 +104,9 @@ class TestPredictorApi:
         )
         predictor = LinkPredictor(model, tiny_dataset)
         h, t, r = (int(v) for v in tiny_dataset.train.array[0])
-        full = predictor.top_k_tails([h], [r], k=tiny_dataset.num_entities)
-        filtered = predictor.top_k_tails(
-            [h], [r], k=tiny_dataset.num_entities, filtered=True
+        full = predictor.top_k([h], [r], side="tail", k=tiny_dataset.num_entities)
+        filtered = predictor.top_k(
+            [h], [r], side="tail", k=tiny_dataset.num_entities, filtered=True
         )
         known = set(tiny_dataset.filter_index.true_tails(h, r).tolist())
         assert t in known
@@ -125,25 +125,25 @@ class TestPredictorApi:
         anchors, relations = queries
         predictor = LinkPredictor(model)
         with pytest.raises(ServingError, match="filter_index"):
-            predictor.top_k_tails(anchors, relations, k=3, filtered=True)
+            predictor.top_k(anchors, relations, side="tail", k=3, filtered=True)
 
     def test_k_clamped_to_num_entities(self, model):
         predictor = LinkPredictor(model)
-        top = predictor.top_k_tails([0], [0], k=10_000)
+        top = predictor.top_k([0], [0], side="tail", k=10_000)
         assert top.k == NUM_ENTITIES
 
     def test_bad_k_raises(self, model):
         with pytest.raises(ServingError):
-            LinkPredictor(model).top_k_tails([0], [0], k=0)
+            LinkPredictor(model).top_k([0], [0], side="tail", k=0)
 
     def test_mismatched_query_shapes_raise(self, model):
         with pytest.raises(ServingError):
-            LinkPredictor(model).top_k_tails([0, 1], [0], k=1)
+            LinkPredictor(model).top_k([0, 1], [0], side="tail", k=1)
 
     def test_out_of_range_candidates_raise(self, model):
         with pytest.raises(ModelError):
-            LinkPredictor(model).top_k_tails(
-                [0], [0], k=1, candidates=np.array([NUM_ENTITIES + 3])
+            LinkPredictor(model).top_k(
+                [0], [0], side="tail", k=1, candidates=np.array([NUM_ENTITIES + 3])
             )
 
     def test_labeled_results_use_vocabulary(self, tiny_dataset):

@@ -89,14 +89,14 @@ class TestCoalescing:
             )
             async with server:
                 return await asyncio.gather(*[
-                    server.top_k_tails(h, r, k=k, filtered=True)
+                    server.top_k(h, r, side="tail", k=k, filtered=True)
                     for h, r in zip(heads, rels)
                 ])
 
         results = asyncio.run(main())
         assert all(r.coalesced == len(heads) for r in results)
-        direct = LinkPredictor(model, dataset).top_k_tails(
-            heads, rels, k=k_bucket(k), filtered=True
+        direct = LinkPredictor(model, dataset).top_k(
+            heads, rels, side="tail", k=k_bucket(k), filtered=True
         )
         for row, served in enumerate(results):
             np.testing.assert_array_equal(served.ids, direct.ids[row, :k])
@@ -121,25 +121,14 @@ class TestCoalescing:
                 LinkPredictor(model, dataset), max_batch=64, max_wait_ms=20.0
             )
             async with server:
-                coros = []
-                for side, a, b, k in queries:
-                    if side == "tail":
-                        coros.append(server.top_k_tails(a, b, k=k))
-                    elif side == "head":
-                        coros.append(server.top_k_heads(a, b, k=k))
-                    else:
-                        coros.append(server.top_k_relations(a, b % dataset.num_relations, k=k))
-                return await asyncio.gather(*coros)
+                return await asyncio.gather(
+                    *(server.top_k(a, b, side=side, k=k) for side, a, b, k in queries)
+                )
 
         results = asyncio.run(main())
         direct = LinkPredictor(model, dataset)
         for (side, a, b, k), served in zip(queries, results):
-            if side == "tail":
-                expected = direct.top_k_tails([a], [b], k=k)
-            elif side == "head":
-                expected = direct.top_k_heads([a], [b], k=k)
-            else:
-                expected = direct.top_k_relations([a], [b % dataset.num_relations], k=k)
+            expected = direct.top_k([a], [b], side=side, k=k)
             np.testing.assert_array_equal(served.ids, expected.ids[0])
             np.testing.assert_allclose(served.scores, expected.scores[0], atol=1e-10)
 
@@ -151,8 +140,8 @@ class TestCoalescing:
                 LinkPredictor(model, dataset), max_batch=32, max_wait_ms=50.0
             )
             async with server:
-                small = [server.top_k_tails(i, 0, k=3) for i in range(4)]
-                large = [server.top_k_tails(i, 0, k=7) for i in range(4)]
+                small = [server.top_k(i, 0, side="tail", k=3) for i in range(4)]
+                large = [server.top_k(i, 0, side="tail", k=7) for i in range(4)]
                 return await asyncio.gather(*small, *large), server.stats_dict()
 
         results, stats = asyncio.run(main())
@@ -168,7 +157,7 @@ class TestCoalescing:
             )
             async with server:
                 return await asyncio.gather(*[
-                    server.top_k_tails(i % 100, 0, k=4) for i in range(20)
+                    server.top_k(i % 100, 0, side="tail", k=4) for i in range(20)
                 ])
 
         results = asyncio.run(main())
@@ -189,7 +178,7 @@ class TestBackpressure:
             )
             async with server:
                 return await asyncio.gather(
-                    *[server.top_k_tails(i % 100, 0, k=4) for i in range(depth + 12)],
+                    *[server.top_k(i % 100, 0, side="tail", k=4) for i in range(depth + 12)],
                     return_exceptions=True,
                 )
 
@@ -212,7 +201,7 @@ class TestBackpressure:
             )
             async with server:
                 await asyncio.gather(
-                    *[server.top_k_tails(i, 0, k=2) for i in range(6)],
+                    *[server.top_k(i, 0, side="tail", k=2) for i in range(6)],
                     return_exceptions=True,
                 )
                 return server.stats_dict()
@@ -236,13 +225,13 @@ class TestHotSwap:
             )
             async with server:
                 first = [
-                    asyncio.ensure_future(server.top_k_tails(i % 100, 0, k=4))
+                    asyncio.ensure_future(server.top_k(i % 100, 0, side="tail", k=4))
                     for i in range(30)
                 ]
                 await asyncio.sleep(0.005)
                 swapped = await server.swap_predictor(LinkPredictor(model_b, dataset))
                 second = [
-                    asyncio.ensure_future(server.top_k_tails(i % 100, 0, k=4))
+                    asyncio.ensure_future(server.top_k(i % 100, 0, side="tail", k=4))
                     for i in range(30)
                 ]
                 results = await asyncio.gather(*first, *second)
@@ -260,7 +249,7 @@ class TestHotSwap:
             version, direct = by_version[served.generation]
             seen_generations.add(served.generation)
             assert served.scoring_version == version
-            expected = direct.top_k_tails([query], [0], k=4)
+            expected = direct.top_k([query], [0], side="tail", k=4)
             np.testing.assert_array_equal(served.ids, expected.ids[0])
             np.testing.assert_allclose(served.scores, expected.scores[0], atol=1e-10)
         # The post-swap wave must be served by the new deployment.
@@ -278,7 +267,7 @@ class TestHotSwap:
             )
             async with server:
                 futures = [
-                    asyncio.ensure_future(server.top_k_tails(i, 0, k=4))
+                    asyncio.ensure_future(server.top_k(i, 0, side="tail", k=4))
                     for i in range(16)
                 ]
                 swap = asyncio.ensure_future(
@@ -312,7 +301,7 @@ class TestHotSwap:
                 with pytest.raises(StaleIndexError):
                     await server.swap_predictor(indexed)
                 assert server.generation == 1
-                served = await server.top_k_tails(0, 0, k=3)
+                served = await server.top_k(0, 0, side="tail", k=3)
                 return served.generation
 
         assert asyncio.run(main()) == 1
@@ -326,7 +315,7 @@ class TestLifecycle:
             )
             await server.start()
             futures = [
-                asyncio.ensure_future(server.top_k_tails(i, 0, k=3)) for i in range(10)
+                asyncio.ensure_future(server.top_k(i, 0, side="tail", k=3)) for i in range(10)
             ]
             await asyncio.sleep(0)
             await server.close(drain=True)
@@ -345,7 +334,7 @@ class TestLifecycle:
             )
             await server.start()
             futures = [
-                asyncio.ensure_future(server.top_k_tails(i, 0, k=3)) for i in range(6)
+                asyncio.ensure_future(server.top_k(i, 0, side="tail", k=3)) for i in range(6)
             ]
             await asyncio.sleep(0)
             await server.close(drain=False)
@@ -360,7 +349,7 @@ class TestLifecycle:
             async with server:
                 pass
             with pytest.raises(ServerClosedError):
-                await server.top_k_tails(0, 0, k=2)
+                await server.top_k(0, 0, side="tail", k=2)
 
         asyncio.run(main())
 
@@ -369,7 +358,7 @@ class TestLifecycle:
             server = PredictionServer()
             async with server:
                 with pytest.raises(ServingError):
-                    await server.top_k_tails(0, 0, k=2)
+                    await server.top_k(0, 0, side="tail", k=2)
 
         asyncio.run(main())
 
@@ -417,7 +406,7 @@ class TestTCPFrontend:
 
         responses = asyncio.run(main())
         direct = LinkPredictor(model, dataset)
-        expected = direct.top_k_tails([3], [0], k=k_bucket(5), filtered=True)
+        expected = direct.top_k([3], [0], side="tail", k=k_bucket(5), filtered=True)
         assert responses[1]["ok"] is True
         assert responses[1]["ids"] == [int(i) for i in expected.ids[0, :5]]
         assert responses[1]["generation"] == 1
@@ -527,7 +516,7 @@ class TestTCPFrontend:
         refused, answered = asyncio.run(main())
         assert refused["id"] is None and refused["ok"] is False
         assert refused["error"]["code"] == "too_large"
-        expected = LinkPredictor(model, dataset).top_k_tails([3], [0], k=k_bucket(5))
+        expected = LinkPredictor(model, dataset).top_k([3], [0], side="tail", k=k_bucket(5))
         assert answered["id"] == 1 and answered["ok"] is True
         assert answered["ids"] == [int(i) for i in expected.ids[0, :5]]
 
@@ -562,7 +551,7 @@ class TestRunDirIntegration:
             server = PredictionServer(max_batch=4, max_wait_ms=1.0)
             async with server:
                 deployment = await server.load_run(run_dir)
-                served = await server.top_k_tails(0, 0, k=3, filtered=True)
+                served = await server.top_k(0, 0, side="tail", k=3, filtered=True)
                 return deployment, served
 
         deployment, served = asyncio.run(main())

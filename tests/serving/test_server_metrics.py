@@ -75,7 +75,7 @@ def _second_model(dataset):
 def _serve_some(server, n: int = 6):
     """Submit *n* tail queries and await them all."""
     return asyncio.gather(
-        *[server.top_k_tails(i, 0, k=5) for i in range(n)]
+        *[server.top_k(i, 0, side="tail", k=5) for i in range(n)]
     )
 
 
@@ -267,7 +267,7 @@ class TestSlowQueryLog:
             )
             async with server:
                 for i in range(SLOW_QUERY_RING + 8):
-                    await server.top_k_tails(i % 50, 0, k=2)
+                    await server.top_k(i % 50, 0, side="tail", k=2)
                 return server
 
         server = asyncio.run(main())

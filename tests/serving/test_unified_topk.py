@@ -1,9 +1,8 @@
 """The unified ``LinkPredictor.top_k(side=...)`` entry point.
 
-Satellite contract: ``top_k_tails``/``top_k_heads``/``top_k_relations``
-are thin delegating wrappers over one ``top_k`` with shared knobs
-(``k``, ``filtered``, ``exact``); the unified path is bit-identical to
-the legacy names, and side-incompatible knobs are rejected up front.
+One ``top_k`` serves every side with shared knobs (``k``, ``filtered``,
+``exact``); side-incompatible knobs are rejected up front by its
+``check_query``.
 """
 
 from __future__ import annotations
@@ -29,63 +28,6 @@ def predictor(tiny_dataset):
         np.random.default_rng(21),
     )
     return LinkPredictor(model, tiny_dataset)
-
-
-@pytest.fixture(scope="module")
-def queries(tiny_dataset):
-    rng = np.random.default_rng(0)
-    return (
-        rng.integers(0, tiny_dataset.num_entities, size=8),
-        rng.integers(0, tiny_dataset.num_entities, size=8),
-        rng.integers(0, tiny_dataset.num_relations, size=8),
-    )
-
-
-class TestUnifiedEqualsWrappers:
-    @pytest.mark.parametrize("filtered", [False, True])
-    def test_tail_side(self, predictor, queries, filtered):
-        heads, _, relations = queries
-        unified = predictor.top_k(heads, relations, side="tail", k=7, filtered=filtered)
-        legacy = predictor.top_k_tails(heads, relations, k=7, filtered=filtered)
-        np.testing.assert_array_equal(unified.ids, legacy.ids)
-        np.testing.assert_array_equal(unified.scores, legacy.scores)
-
-    @pytest.mark.parametrize("filtered", [False, True])
-    def test_head_side(self, predictor, queries, filtered):
-        _, tails, relations = queries
-        unified = predictor.top_k(tails, relations, side="head", k=7, filtered=filtered)
-        legacy = predictor.top_k_heads(tails, relations, k=7, filtered=filtered)
-        np.testing.assert_array_equal(unified.ids, legacy.ids)
-        np.testing.assert_array_equal(unified.scores, legacy.scores)
-
-    def test_relation_side(self, predictor, queries):
-        heads, tails, _ = queries
-        unified = predictor.top_k(heads, tails, side="relation", k=3)
-        legacy = predictor.top_k_relations(heads, tails, k=3)
-        np.testing.assert_array_equal(unified.ids, legacy.ids)
-        np.testing.assert_array_equal(unified.scores, legacy.scores)
-
-    def test_exact_knob_passes_through(self, predictor, queries):
-        heads, _, relations = queries
-        unified = predictor.top_k(heads, relations, side="tail", k=5, exact=True)
-        legacy = predictor.top_k_tails(heads, relations, k=5, exact=True)
-        np.testing.assert_array_equal(unified.ids, legacy.ids)
-
-
-class TestWrappersDelegate:
-    def test_each_wrapper_routes_through_top_k(self, predictor, monkeypatch):
-        calls = []
-        original = LinkPredictor.top_k
-
-        def spy(self, anchors, others, **kwargs):
-            calls.append(kwargs.get("side"))
-            return original(self, anchors, others, **kwargs)
-
-        monkeypatch.setattr(LinkPredictor, "top_k", spy)
-        predictor.top_k_tails([0], [0], k=2)
-        predictor.top_k_heads([0], [0], k=2)
-        predictor.top_k_relations([0], [1], k=2)
-        assert calls == ["tail", "head", "relation"]
 
 
 class TestValidation:

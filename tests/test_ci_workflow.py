@@ -68,6 +68,37 @@ def test_ci_script_supports_quick_mode():
     assert "test_bench_obs_smoke" in text
 
 
+BENCH_SUITES = (
+    "bench_table2_derived_weights",
+    "bench_table3_learned_weights",
+    "bench_table4_quaternion",
+    "bench_ablation_negatives",
+    "bench_ablation_embedding_size",
+    "bench_baselines",
+    "bench_per_relation",
+    "bench_scoring_throughput",
+    "bench_serving_latency",
+)
+
+
+def test_ci_script_runs_the_benchmark_suites_and_examples():
+    """Tier-1 never executes the pytest-benchmark suites or the examples;
+    ci.sh smoke-runs both, so a call to a deleted name breaks CI."""
+    text = CI_SCRIPT.read_text(encoding="utf-8")
+    for suite in BENCH_SUITES:
+        assert f"benchmarks/{suite}.py" in text, suite
+        assert (REPO_ROOT / "benchmarks" / f"{suite}.py").exists(), suite
+    assert "REPRO_BENCH_FAST=1" in text
+    assert "--benchmark-disable" in text
+    assert 'for example in examples/*.py' in text
+
+
+def test_jobs_install_pytest_benchmark(workflow):
+    for job in workflow["jobs"].values():
+        installs = " ".join(step.get("run", "") for step in job["steps"])
+        assert "pytest-benchmark" in installs
+
+
 def test_ci_script_runs_the_serving_daemon_smoke():
     """ci.sh must boot the daemon as a real subprocess after the suites."""
     text = CI_SCRIPT.read_text(encoding="utf-8")

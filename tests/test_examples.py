@@ -1,9 +1,9 @@
 """Integrity checks for the runnable examples.
 
-Full example runs take minutes, so the test-suite verifies the cheap
-invariants: every example compiles, imports only the public API, and has
-a ``main()`` guarded by ``__main__``.  (The examples themselves are
-exercised end-to-end by humans / CI smoke jobs.)
+The tier-1 suite verifies the cheap invariants: every example compiles,
+imports only the public API, and has a ``main()`` guarded by
+``__main__``.  ``scripts/ci.sh`` runs every example end to end in its
+smoke step (a few seconds each).
 """
 
 from __future__ import annotations

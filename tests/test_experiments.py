@@ -1,96 +1,80 @@
-"""Unit tests for the shared experiment harness."""
+"""A model built outside the pipeline runs through ``train_and_evaluate``."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.models import make_complex
-from repro.errors import ConfigError
-from repro.experiments import (
-    ExperimentRow,
-    ExperimentSettings,
-    build_dataset,
-    format_table,
-    run_experiment_row,
-    seeded_rng,
-)
-from repro.eval.metrics import RankingMetrics
 from repro.kg.synthetic import SyntheticKGConfig
+from repro.pipeline.config import (
+    DatasetSection,
+    EvalSection,
+    ModelSection,
+    RunConfig,
+    TrainingSection,
+)
+from repro.pipeline.runner import train_and_evaluate
 
 
 @pytest.fixture(scope="module")
 def settings():
-    return ExperimentSettings(
-        dataset_config=SyntheticKGConfig(
-            num_entities=120, num_clusters=10, num_domains=4, seed=3
+    return RunConfig(
+        dataset=DatasetSection(
+            params=dataclasses.asdict(
+                SyntheticKGConfig(num_entities=120, num_clusters=10, num_domains=4, seed=3)
+            )
         ),
-        total_dim=8,
-        epochs=3,
-        batch_size=256,
+        model=ModelSection(total_dim=8),
+        training=TrainingSection(epochs=3, batch_size=256),
+    )
+
+
+def _model(settings, dataset):
+    return make_complex(
+        dataset.num_entities, dataset.num_relations,
+        total_dim=settings.model.total_dim,
+        rng=np.random.default_rng(settings.model_init_seed),
     )
 
 
 class TestSettings:
     def test_training_config_mirrors_settings(self, settings):
-        config = settings.training_config()
+        config = settings.training.training_config(seed=settings.seed)
         assert config.epochs == 3
         assert config.batch_size == 256
-        assert config.num_negatives == settings.num_negatives
+        assert config.num_negatives == settings.training.num_negatives
+        assert config.seed == settings.seed
 
     def test_build_dataset_deterministic(self, settings):
-        a = build_dataset(settings)
-        b = build_dataset(settings)
+        a = settings.dataset.build()
+        b = settings.dataset.build()
         assert a.train.array.tolist() == b.train.array.tolist()
 
-    def test_seeded_rng_offsets_differ(self, settings):
-        a = seeded_rng(settings, 0).normal()
-        b = seeded_rng(settings, 1).normal()
+    def test_seed_offsets_draw_different_streams(self, settings):
+        offset = dataclasses.replace(
+            settings, model=dataclasses.replace(settings.model, seed_offset=1)
+        )
+        a = np.random.default_rng(settings.model_init_seed).normal()
+        b = np.random.default_rng(offset.model_init_seed).normal()
         assert a != b
 
 
 class TestRunRow:
     def test_produces_metrics(self, settings):
-        dataset = build_dataset(settings)
-        model = make_complex(
-            dataset.num_entities, dataset.num_relations,
-            total_dim=settings.total_dim, rng=seeded_rng(settings),
-        )
-        row = run_experiment_row(model, dataset, settings, evaluate_train=True)
+        dataset = settings.dataset.build()
+        model = _model(settings, dataset)
+        config = dataclasses.replace(settings, evaluation=EvalSection(evaluate_train=True))
+        row = train_and_evaluate(config, dataset, model)
         assert 0.0 <= row.test_metrics.mrr <= 1.0
         assert row.train_metrics is not None
         assert row.epochs_run == 3
-        assert row.label == "ComplEx"
+        assert row.model is model
 
     def test_custom_label(self, settings):
-        dataset = build_dataset(settings)
-        model = make_complex(
-            dataset.num_entities, dataset.num_relations,
-            total_dim=settings.total_dim, rng=seeded_rng(settings),
-        )
-        row = run_experiment_row(model, dataset, settings, label="Row A")
-        assert row.label == "Row A"
-
-
-class TestFormatTable:
-    def _row(self, label, with_train=False):
-        metrics = RankingMetrics(mrr=0.9, mr=2.0, hits={1: 0.8, 3: 0.9, 10: 1.0}, num_ranks=5)
-        return ExperimentRow(
-            label=label,
-            test_metrics=metrics,
-            train_metrics=metrics if with_train else None,
-        )
-
-    def test_contains_labels_and_header(self):
-        table = format_table("Table 2", [self._row("DistMult"), self._row("CP")])
-        assert "Table 2" in table
-        assert "DistMult" in table
-        assert "MRR" in table
-
-    def test_train_section_appended(self):
-        table = format_table("T", [self._row("ComplEx", with_train=True)])
-        assert "ComplEx on train" in table
-
-    def test_empty_raises(self):
-        with pytest.raises(ConfigError):
-            format_table("T", [])
+        dataset = settings.dataset.build()
+        model = _model(settings, dataset)
+        row = train_and_evaluate(dataclasses.replace(settings, label="Row A"), dataset, model)
+        assert row.config.label == "Row A"

@@ -29,7 +29,6 @@ class TestPublicAPI:
             "repro.baselines",
             "repro.analysis",
             "repro.cli",
-            "repro.experiments",
             "repro.paper_tables",
             "repro.errors",
         ],
