@@ -1,11 +1,11 @@
 """Parallel-evaluation benchmark: sharded ranking sweeps vs the serial path.
 
 Times filtered link-prediction evaluation of a paper-scale synthetic
-graph through the serial :class:`LinkPredictionEvaluator` and through
-:class:`~repro.parallel.sharded_eval.ShardedEvaluator` at several
-(axis, shards, workers) settings, verifying on every row that the
-sharded metrics are **bit-identical** to the serial ones (the engine's
-core contract — parallelism must never change results).
+graph through :class:`LinkPredictionEvaluator` at its default
+``(shards, workers) == (1, 0)`` (the serial path) and at several other
+``(shards, workers)`` settings, verifying on every row that the sharded
+metrics are **bit-identical** to the serial ones (the engine's core
+contract — parallelism must never change results).
 
 Results go to ``BENCH_parallel.json`` at the repository root (see
 ``benchmarks/README.md`` for the schema).  The JSON records
@@ -41,7 +41,6 @@ from repro.core.models import make_model
 from repro.core.weights import PRESETS
 from repro.eval.evaluator import LinkPredictionEvaluator
 from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
-from repro.parallel.sharded_eval import ShardedEvaluator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_parallel.json"
@@ -50,19 +49,17 @@ DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_parallel.json"
 #: least this speedup over the serial evaluator.
 SPEEDUP_TARGET = 2.0
 
-#: (shard_axis, shards, workers) settings benchmarked at full scale.
+#: (shards, workers) settings benchmarked at full scale.
 FULL_SETTINGS = (
-    ("triples", 4, 0),
-    ("triples", 2, 2),
-    ("triples", 4, 4),
-    ("entities", 4, 4),
+    (4, 0),
+    (2, 2),
+    (4, 4),
 )
 
 #: Reduced settings for smoke runs (still exercises pool workers once).
 FAST_SETTINGS = (
-    ("triples", 2, 0),
-    ("triples", 2, 2),
-    ("entities", 2, 2),
+    (2, 0),
+    (2, 2),
 )
 
 
@@ -126,18 +123,13 @@ def run_benchmark(
     serial_seconds, serial_result = _timed_evaluate(serial_evaluator, model, repeats)
 
     rows = []
-    for axis, shards, workers in FAST_SETTINGS if fast else FULL_SETTINGS:
-        evaluator = ShardedEvaluator(
-            dataset,
-            shards=shards,
-            workers=workers,
-            shard_axis=axis,
-            batch_size=batch_size,
+    for shards, workers in FAST_SETTINGS if fast else FULL_SETTINGS:
+        evaluator = LinkPredictionEvaluator(
+            dataset, batch_size=batch_size, shards=shards, workers=workers
         )
         seconds, result = _timed_evaluate(evaluator, model, repeats)
         rows.append(
             {
-                "shard_axis": axis,
                 "shards": shards,
                 "workers": workers,
                 "seconds": seconds,
@@ -194,7 +186,7 @@ def format_results(results: dict) -> str:
         f"{serial['triples_per_sec']:>10.1f} {'1.00x':>8} {'(ref)':>10}"
     )
     for row in results["sharded"]:
-        label = f"{row['shard_axis']} x{row['shards']}, workers={row['workers']}"
+        label = f"shards={row['shards']}, workers={row['workers']}"
         lines.append(
             f"{label:<28} {row['seconds']:>9.3f} {row['triples_per_sec']:>10.1f} "
             f"{row['speedup_vs_serial']:>7.2f}x {str(row['metrics_match_serial']):>10}"

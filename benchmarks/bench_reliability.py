@@ -49,8 +49,8 @@ import numpy as np
 import pytest
 
 from repro.core.models import make_complex
+from repro.eval.evaluator import LinkPredictionEvaluator
 from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
-from repro.parallel.sharded_eval import ShardedEvaluator
 from repro.pipeline.config import (
     DatasetSection,
     IndexSection,
@@ -154,14 +154,14 @@ def _bench_crash_retry(fast: bool) -> dict:
         np.random.default_rng(5),
     )
     start = time.perf_counter()
-    clean = ShardedEvaluator(dataset, shards=4, workers=0).evaluate(model, "test")
+    clean = LinkPredictionEvaluator(dataset, shards=4, workers=0).evaluate(model, "test")
     clean_seconds = time.perf_counter() - start
 
     plan = FaultPlan.of(
         FaultSpec(site="pool.task", kind="crash", match="task:1;attempt:0")
     )
     start = time.perf_counter()
-    healed = ShardedEvaluator(
+    healed = LinkPredictionEvaluator(
         dataset, shards=4, workers=2, retries=1, fault_plan=plan
     ).evaluate(model, "test")
     healed_seconds = time.perf_counter() - start

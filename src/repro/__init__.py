@@ -55,7 +55,6 @@ from repro.pipeline import (
     serve_run,
     sweep,
 )
-from repro.parallel import ShardedEvaluator
 from repro.serving import BatchedScorer, LinkPredictor, TopKResult
 from repro.training import Trainer, TrainingConfig, TrainingResult, train_model
 
@@ -109,7 +108,6 @@ __all__ = [
     "Registry",
     "RunConfig",
     "RunResult",
-    "ShardedEvaluator",
     "TopKResult",
     "ReproError",
     "SyntheticKGConfig",

@@ -398,11 +398,10 @@ class MultiEmbeddingModel(KGEModel):
         combined tensor only with the requested candidate rows, so the
         cost is ``O(b · c · n_e · D)`` instead of ``O(b · N · n_e · D)``.
 
-        When every query shares one ``(c,)`` candidate id array (the
-        sharded-evaluation sweep shape), the contraction is a single
-        matmul against one gathered ``(c, f)`` block instead of a
-        ``(b, c, f)`` per-query gather — same scores, ``b``× less gather
-        memory.
+        When every query shares one ``(c,)`` candidate id array, the
+        contraction is a single matmul against one gathered ``(c, f)``
+        block instead of a ``(b, c, f)`` per-query gather — same scores,
+        ``b``× less gather memory.
         """
         shared = np.ndim(candidates) == 1
         anchors, relations, candidates = self._validate_candidate_query(

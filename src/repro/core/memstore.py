@@ -7,7 +7,7 @@ of the *intended* file bytes.  Arrays come back as read-only
 ``np.memmap`` views (``np.load(..., mmap_mode="r")``), so
 
 * every process mapping the same store shares one set of OS page-cache
-  pages — pool workers, the sharded evaluator and the serving daemon
+  pages — pool workers, sharded evaluation and the serving daemon
   read the same physical memory instead of holding pickled private
   copies, and
 * resident cost is pay-per-touch: an array the workload never reads

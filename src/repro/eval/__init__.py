@@ -15,9 +15,7 @@ from repro.eval.metrics import (
 )
 from repro.eval.ranking import (
     TIE_POLICIES,
-    comparison_counts,
     rank_of_true,
-    ranks_from_counts,
     ranks_from_score_matrix,
 )
 
@@ -28,13 +26,11 @@ __all__ = [
     "LinkPredictionEvaluator",
     "RankingMetrics",
     "TIE_POLICIES",
-    "comparison_counts",
     "compute_metrics",
     "evaluate_per_relation",
     "format_per_relation_table",
     "merge_metrics",
     "rank_of_true",
-    "ranks_from_counts",
     "symmetry_gap",
     "ranks_from_score_matrix",
 ]

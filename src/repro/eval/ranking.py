@@ -73,76 +73,6 @@ def rank_of_true(
     return float(better + 1) + ties / 2.0
 
 
-def comparison_counts(
-    score_block: np.ndarray,
-    true_scores: np.ndarray,
-    block_start: int,
-    true_indices: np.ndarray,
-    filters: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query ``(better, ties)`` counts over one candidate block.
-
-    The shard-friendly half of :func:`rank_of_true`: given scores for the
-    contiguous candidate slice ``[block_start, block_start + width)``,
-    count — per query — how many *considered* candidates in the slice
-    score strictly above / exactly equal to the query's true score.
-    "Considered" excludes filtered candidate ids **and the true entity
-    itself** (its self-comparison contributes to neither count, so the
-    counts are additive across disjoint candidate shards and independent
-    of which shard owns the true entity).
-
-    Counts from shards covering the whole entity space sum to the
-    ``better``/``ties - 1`` pair of :func:`rank_of_true`;
-    :func:`ranks_from_counts` turns the sums back into ranks.
-    """
-    score_block = np.asarray(score_block, dtype=np.float64)
-    true_scores = np.asarray(true_scores, dtype=np.float64)
-    if score_block.ndim != 2 or len(score_block) != len(true_scores):
-        raise EvaluationError("score_block must be (b, width) matching true_scores")
-    if filters is not None and len(filters) != len(true_scores):
-        raise EvaluationError("filters must have one entry per query")
-    width = score_block.shape[1]
-    block_stop = block_start + width
-    considered = np.ones_like(score_block, dtype=bool)
-    true_indices = np.asarray(true_indices, dtype=np.int64)
-    in_block = (true_indices >= block_start) & (true_indices < block_stop)
-    rows = np.nonzero(in_block)[0]
-    considered[rows, true_indices[rows] - block_start] = False
-    if filters is not None:
-        for row, filter_out in enumerate(filters):
-            if filter_out is None or len(filter_out) == 0:
-                continue
-            ids = np.asarray(filter_out, dtype=np.int64)
-            ids = ids[(ids >= block_start) & (ids < block_stop)] - block_start
-            considered[row, ids] = False
-    true_column = true_scores[:, None]
-    better = np.sum((score_block > true_column) & considered, axis=1)
-    ties = np.sum((score_block == true_column) & considered, axis=1)
-    return better.astype(np.int64), ties.astype(np.int64)
-
-
-def ranks_from_counts(
-    better: np.ndarray, ties: np.ndarray, tie_policy: str = "average"
-) -> np.ndarray:
-    """Ranks from merged :func:`comparison_counts` sums.
-
-    ``ties`` excludes the true entity's self-comparison (the
-    :func:`comparison_counts` convention), so the arithmetic reproduces
-    :func:`rank_of_true` float-for-float for every tie policy.
-    """
-    if tie_policy not in TIE_POLICIES:
-        raise EvaluationError(f"unknown tie policy {tie_policy!r}; known: {TIE_POLICIES}")
-    better = np.asarray(better, dtype=np.int64)
-    ties = np.asarray(ties, dtype=np.int64)
-    if better.shape != ties.shape or better.ndim != 1:
-        raise EvaluationError("better and ties must be matching 1-D count arrays")
-    if tie_policy == "optimistic":
-        return (better + 1).astype(np.float64)
-    if tie_policy == "pessimistic":
-        return (better + ties + 1).astype(np.float64)
-    return (better + 1).astype(np.float64) + ties / 2.0
-
-
 def ranks_from_score_matrix(
     score_matrix: np.ndarray,
     true_indices: np.ndarray,

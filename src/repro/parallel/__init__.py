@@ -1,4 +1,4 @@
-"""Parallel execution engine: process pools, sharded eval, parallel sweeps.
+"""Parallel execution engine: process pools, model payloads, parallel sweeps.
 
 The engine has three layers:
 
@@ -7,14 +7,14 @@ The engine has three layers:
   ``workers=0`` fallback and per-task crash capture;
 * :mod:`repro.parallel.payload` — in-memory model checkpoints so worker
   processes rebuild bit-identical scorers without touching disk;
-* two consumers: :mod:`repro.parallel.sharded_eval` (sharded link-
-  prediction evaluation, metrics bit-identical to the serial evaluator)
-  and :mod:`repro.parallel.sweeps` (crash-isolated, resumable sweep
-  children for :func:`repro.pipeline.sweep.sweep`).
+* two consumers: :class:`~repro.eval.evaluator.LinkPredictionEvaluator`
+  (its ``shards``/``workers`` settings, metrics bit-identical to the
+  unsharded sweep) and :mod:`repro.parallel.sweeps` (crash-isolated,
+  resumable sweep children for :func:`repro.pipeline.sweep.sweep`).
 
 Submodules are imported lazily (PEP 562): ``sweeps`` imports the
-pipeline runner, which itself reaches back here for sharded evaluation,
-so eager imports would cycle.
+pipeline runner, whose evaluator imports ``pool`` and ``payload`` from
+this package, so eager imports would cycle.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ _LAZY_EXPORTS = {
     "ModelPayload": "repro.parallel.payload",
     "model_from_payload": "repro.parallel.payload",
     "model_to_payload": "repro.parallel.payload",
-    "SHARD_AXES": "repro.parallel.sharded_eval",
-    "ShardPlan": "repro.parallel.sharded_eval",
-    "ShardedEvaluator": "repro.parallel.sharded_eval",
-    "plan_shards": "repro.parallel.sharded_eval",
     "config_hash": "repro.parallel.sweeps",
     "load_cached_child": "repro.parallel.sweeps",
     "read_status": "repro.parallel.sweeps",

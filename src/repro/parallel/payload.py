@@ -5,7 +5,7 @@ Worker processes never receive a live model object: they receive a
 checkpoints store (:mod:`repro.core.serialization`), minus the
 filesystem.  Rebuilding from the payload restores the embedding tables
 bit-for-bit *and* the scoring-engine flag, so a worker-side model scores
-bit-identically to the parent's — the property the sharded evaluator's
+bit-identically to the parent's — the property sharded evaluation's
 exactness guarantee rests on.
 
 Store-backed models ship by reference: when a table is a whole-file

@@ -81,6 +81,11 @@ def in_worker_process() -> bool:
     return _IN_WORKER_PROCESS
 
 
+def task_context(index: int, attempt: int) -> str:
+    """The :data:`TASK_SITE` fault context of one task attempt."""
+    return f"task:{index};attempt:{attempt}"
+
+
 def _worker_bootstrap(
     initializer: Callable[..., None] | None,
     initargs: tuple,
@@ -147,7 +152,7 @@ def _call_captured(
     leak one task's counts into another's.
     """
     index, task = indexed_task
-    context = f"task:{index};attempt:{attempt}"
+    context = task_context(index, attempt)
     telemetry = obs_registry.active_registry() is not None
     task_registry = MetricsRegistry() if telemetry else None
     previous = obs_registry.install_metrics_registry(task_registry) if telemetry else None

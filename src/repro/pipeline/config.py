@@ -49,6 +49,13 @@ def _section_from_dict(cls, data: Mapping[str, Any], context: str):
     return cls(**dict(data))
 
 
+def _drop_retired(section: Any, key: str) -> Any:
+    """*section* without the retired field *key*; non-mappings pass through."""
+    if not isinstance(section, Mapping):
+        return section
+    return {name: value for name, value in section.items() if name != key}
+
+
 @dataclass(frozen=True)
 class DatasetSection:
     """Which dataset to build, and how.
@@ -310,26 +317,23 @@ class StorageSection:
             )
 
 
-_SHARD_AXES = ("triples", "entities")
-
-
 @dataclass(frozen=True)
 class ParallelSection:
     """Parallel-execution settings for the run's evaluation phase.
 
-    ``eval_shards`` splits every ranking evaluation into that many
-    shards along ``shard_axis``; ``eval_workers`` scores the shards in
-    that many worker processes (``0`` = in-process).  These knobs are
-    meant to change wall-clock time and peak memory, never results:
-    the ``"triples"`` axis (default) is bit-identical to the serial
-    evaluator *by construction*, the ``"entities"`` axis by regression
-    contract (see :mod:`repro.parallel.sharded_eval` for the exact
-    guarantee each axis carries).
+    ``eval_shards`` splits each side's eval triples into that many
+    batch-aligned blocks; ``eval_workers`` scores the blocks in that
+    many worker processes (``0`` = in-process).  Both go straight to the
+    run's one :class:`~repro.eval.evaluator.LinkPredictionEvaluator`,
+    which validation and final evaluation share.  They change
+    wall-clock time, never results: every block runs exactly the chunk
+    sweeps of the unsharded evaluation, so metrics are bit-identical by
+    construction.  ``evaluation.batch_size`` is the setting that bounds
+    memory.
     """
 
     eval_shards: int = 1
     eval_workers: int = 0
-    shard_axis: str = "triples"
 
     def __post_init__(self) -> None:
         if self.eval_shards < 1:
@@ -340,16 +344,6 @@ class ParallelSection:
             raise ConfigError(
                 f"parallel.eval_workers must be >= 0, got {self.eval_workers}"
             )
-        if self.shard_axis not in _SHARD_AXES:
-            raise ConfigError(
-                f"parallel.shard_axis must be one of {list(_SHARD_AXES)}, "
-                f"got {self.shard_axis!r}"
-            )
-
-    @property
-    def is_serial(self) -> bool:
-        """Whether this section selects the plain serial evaluator."""
-        return self.eval_shards == 1 and self.eval_workers == 0
 
 
 _SERVING_INDEX_MODES = ("none", "auto", "require")
@@ -557,11 +551,11 @@ class RunConfig:
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"run config field 'seed' must be an integer, got {seed!r}")
-        storage = data.get("storage", {})
-        if isinstance(storage, Mapping):
-            # ``memmap`` picked the checkpoint layout before the ``.npy``
-            # store became the only one; configs that set it still load.
-            storage = {key: value for key, value in storage.items() if key != "memmap"}
+        # Configs that set a retired switch still load: ``storage.memmap``
+        # (one checkpoint layout is left) and ``parallel.shard_axis`` (one
+        # ranking algorithm is left).
+        storage = _drop_retired(data.get("storage", {}), "memmap")
+        parallel = _drop_retired(data.get("parallel", {}), "shard_axis")
         return cls(
             dataset=_section_from_dict(
                 DatasetSection, data.get("dataset", {}), "dataset"
@@ -573,9 +567,7 @@ class RunConfig:
             evaluation=_section_from_dict(
                 EvalSection, data.get("evaluation", {}), "evaluation"
             ),
-            parallel=_section_from_dict(
-                ParallelSection, data.get("parallel", {}), "parallel"
-            ),
+            parallel=_section_from_dict(ParallelSection, parallel, "parallel"),
             index=_section_from_dict(IndexSection, data.get("index", {}), "index"),
             serving=_section_from_dict(
                 ServingSection, data.get("serving", {}), "serving"

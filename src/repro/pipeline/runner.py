@@ -145,29 +145,27 @@ def build_model(config: RunConfig, dataset: KGDataset) -> KGEModel:
     return make_model(preset, dataset.num_entities, dataset.num_relations, **common)
 
 
-def _evaluate(
-    config: RunConfig, dataset: KGDataset, model: KGEModel
-) -> dict[str, RankingMetrics]:
-    """The run's evaluation protocol; shared by training and reloading.
+def _build_evaluator(config: RunConfig, dataset: KGDataset) -> LinkPredictionEvaluator:
+    """The run's one evaluator, shared by validation and final evaluation.
 
-    ``config.parallel`` selects between the serial evaluator and the
-    sharded/multi-process one; both produce bit-identical metrics, so
-    the choice never changes what a run dir records.
+    ``config.parallel`` only shards the same sweeps, so metrics and
+    validation history never depend on it.
     """
     section = config.evaluation
     kwargs = {} if section.batch_size is None else {"batch_size": section.batch_size}
-    if config.parallel.is_serial:
-        evaluator = LinkPredictionEvaluator(dataset, **kwargs)
-    else:
-        from repro.parallel.sharded_eval import ShardedEvaluator
+    return LinkPredictionEvaluator(
+        dataset,
+        shards=config.parallel.eval_shards,
+        workers=config.parallel.eval_workers,
+        **kwargs,
+    )
 
-        evaluator = ShardedEvaluator(
-            dataset,
-            shards=config.parallel.eval_shards,
-            workers=config.parallel.eval_workers,
-            shard_axis=config.parallel.shard_axis,
-            **kwargs,
-        )
+
+def _evaluate(
+    config: RunConfig, evaluator: LinkPredictionEvaluator, model: KGEModel
+) -> dict[str, RankingMetrics]:
+    """The run's evaluation protocol; shared by training and reloading."""
+    section = config.evaluation
     with trace_scope("pipeline.evaluate", split=section.split):
         metrics = {
             section.split: evaluator.evaluate(model, split=section.split).overall
@@ -176,7 +174,7 @@ def _evaluate(
         with trace_scope("pipeline.evaluate", split="train"):
             train_result = evaluator.evaluate_triples(
                 model,
-                dataset.train,
+                evaluator.dataset.train,
                 split_name="train",
                 max_triples=section.train_eval_triples,
             )
@@ -202,10 +200,13 @@ def _train_and_evaluate_inner(
     model: KGEModel,
     run_dir: str | Path | None,
 ) -> RunResult:
-    trainer = Trainer(dataset, config.training.training_config(seed=config.seed))
+    evaluator = _build_evaluator(config, dataset)
+    trainer = Trainer(
+        dataset, config.training.training_config(seed=config.seed), evaluator=evaluator
+    )
     with trace_scope("pipeline.train"):
         training = trainer.train(model)
-    metrics = _evaluate(config, dataset, model)
+    metrics = _evaluate(config, evaluator, model)
     result = RunResult(
         config=config,
         dataset=dataset,
@@ -462,7 +463,8 @@ def evaluate_run(
     loaded = load_run(run_dir)
     if dataset is None:
         dataset = loaded.build_dataset()
-    return _evaluate(loaded.config, dataset, loaded.model)
+    evaluator = _build_evaluator(loaded.config, dataset)
+    return _evaluate(loaded.config, evaluator, loaded.model)
 
 
 def build_run_index(

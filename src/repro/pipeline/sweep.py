@@ -34,6 +34,7 @@ from repro.eval.metrics import RankingMetrics
 from repro.kg.graph import KGDataset
 from repro.pipeline.config import RunConfig
 from repro.pipeline.runner import RunResult, run_pipeline
+from repro.reliability import faults
 
 
 def expand_grid(grid: Mapping[str, Sequence[Any]]) -> list[dict[str, Any]]:
@@ -186,11 +187,13 @@ def _plan_children(
 
 def _run_serial_child(
     spec: _ChildSpec,
+    position: int,
     dataset: KGDataset | None,
     dataset_cache: dict[str, KGDataset],
     on_error: str,
     retries: int = 0,
     backoff: float = 0.0,
+    injectors: Sequence[faults.FaultInjector] | None = None,
 ) -> SweepRun:
     """Run one child in this process, keeping the full RunResult.
 
@@ -198,10 +201,19 @@ def _run_serial_child(
     :class:`~repro.errors.TransientError` is re-run (with deterministic
     exponential backoff) up to *retries* times before being recorded as
     failed; deterministic failures fail on the first attempt.
+
+    It also mirrors the pool's fault site: attempt ``n`` fires
+    ``pool.task`` with the context the pool gives it
+    (``task:<position>;attempt:<n>``, *position* counting the children
+    that run) under ``injectors[n]``, one injector per attempt round,
+    as :func:`~repro.parallel.pool.run_tasks` arms in process.
     """
     import time as _time
+    from contextlib import nullcontext
 
     from repro.errors import TransientError
+    from repro.obs.trace import trace_scope
+    from repro.parallel.pool import TASK_SITE, task_context
     from repro.parallel.sweeps import child_dataset, config_hash, write_status
 
     digest = config_hash(spec.config)
@@ -209,16 +221,17 @@ def _run_serial_child(
         for attempt in range(retries + 1):
             if attempt and backoff:
                 _time.sleep(backoff * (2 ** (attempt - 1)))
+            armed = faults.fault_scope(injectors[attempt]) if injectors else nullcontext()
             try:
-                from repro.obs.trace import trace_scope
-
-                built = child_dataset(spec.config, dataset_cache, pinned=dataset)
-                with trace_scope(
-                    "sweep.child", index=spec.index, run_dir=str(spec.run_dir)
-                ):
-                    result = run_pipeline(
-                        spec.config, dataset=built, run_dir=spec.run_dir
-                    )
+                with armed:
+                    faults.fire(TASK_SITE, context=task_context(position, attempt))
+                    built = child_dataset(spec.config, dataset_cache, pinned=dataset)
+                    with trace_scope(
+                        "sweep.child", index=spec.index, run_dir=str(spec.run_dir)
+                    ):
+                        result = run_pipeline(
+                            spec.config, dataset=built, run_dir=spec.run_dir
+                        )
                 break
             except TransientError:
                 if attempt >= retries:
@@ -291,8 +304,9 @@ def sweep(
     death, a timeout) through the pool's retry machinery before the
     child is recorded as failed — deterministic failures still fail
     fast.  ``fault_plan`` arms a reproducible
-    :class:`~repro.reliability.faults.FaultPlan` in every child (chaos
-    testing).
+    :class:`~repro.reliability.faults.FaultPlan` in every child, pooled
+    or serial, and fires ``pool.task`` with the same per-attempt context
+    either way (chaos testing).
 
     Datasets are cached per distinct ``dataset`` section — serially in
     the parent, per-process in workers — so a sweep over training
@@ -334,10 +348,22 @@ def sweep(
             pending.append(spec)
 
     if workers == 0:
+        injectors = (
+            [faults.FaultInjector(fault_plan) for _ in range(retries + 1)]
+            if fault_plan is not None
+            else None
+        )
         dataset_cache: dict[str, KGDataset] = {}
-        for spec in pending:
+        for position, spec in enumerate(pending):
             runs[spec.index] = _run_serial_child(
-                spec, dataset, dataset_cache, on_error, retries=retries, backoff=backoff
+                spec,
+                position,
+                dataset,
+                dataset_cache,
+                on_error,
+                retries=retries,
+                backoff=backoff,
+                injectors=injectors,
             )
     elif pending:
         from repro.parallel.pool import run_tasks

@@ -4,7 +4,8 @@
 are produced: the :class:`~repro.serving.predictor.LinkPredictor` uses
 it to answer top-k requests and the
 :class:`~repro.eval.evaluator.LinkPredictionEvaluator` streams its eval
-triples through it.  It adds two things on top of a raw model:
+triples through :meth:`~BatchedScorer.iter_all_scores`, in process or
+in its shard workers alike.  It adds two things on top of a raw model:
 
 * **chunking** — a ``(b, num_entities)`` float64 score matrix for a big
   batch can dwarf RAM, so sweeps are computed in row chunks whose size
@@ -119,38 +120,6 @@ class BatchedScorer:
         for start in range(0, len(anchors), chunk):
             stop = min(start + chunk, len(anchors))
             yield start, stop, sweep(anchors[start:stop], relations[start:stop])
-
-    def iter_candidate_scores(
-        self,
-        anchors: np.ndarray,
-        relations: np.ndarray,
-        side: str,
-        candidates: np.ndarray,
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(start, stop, scores)`` chunks over a fixed candidate set.
-
-        The candidate-shard analogue of :meth:`iter_all_scores`: every
-        query row is scored against the same ``(c,)`` candidate ids,
-        chunked over query rows with the same chunk geometry.  Sharded
-        evaluation workers use this to sweep one entity shard while
-        reusing the serving layer's chunking and backend selection.
-        """
-        if side not in CANDIDATE_SIDES:
-            raise ServingError(f"unknown side {side!r}; known: {CANDIDATE_SIDES}")
-        anchors = np.asarray(anchors, dtype=np.int64)
-        relations = np.asarray(relations, dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if anchors.ndim != 1 or anchors.shape != relations.shape:
-            raise ServingError("anchors and relations must be 1-D arrays of equal length")
-        if candidates.ndim != 1:
-            raise ServingError("candidates must be a shared 1-D id array")
-        backend = self._backend
-        chunk = self.effective_chunk_size()
-        for start in range(0, len(anchors), chunk):
-            stop = min(start + chunk, len(anchors))
-            yield start, stop, backend.score_candidates(
-                anchors[start:stop], relations[start:stop], candidates, side
-            )
 
     def all_scores(self, anchors: np.ndarray, relations: np.ndarray, side: str) -> np.ndarray:
         """The full ``(b, num_entities)`` sweep, assembled from chunks."""

@@ -138,6 +138,14 @@ class TestEvaluatorMechanics:
         result = evaluator.evaluate_triples(model, toy_dataset.train, max_triples=3)
         assert result.overall.num_ranks == 6  # 3 triples x 2 sides
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("max_triples", [0, -5])
+    def test_max_triples_below_one_raises(self, toy_dataset, max_triples, shards):
+        model = OracleModel([], toy_dataset.num_entities, toy_dataset.num_relations)
+        evaluator = LinkPredictionEvaluator(toy_dataset, shards=shards)
+        with pytest.raises(EvaluationError, match="max_triples"):
+            evaluator.evaluate_triples(model, toy_dataset.train, max_triples=max_triples)
+
     def test_batch_size_does_not_change_result(self, toy_dataset):
         all_triples = [tuple(t) for t in toy_dataset.all_triples()]
         model = OracleModel(all_triples, toy_dataset.num_entities, toy_dataset.num_relations)

@@ -7,7 +7,8 @@ invariants the design leans on:
 
 * in-process and worker-pool execution aggregate to the same numbers,
 * a crashed-then-retried task counts exactly once (no double counting),
-* :class:`ShardedEvaluator` metrics survive the process boundary,
+* sharded :class:`LinkPredictionEvaluator` metrics survive the process
+  boundary,
 * a telemetry-enabled pipeline run is bit-identical to a disabled one
   in every artifact except ``telemetry.jsonl``.
 """
@@ -91,7 +92,7 @@ class TestPoolAggregation:
         assert all(o.metrics is None for o in outcomes)
 
 
-class TestShardedEvaluatorAggregation:
+class TestShardedEvaluationAggregation:
     @pytest.fixture(scope="class")
     def model(self, tiny_dataset):
         import numpy as np
@@ -104,11 +105,11 @@ class TestShardedEvaluatorAggregation:
         )
 
     def _evaluate(self, dataset, model, workers: int) -> MetricsRegistry:
-        from repro.parallel.sharded_eval import ShardedEvaluator
+        from repro.eval.evaluator import LinkPredictionEvaluator
 
         registry = MetricsRegistry()
         with metrics_scope(registry):
-            ShardedEvaluator(dataset, shards=3, workers=workers).evaluate(
+            LinkPredictionEvaluator(dataset, shards=3, workers=workers).evaluate(
                 model, "test"
             )
         return registry

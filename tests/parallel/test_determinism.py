@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.models import make_model
 from repro.core.weights import PRESETS
-from repro.parallel.sharded_eval import ShardedEvaluator
+from repro.eval.evaluator import LinkPredictionEvaluator
 from repro.pipeline.config import DatasetSection, ModelSection, RunConfig, TrainingSection
 from repro.pipeline.sweep import sweep
 from repro.training.trainer import Trainer, TrainingConfig
@@ -42,11 +42,10 @@ def trained_model(tiny_dataset):
     return model
 
 
-@pytest.mark.parametrize("axis", ["triples", "entities"])
-def test_metrics_identical_across_worker_counts(tiny_dataset, trained_model, axis):
+def test_metrics_identical_across_worker_counts(tiny_dataset, trained_model):
     results = [
-        ShardedEvaluator(
-            tiny_dataset, shards=3, workers=workers, shard_axis=axis, batch_size=32
+        LinkPredictionEvaluator(
+            tiny_dataset, shards=3, workers=workers, batch_size=32
         ).evaluate(trained_model, "test")
         for workers in WORKER_COUNTS
     ]

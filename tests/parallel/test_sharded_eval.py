@@ -1,4 +1,8 @@
-"""Sharded evaluation: shard plans, payload round-trips, bit-identity."""
+"""Sharded evaluation: shard plans, payload round-trips, bit-identity.
+
+Every ``(shards, workers)`` setting of :class:`LinkPredictionEvaluator`
+must reproduce its default, unsharded metrics bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +13,9 @@ from repro.baselines.transe import TransE
 from repro.core.models import make_model
 from repro.core.weights import PRESETS
 from repro.errors import EvaluationError, ModelError
-from repro.eval.evaluator import LinkPredictionEvaluator
-from repro.eval.ranking import comparison_counts, rank_of_true, ranks_from_counts
+from repro.eval.evaluator import LinkPredictionEvaluator, plan_shards
 from repro.parallel.payload import model_from_payload, model_to_payload
-from repro.parallel.sharded_eval import ShardedEvaluator, plan_shards
+from repro.reliability.faults import FaultInjector, FaultPlan, FaultSpec, fault_scope
 from repro.training.trainer import Trainer, TrainingConfig
 
 pytestmark = pytest.mark.parallel
@@ -51,17 +54,17 @@ def serial_result(tiny_dataset, trained_model):
 
 class TestPlanShards:
     def test_bounds_cover_total(self):
-        plan = plan_shards(100, 3, "triples", align=8)
+        plan = plan_shards(100, 3, align=8)
         assert plan.bounds[0] == 0 and plan.bounds[-1] == 100
         assert list(plan.bounds) == sorted(plan.bounds)
 
     def test_interior_bounds_are_aligned(self):
-        plan = plan_shards(103, 4, "triples", align=16)
+        plan = plan_shards(103, 4, align=16)
         for bound in plan.bounds[1:-1]:
             assert bound % 16 == 0
 
     def test_slices_skip_empty_shards(self):
-        plan = plan_shards(2, 5, "entities")
+        plan = plan_shards(2, 5)
         covered = []
         for start, stop in plan.slices():
             assert stop > start
@@ -69,15 +72,13 @@ class TestPlanShards:
         assert covered == [0, 1]
 
     def test_single_shard_is_everything(self):
-        assert plan_shards(7, 1, "entities").slices() == [(0, 7)]
+        assert plan_shards(7, 1).slices() == [(0, 7)]
 
     def test_validation(self):
-        with pytest.raises(EvaluationError, match="axis"):
-            plan_shards(10, 2, "relations")
         with pytest.raises(EvaluationError, match="shards"):
-            plan_shards(10, 0, "triples")
+            plan_shards(10, 0)
         with pytest.raises(EvaluationError, match="alignment"):
-            plan_shards(10, 2, "triples", align=0)
+            plan_shards(10, 2, align=0)
 
 
 class TestPayload:
@@ -127,47 +128,17 @@ class TestPayload:
             model_to_payload(transe)
 
 
-class TestCountHelpers:
-    def test_counts_reassemble_rank_of_true(self, rng):
-        scores = rng.normal(size=50)
-        scores[13] = scores[7]  # force an exact tie with the true entity
-        true_index = 7
-        filters = np.array([2, 9, 40])
-        for policy in ("average", "optimistic", "pessimistic"):
-            expected = rank_of_true(scores, true_index, filters, policy)
-            better = np.zeros(1, dtype=np.int64)
-            ties = np.zeros(1, dtype=np.int64)
-            for start in range(0, 50, 17):  # deliberately unaligned blocks
-                stop = min(start + 17, 50)
-                b, t = comparison_counts(
-                    scores[None, start:stop],
-                    np.array([scores[true_index]]),
-                    start,
-                    np.array([true_index]),
-                    [filters],
-                )
-                better += b
-                ties += t
-            assert ranks_from_counts(better, ties, policy)[0] == expected
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(EvaluationError, match="tie policy"):
-            ranks_from_counts(np.array([1]), np.array([0]), "hopeful")
-
-
 class TestShardedBitIdentity:
-    @pytest.mark.parametrize("axis", ["triples", "entities"])
     @pytest.mark.parametrize("shards", [1, 2, 5])
-    def test_in_process_sharding(self, tiny_dataset, trained_model, serial_result, axis, shards):
-        evaluator = ShardedEvaluator(
-            tiny_dataset, shards=shards, workers=0, shard_axis=axis, batch_size=32
+    def test_in_process_sharding(self, tiny_dataset, trained_model, serial_result, shards):
+        evaluator = LinkPredictionEvaluator(
+            tiny_dataset, shards=shards, workers=0, batch_size=32
         )
         _assert_same_metrics(evaluator.evaluate(trained_model, "test"), serial_result)
 
-    @pytest.mark.parametrize("axis", ["triples", "entities"])
-    def test_worker_sharding(self, tiny_dataset, trained_model, serial_result, axis):
-        evaluator = ShardedEvaluator(
-            tiny_dataset, shards=3, workers=2, shard_axis=axis, batch_size=32
+    def test_worker_sharding(self, tiny_dataset, trained_model, serial_result):
+        evaluator = LinkPredictionEvaluator(
+            tiny_dataset, shards=3, workers=2, batch_size=32
         )
         _assert_same_metrics(evaluator.evaluate(trained_model, "test"), serial_result)
 
@@ -175,14 +146,14 @@ class TestShardedBitIdentity:
         serial = LinkPredictionEvaluator(tiny_dataset, batch_size=7).evaluate(
             trained_model, "test"
         )
-        sharded = ShardedEvaluator(
+        sharded = LinkPredictionEvaluator(
             tiny_dataset, shards=4, workers=0, batch_size=7
         ).evaluate(trained_model, "test")
         _assert_same_metrics(sharded, serial)
 
     def test_degenerate_tie_model(self, tiny_dataset):
         """ω with zero rows scores whole candidate blocks exactly equal —
-        the tie-handling stress case for count merging."""
+        the tie-handling stress case for merged shard ranks."""
         model = make_model(
             PRESETS.get("bad_example_1"),
             tiny_dataset.num_entities,
@@ -191,17 +162,16 @@ class TestShardedBitIdentity:
             rng=np.random.default_rng(7),
         )
         serial = LinkPredictionEvaluator(tiny_dataset, batch_size=32).evaluate(model, "test")
-        for axis in ("triples", "entities"):
-            sharded = ShardedEvaluator(
-                tiny_dataset, shards=3, workers=0, shard_axis=axis, batch_size=32
-            ).evaluate(model, "test")
-            _assert_same_metrics(sharded, serial)
+        sharded = LinkPredictionEvaluator(
+            tiny_dataset, shards=3, workers=0, batch_size=32
+        ).evaluate(model, "test")
+        _assert_same_metrics(sharded, serial)
 
     def test_raw_protocol_and_max_triples(self, tiny_dataset, trained_model):
         serial = LinkPredictionEvaluator(
             tiny_dataset, batch_size=16, filtered=False
         ).evaluate_triples(trained_model, tiny_dataset.train, max_triples=40)
-        sharded = ShardedEvaluator(
+        sharded = LinkPredictionEvaluator(
             tiny_dataset, shards=2, workers=0, filtered=False, batch_size=16
         ).evaluate_triples(trained_model, tiny_dataset.train, max_triples=40)
         _assert_same_metrics(sharded, serial)
@@ -214,28 +184,67 @@ class TestShardedBitIdentity:
             np.random.default_rng(3),
         )
         serial = LinkPredictionEvaluator(tiny_dataset, batch_size=32).evaluate(transe, "test")
-        sharded = ShardedEvaluator(tiny_dataset, shards=3, workers=0, batch_size=32).evaluate(
-            transe, "test"
-        )
+        sharded = LinkPredictionEvaluator(
+            tiny_dataset, shards=3, workers=0, batch_size=32
+        ).evaluate(transe, "test")
         _assert_same_metrics(sharded, serial)
+
+
+class TestDefaultPath:
+    """``(shards, workers) == (1, 0)`` ranks each side directly: no pool,
+    so no ``pool.task`` fault site can fire inside it."""
+
+    PLAN = FaultPlan.of(FaultSpec(site="pool.task", kind="exception", max_hits=100))
+
+    def test_default_path_never_reaches_the_pool(
+        self, tiny_dataset, trained_model, serial_result, monkeypatch
+    ):
+        import repro.eval.evaluator as evaluator_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the default evaluator must not call run_tasks")
+
+        monkeypatch.setattr(evaluator_module, "run_tasks", forbidden)
+        with fault_scope(FaultInjector(self.PLAN)) as injector:
+            result = LinkPredictionEvaluator(tiny_dataset, batch_size=32).evaluate(
+                trained_model, "test"
+            )
+        assert injector.hits == []
+        _assert_same_metrics(result, serial_result)
+
+    def test_sharded_path_fires_the_pool_site(self, tiny_dataset, trained_model):
+        evaluator = LinkPredictionEvaluator(tiny_dataset, shards=2, retries=0)
+        with fault_scope(FaultInjector(self.PLAN)) as injector:
+            with pytest.raises(EvaluationError, match="shards failed"):
+                evaluator.evaluate(trained_model, "test")
+        assert [hit.context for hit in injector.hits] == [
+            "task:0;attempt:0",
+            "task:1;attempt:0",
+        ]
 
 
 class TestValidation:
     def test_constructor_rejects_bad_arguments(self, tiny_dataset):
         with pytest.raises(EvaluationError):
-            ShardedEvaluator(tiny_dataset, shards=0)
+            LinkPredictionEvaluator(tiny_dataset, shards=0)
         with pytest.raises(EvaluationError):
-            ShardedEvaluator(tiny_dataset, workers=-1)
+            LinkPredictionEvaluator(tiny_dataset, workers=-1)
         with pytest.raises(EvaluationError):
-            ShardedEvaluator(tiny_dataset, shard_axis="relations")
+            LinkPredictionEvaluator(tiny_dataset, tie_policy="hopeful")
         with pytest.raises(EvaluationError):
-            ShardedEvaluator(tiny_dataset, tie_policy="hopeful")
-        with pytest.raises(EvaluationError):
-            ShardedEvaluator(tiny_dataset, batch_size=0)
+            LinkPredictionEvaluator(tiny_dataset, batch_size=0)
+        with pytest.raises(EvaluationError, match="hits_at"):
+            LinkPredictionEvaluator(tiny_dataset, hits_at=(0, 10))
+        with pytest.raises(EvaluationError, match="retries"):
+            LinkPredictionEvaluator(tiny_dataset, retries=-1)
+        with pytest.raises(EvaluationError, match="backoff"):
+            LinkPredictionEvaluator(tiny_dataset, backoff=-0.5)
+        with pytest.raises(EvaluationError, match="task_timeout"):
+            LinkPredictionEvaluator(tiny_dataset, task_timeout=0)
 
     def test_unknown_split(self, tiny_dataset, trained_model):
         with pytest.raises(EvaluationError, match="split"):
-            ShardedEvaluator(tiny_dataset).evaluate(trained_model, "dev")
+            LinkPredictionEvaluator(tiny_dataset).evaluate(trained_model, "dev")
 
     def test_workers_require_payloadable_model(self, tiny_dataset):
         transe = TransE(
@@ -244,5 +253,6 @@ class TestValidation:
             8,
             np.random.default_rng(3),
         )
+        evaluator = LinkPredictionEvaluator(tiny_dataset, shards=2, workers=1)
         with pytest.raises(ModelError, match="multi-embedding"):
-            ShardedEvaluator(tiny_dataset, shards=2, workers=1).evaluate(transe, "test")
+            evaluator.evaluate(transe, "test")

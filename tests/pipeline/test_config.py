@@ -10,6 +10,7 @@ from repro.pipeline.config import (
     EvalSection,
     IngestSection,
     ModelSection,
+    ParallelSection,
     RunConfig,
     TrainingSection,
 )
@@ -164,6 +165,18 @@ class TestSerialization:
     def test_unknown_section_key_named(self):
         with pytest.raises(ConfigError, match="training field.*'learning_rte'"):
             RunConfig.from_dict({"training": {"learning_rte": 0.1}})
+
+    @pytest.mark.parametrize("axis", ["triples", "entities"])
+    def test_retired_shard_axis_still_loads(self, axis):
+        config = RunConfig.from_dict(
+            {"parallel": {"eval_shards": 2, "eval_workers": 1, "shard_axis": axis}}
+        )
+        assert config.parallel == ParallelSection(eval_shards=2, eval_workers=1)
+        assert "shard_axis" not in config.to_json()
+
+    def test_unknown_parallel_key_named(self):
+        with pytest.raises(ConfigError, match="parallel field.*'bogus'"):
+            RunConfig.from_dict({"parallel": {"bogus": 1}})
 
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError, match="not valid JSON"):

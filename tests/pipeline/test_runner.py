@@ -14,7 +14,14 @@ import pytest
 
 from repro.core.learned import LearnedWeightModel
 from repro.errors import ConfigError, ModelError
-from repro.pipeline.config import DatasetSection, ModelSection, RunConfig, TrainingSection
+from repro.pipeline.config import (
+    DatasetSection,
+    EvalSection,
+    ModelSection,
+    ParallelSection,
+    RunConfig,
+    TrainingSection,
+)
 from repro.pipeline.runner import (
     build_model,
     evaluate_run,
@@ -154,6 +161,64 @@ class TestRunDirectory:
                        rng=np.random.default_rng(0))
         with pytest.raises(ConfigError, match="checkpointable"):
             train_and_evaluate(config, dataset, model, run_dir="/tmp/should-not-exist")
+
+
+class TestOneEvaluatorPerRun:
+    """Validation and final evaluation share the run's one evaluator."""
+
+    @staticmethod
+    def _config(**sections) -> RunConfig:
+        return RunConfig(
+            dataset=DatasetSection(
+                params={"num_entities": 200, "num_clusters": 10, "num_domains": 4, "seed": 3}
+            ),
+            model=ModelSection(name="complex", total_dim=8),
+            training=TrainingSection(epochs=2, batch_size=256, validate_every=1),
+            seed=0,
+            **sections,
+        )
+
+    @staticmethod
+    def _train(config: RunConfig, rows: list[int] | None = None):
+        from repro.pipeline.runner import train_and_evaluate
+
+        dataset = config.dataset.build()
+        model = build_model(config, dataset)
+        if rows is not None:
+            for name in ("score_all_tails", "score_all_heads"):
+
+                def recorded(anchors, relations, _sweep=getattr(model, name)):
+                    rows.append(len(anchors))
+                    return _sweep(anchors, relations)
+
+                setattr(model, name, recorded)
+        return dataset, train_and_evaluate(config, dataset, model)
+
+    def test_validation_sweeps_respect_evaluation_batch_size(self):
+        rows: list[int] = []
+        dataset, small = self._train(self._config(evaluation=EvalSection(batch_size=7)), rows)
+        assert len(dataset.valid) > 7
+        assert rows and max(rows) <= 7
+        _, default = self._train(self._config())
+        validation = [record.validation_mrr for record in small.training.history.records]
+        assert None not in validation
+        assert validation == [
+            record.validation_mrr for record in default.training.history.records
+        ]
+        assert small.test_metrics == default.test_metrics
+
+    def test_validation_is_sharded_like_the_final_evaluation(self):
+        from repro.obs.registry import MetricsRegistry, metrics_scope
+
+        registry = MetricsRegistry()
+        with metrics_scope(registry):
+            dataset, result = self._train(
+                self._config(parallel=ParallelSection(eval_shards=2))
+            )
+        validations = len(result.training.history.records)
+        assert registry.counter_value("eval.triples_ranked") == 2 * (
+            validations * len(dataset.valid) + len(dataset.test)
+        )
 
 
 class TestCLIIntegration:

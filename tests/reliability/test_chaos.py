@@ -30,7 +30,7 @@ pytestmark = pytest.mark.reliability
 class TestWorkerCrashMidEvaluation:
     def test_crash_heals_to_bit_identical_metrics(self, tiny_dataset):
         from repro.core.models import make_complex
-        from repro.parallel.sharded_eval import ShardedEvaluator
+        from repro.eval.evaluator import LinkPredictionEvaluator
 
         model = make_complex(
             tiny_dataset.num_entities,
@@ -38,13 +38,13 @@ class TestWorkerCrashMidEvaluation:
             8,
             np.random.default_rng(7),
         )
-        clean = ShardedEvaluator(
+        clean = LinkPredictionEvaluator(
             tiny_dataset, shards=4, workers=0
         ).evaluate(model, "test")
         plan = FaultPlan.of(
             FaultSpec(site="pool.task", kind="crash", match="task:1;attempt:0")
         )
-        chaotic = ShardedEvaluator(
+        chaotic = LinkPredictionEvaluator(
             tiny_dataset, shards=4, workers=2, retries=1, fault_plan=plan
         ).evaluate(model, "test")
         assert chaotic.overall.mrr == clean.overall.mrr
@@ -56,7 +56,7 @@ class TestWorkerCrashMidEvaluation:
     def test_crash_without_retry_budget_is_a_typed_failure(self, tiny_dataset):
         from repro.core.models import make_complex
         from repro.errors import EvaluationError
-        from repro.parallel.sharded_eval import ShardedEvaluator
+        from repro.eval.evaluator import LinkPredictionEvaluator
 
         model = make_complex(
             tiny_dataset.num_entities,
@@ -67,7 +67,7 @@ class TestWorkerCrashMidEvaluation:
         plan = FaultPlan.of(
             FaultSpec(site="pool.task", kind="crash", match="task:0", max_hits=10)
         )
-        evaluator = ShardedEvaluator(
+        evaluator = LinkPredictionEvaluator(
             tiny_dataset, shards=2, workers=1, retries=0, fault_plan=plan
         )
         with pytest.raises(EvaluationError, match="shards failed"):
@@ -136,6 +136,42 @@ class TestTornSweepChildOnResume:
         assert [run.status for run in healed] == ["completed", "completed"]
         for chaotic, reference in zip(healed, clean):
             assert chaotic.metrics["test"].mrr == reference.metrics["test"].mrr
+
+    def test_transient_child_fault_fails_without_sweep_retry(self, tmp_path):
+        from repro.pipeline.sweep import sweep
+
+        grid = {"training.learning_rate": [0.05, 0.1]}
+        plan = FaultPlan.of(
+            FaultSpec(site="pool.task", kind="exception", match="task:1;attempt:0")
+        )
+        runs = sweep(
+            self._base_config(),
+            grid,
+            run_root=tmp_path,
+            fault_plan=plan,
+            on_error="record",
+        )
+        assert [run.status for run in runs] == ["completed", "failed"]
+        assert "InjectedFault" in runs[1].error
+
+
+class TestSweepFaultPlanParity:
+    """Serial and pooled sweeps arm the plan and fire ``pool.task`` alike."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_plan_failing_every_task_fails_every_child(self, workers):
+        from repro.pipeline.sweep import sweep
+
+        plan = FaultPlan.of(FaultSpec(site="pool.task", kind="exception", max_hits=100))
+        runs = sweep(
+            TestTornSweepChildOnResume._base_config(),
+            {"training.learning_rate": [0.05, 0.1]},
+            workers=workers,
+            retries=0,
+            on_error="record",
+            fault_plan=plan,
+        )
+        assert [run.status for run in runs] == ["failed", "failed"]
 
 
 async def _answers(path, index, expect_degraded):

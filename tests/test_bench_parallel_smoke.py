@@ -46,7 +46,6 @@ def test_json_written_with_schema(smoke_results):
     assert len(on_disk["sharded"]) == len(results["sharded"])
     for row in on_disk["sharded"]:
         for key in (
-            "shard_axis",
             "shards",
             "workers",
             "seconds",
@@ -63,10 +62,9 @@ def test_every_setting_bit_identical_to_serial(smoke_results):
     assert all(row["metrics_match_serial"] for row in results["sharded"])
 
 
-def test_settings_cover_both_axes_and_workers(smoke_results):
+def test_settings_cover_in_process_and_workers(smoke_results):
     results, _ = smoke_results
-    axes = {row["shard_axis"] for row in results["sharded"]}
-    assert axes == {"triples", "entities"}
+    assert any(row["workers"] == 0 for row in results["sharded"])
     assert any(row["workers"] > 0 for row in results["sharded"])
 
 
