@@ -201,9 +201,7 @@ def _bench_serving_overhead(fast: bool) -> dict:
     async def timed(traced: bool) -> float:
         previous = install_tracer(Tracer() if traced else None)
         try:
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=32, max_wait_ms=0.5
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=32)
             async with server:
                 start = time.perf_counter()
                 for chunk in range(0, len(heads), 32):

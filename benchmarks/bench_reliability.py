@@ -208,7 +208,7 @@ def _bench_degraded_serving(fast: bool, run_root: Path) -> dict:
     heads = list(range(8))
 
     async def answers(path, index):
-        server = PredictionServer(max_batch=8, max_wait_ms=1.0)
+        server = PredictionServer(max_batch=8)
         async with server:
             deployment = await server.load_run(path, index=index)
             start = time.perf_counter()

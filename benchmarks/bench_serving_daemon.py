@@ -5,11 +5,11 @@ an **open-loop Poisson** request stream (arrivals scheduled from an
 exponential clock, independent of completions — the load a daemon
 actually faces) and compares two configurations of the same server:
 
-* **serial** — ``max_batch=1, max_wait_ms=0``: request-at-a-time, one
-  scoring call and one thread hop per request;
-* **batched** — ``max_batch=64, max_wait_ms=2``: the micro-batcher
-  coalesces concurrent requests into one ``LinkPredictor`` call per
-  ``(side, filtered, k-bucket)`` group.
+* **serial** — ``max_batch=1``: request-at-a-time, one scoring call and
+  one thread hop per request;
+* **batched** — ``max_batch=64``: the micro-batcher coalesces the
+  requests that queued while the previous batch scored into one
+  ``LinkPredictor`` call per ``(side, filtered, k-bucket)`` group.
 
 Both are offered the *same* arrival sequence at a rate well above the
 serial server's measured closed-loop capacity, so the serial run
@@ -71,13 +71,11 @@ SMOKE_P99_BOUND_MS = 250.0
 OFFERED_MULTIPLIER = 5.0
 
 FULL_SCALE = dict(
-    scale=2.0, total_dim=16, requests=800, k=10,
-    max_batch=64, max_wait_ms=2.0,
+    scale=2.0, total_dim=16, requests=800, k=10, max_batch=64,
     ratio_target=QPS_RATIO_TARGET, p99_bound_ms=P99_BOUND_MS,
 )
 FAST_SCALE = dict(
-    scale=1.0, total_dim=16, requests=300, k=10,
-    max_batch=64, max_wait_ms=2.0,
+    scale=1.0, total_dim=16, requests=300, k=10, max_batch=64,
     ratio_target=SMOKE_QPS_RATIO_TARGET, p99_bound_ms=SMOKE_P99_BOUND_MS,
 )
 
@@ -135,7 +133,7 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
 
     serial = PredictionServer(
         LinkPredictor(model, dataset, cache_size=0),
-        max_batch=1, max_wait_ms=0.0, queue_depth=max(2 * num, 1024),
+        max_batch=1, queue_depth=max(2 * num, 1024),
     )
     async with serial:
         started = time.perf_counter()
@@ -150,7 +148,6 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
     batched = PredictionServer(
         LinkPredictor(model, dataset, cache_size=0),
         max_batch=scale_config["max_batch"],
-        max_wait_ms=scale_config["max_wait_ms"],
         queue_depth=max(2 * num, 1024),
     )
     async with batched:
@@ -201,7 +198,6 @@ def run_benchmark(fast: bool = False, json_path: Path | str | None = DEFAULT_JSO
             "requests": scale_config["requests"],
             "top_k": scale_config["k"],
             "max_batch": scale_config["max_batch"],
-            "max_wait_ms": scale_config["max_wait_ms"],
             "offered_multiplier": OFFERED_MULTIPLIER,
             "serial_capacity_qps": measured["serial_capacity_qps"],
             "offered_qps": measured["offered_qps"],

@@ -43,6 +43,21 @@ else
   python -m pytest -x -q "${IGNORE_SMOKE[@]}" "$@"
 fi
 
+# The asyncio daemon suites again in Python's development mode, which
+# turns on asyncio's debug checks (e.g. a loop touched from the wrong
+# thread); a ResourceWarning (an unclosed socket, transport or loop) is
+# an error.  The files are named because the serving_daemon marker also
+# selects the serving benchmark smoke suite, which runs once, below.
+DAEMON_SUITES=(
+  tests/serving/test_server.py
+  tests/serving/test_admission.py
+  tests/serving/test_server_metrics.py
+  tests/reliability/test_server_degraded.py
+  tests/ingest/test_server_ingest.py
+)
+echo "== asyncio daemon suites under -X dev =="
+python -X dev -W error::ResourceWarning -m pytest -q "${DAEMON_SUITES[@]}"
+
 echo "== benchmark smoke tests =="
 python -m pytest -q "${SMOKE_TESTS[@]}"
 

@@ -185,9 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port "
                             "(default: the run config's serving.port)")
     serve.add_argument("--max-batch", type=int, default=None,
-                       help="requests coalesced into one micro-batch per tick")
-    serve.add_argument("--max-wait-ms", type=float, default=None,
-                       help="max milliseconds a tick waits for stragglers")
+                       help="most queued requests coalesced into one micro-batch")
     serve.add_argument("--queue-depth", type=int, default=None,
                        help="admission cap; requests beyond it fast-fail "
                             "with a retry-after hint")
@@ -520,7 +518,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ("host", args.host),
             ("port", args.port),
             ("max_batch", args.max_batch),
-            ("max_wait_ms", args.max_wait_ms),
             ("queue_depth", args.queue_depth),
             ("index", args.index),
         )
@@ -533,7 +530,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=section.host,
         port=section.port,
         max_batch=section.max_batch,
-        max_wait_ms=section.max_wait_ms,
         queue_depth=section.queue_depth,
         index=section.index_mode,
     )

@@ -354,9 +354,10 @@ class ServingSection:
     """Serving-daemon settings for a run (the ``serve`` CLI command).
 
     Knobs of the micro-batching loop in :mod:`repro.serving.server`:
-    ``max_batch`` requests are drained per tick, a tick waits at most
-    ``max_wait_ms`` for stragglers, and requests beyond ``queue_depth``
-    fast-fail with a retry-after hint instead of queueing unboundedly.
+    the batcher takes up to ``max_batch`` queued requests the moment the
+    previous batch is scored (it never waits for a batch to fill), and
+    requests beyond ``queue_depth`` fast-fail with a retry-after hint
+    instead of queueing unboundedly.
     ``index`` selects how the daemon attaches the run's retrieval index
     (``"auto"`` uses a persisted one when present, ``"require"`` builds
     one if missing, ``"none"`` serves exact sweeps); stale persisted
@@ -367,7 +368,6 @@ class ServingSection:
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     queue_depth: int = 1024
     default_k: int = 10
     index: str = "auto"
@@ -379,10 +379,6 @@ class ServingSection:
             raise ConfigError(f"serving.port must be in [0, 65535], got {self.port}")
         if self.max_batch < 1:
             raise ConfigError(f"serving.max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ConfigError(
-                f"serving.max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
         if self.queue_depth < 1:
             raise ConfigError(
                 f"serving.queue_depth must be >= 1, got {self.queue_depth}"
@@ -552,10 +548,12 @@ class RunConfig:
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"run config field 'seed' must be an integer, got {seed!r}")
         # Configs that set a retired switch still load: ``storage.memmap``
-        # (one checkpoint layout is left) and ``parallel.shard_axis`` (one
-        # ranking algorithm is left).
+        # (one checkpoint layout is left), ``parallel.shard_axis`` (one
+        # ranking algorithm is left) and ``serving.max_wait_ms`` (the
+        # batcher no longer waits for stragglers).
         storage = _drop_retired(data.get("storage", {}), "memmap")
         parallel = _drop_retired(data.get("parallel", {}), "shard_axis")
+        serving = _drop_retired(data.get("serving", {}), "max_wait_ms")
         return cls(
             dataset=_section_from_dict(
                 DatasetSection, data.get("dataset", {}), "dataset"
@@ -569,9 +567,7 @@ class RunConfig:
             ),
             parallel=_section_from_dict(ParallelSection, parallel, "parallel"),
             index=_section_from_dict(IndexSection, data.get("index", {}), "index"),
-            serving=_section_from_dict(
-                ServingSection, data.get("serving", {}), "serving"
-            ),
+            serving=_section_from_dict(ServingSection, serving, "serving"),
             storage=_section_from_dict(
                 StorageSection, storage, "storage"
             ),

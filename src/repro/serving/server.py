@@ -8,9 +8,11 @@ that gap with a stdlib-only asyncio service:
 ``PredictionServer``
     The core loop.  Concurrent :meth:`PredictionServer.top_k` awaits
     (one entry point, the missing slot as ``side``) are checked at
-    admission and land in one bounded queue; a batcher task drains up
-    to ``max_batch`` requests per tick (waiting at most
-    ``max_wait_ms`` for stragglers), groups them by
+    admission and land in one bounded queue.  A work-conserving
+    batcher task takes whatever is queued, up to ``max_batch``
+    requests, the moment the previous batch is scored (requests that
+    arrive while a batch scores form the next one; it never waits on a
+    timer for stragglers), groups them by
     ``(side, filtered, k-bucket)`` and dispatches **one**
     :class:`~repro.serving.predictor.LinkPredictor` call per group —
     exactly the way :class:`~repro.serving.scorer.BatchedScorer` batches
@@ -20,9 +22,10 @@ that gap with a stdlib-only asyncio service:
 
     *Admission control*: when the queue is at ``queue_depth`` the
     request fast-fails with :class:`~repro.errors.ServerOverloadedError`
-    and a ``retry_after_ms`` hint (priced off the p90 of the current
-    deployment's service times, each sample clamped so one pathological
-    batch cannot poison it), instead of queueing unboundedly.
+    and a ``retry_after_ms`` hint (the queue length times the p90 of the
+    current deployment's per-request service times, each sample clamped
+    so one pathological batch cannot poison it), instead of queueing
+    unboundedly.
 
     *Deadlines*: each request may carry a ``deadline_ms`` budget (or
     inherit the server's ``default_deadline_ms``); a request still
@@ -75,11 +78,12 @@ that gap with a stdlib-only asyncio service:
 *Telemetry*: the server's :class:`~repro.obs.MetricsRegistry` holds the
 ``server.*`` counters, the ``ingest.*`` counters of live deltas and three
 latency histograms (``server.service_seconds`` per request,
-``server.dispatch_seconds`` per group, ``server.wait_seconds`` queueing
-delay).  The deployment's predictor and index keep their own registries,
-so a hot-swap starts those from zero.  Every read surface renders one
-merged :meth:`PredictionServer.snapshot`.  Tracing is opt-in: span
-scopes are no-ops until a tracer is installed
+``server.dispatch_seconds`` per group, ``server.wait_seconds`` per
+request from admission to scored answer: queueing, the thread hop and
+scoring).  The deployment's predictor and index keep their own
+registries, so a hot-swap starts those from zero.  Every read surface
+renders one merged :meth:`PredictionServer.snapshot`.  Tracing is
+opt-in: span scopes are no-ops until a tracer is installed
 (:func:`repro.obs.install_tracer` — the daemon entry point arms one).
 
 Everything here is plain CPython stdlib (asyncio + json + numpy already
@@ -203,8 +207,9 @@ class ServedTopK:
     ``scoring_version`` identify the deployment snapshot — a hot-swap
     test can assert no response mixes versions.  ``coalesced`` is the
     size of the predictor call that served this request (how much
-    micro-batching actually happened) and ``waited_ms`` the time the
-    request spent queued before dispatch.  ``degraded`` is set when the
+    micro-batching actually happened) and ``waited_ms`` the time from
+    admission to the scored answer: queueing, the thread hop and
+    scoring, but not wire encoding.  ``degraded`` is set when the
     answer came from the exact full-sweep fallback because the
     deployment's index was stale/corrupt (the answer itself is exact —
     degraded refers to latency, not quality).
@@ -245,12 +250,9 @@ class PredictionServer:
         The initial deployment, or ``None`` to start empty (deploy later
         via :meth:`swap_predictor`/:meth:`load_run`).
     max_batch:
-        Most requests drained into one micro-batch per tick.
-    max_wait_ms:
-        How long a tick waits for stragglers once it has at least one
-        request but fewer than ``max_batch``.  ``0`` dispatches
-        immediately — with a single closed-loop client that degenerates
-        to request-at-a-time serving (the benchmark's baseline).
+        Most queued requests taken into one micro-batch.  The batcher
+        never waits for a batch to fill: ``1`` is request-at-a-time
+        serving (the benchmark's baseline).
     queue_depth:
         Admission cap; requests beyond it fast-fail with
         :class:`~repro.errors.ServerOverloadedError`.
@@ -272,7 +274,6 @@ class PredictionServer:
         predictor: LinkPredictor | None = None,
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         queue_depth: int = 1024,
         label: str | None = None,
         default_deadline_ms: float | None = None,
@@ -280,8 +281,6 @@ class PredictionServer:
     ) -> None:
         if max_batch < 1:
             raise ServingError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ServingError("max_wait_ms must be >= 0")
         if queue_depth < 1:
             raise ServingError("queue_depth must be >= 1")
         if default_deadline_ms is not None and default_deadline_ms <= 0:
@@ -289,7 +288,6 @@ class PredictionServer:
         if slow_query_ms is not None and slow_query_ms <= 0:
             raise ServingError("slow_query_ms must be > 0 (or None)")
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self.queue_depth = int(queue_depth)
         self.default_deadline_ms = (
             float(default_deadline_ms) if default_deadline_ms is not None else None
@@ -413,7 +411,6 @@ class PredictionServer:
             "queue_len": len(self._pending),
             "queue_depth": self.queue_depth,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "closing": self._closing,
             "submitted": count("submitted"),
             "served": count("served"),
@@ -685,14 +682,14 @@ class PredictionServer:
         self.metrics.observe("server.service_seconds", sample)
 
     def _retry_after_ms(self) -> float:
-        # The p90 of the (generation-scoped) service-time histogram
-        # prices the hint off what a typical slow request costs; a 50ms
-        # prior stands in until the deployment has a measurement.
+        # Each queued request costs one per-request service time (the
+        # samples already spread each batch over its requests), priced at
+        # the p90 of the generation-scoped histogram; a 50ms prior stands
+        # in until the deployment has a measurement.
         service = self.metrics.quantile("server.service_seconds", 0.9)
         if service is None:
             service = 0.05
-        backlog = len(self._pending) * service / max(1, self.max_batch)
-        hint = 1000.0 * backlog + self.max_wait_ms
+        hint = 1000.0 * len(self._pending) * service
         return min(max(hint, RETRY_AFTER_FLOOR_MS), RETRY_AFTER_CEILING_MS)
 
     async def top_k(
@@ -769,22 +766,8 @@ class PredictionServer:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            # Tick: wait (bounded) for the batch to fill before dispatch.
-            if (
-                not self._closing
-                and self.max_wait_ms > 0
-                and len(self._pending) < self.max_batch
-            ):
-                deadline = loop.time() + self.max_wait_ms / 1000.0
-                while not self._closing and len(self._pending) < self.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    self._wake.clear()
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), remaining)
-                    except asyncio.TimeoutError:
-                        break
+            # Work-conserving: take what queued while the last batch
+            # scored (or in this event-loop turn), never wait for more.
             batch = [
                 self._pending.popleft()
                 for _ in range(min(self.max_batch, len(self._pending)))
@@ -1206,7 +1189,6 @@ async def _serve_forever_async(
     host: str,
     port: int,
     max_batch: int,
-    max_wait_ms: float,
     queue_depth: int,
     index: str | None,
     slow_query_ms: float | None,
@@ -1220,10 +1202,7 @@ async def _serve_forever_async(
     # read in-process (it never leaves unless a future op exposes it).
     install_tracer(Tracer())
     server = PredictionServer(
-        max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
-        queue_depth=queue_depth,
-        slow_query_ms=slow_query_ms,
+        max_batch=max_batch, queue_depth=queue_depth, slow_query_ms=slow_query_ms
     )
     await server.load_run(run_dir, index=index)
     shutdown = asyncio.Event()
@@ -1254,7 +1233,6 @@ def serve_forever(
     host: str = "127.0.0.1",
     port: int = 0,
     max_batch: int = 64,
-    max_wait_ms: float = 2.0,
     queue_depth: int = 1024,
     index: str | None = "auto",
     slow_query_ms: float | None = None,
@@ -1270,7 +1248,6 @@ def serve_forever(
             host=host,
             port=port,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             queue_depth=queue_depth,
             index=index,
             slow_query_ms=slow_query_ms,

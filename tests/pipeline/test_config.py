@@ -12,6 +12,7 @@ from repro.pipeline.config import (
     ModelSection,
     ParallelSection,
     RunConfig,
+    ServingSection,
     TrainingSection,
 )
 from repro.training.trainer import TrainingConfig
@@ -177,6 +178,15 @@ class TestSerialization:
     def test_unknown_parallel_key_named(self):
         with pytest.raises(ConfigError, match="parallel field.*'bogus'"):
             RunConfig.from_dict({"parallel": {"bogus": 1}})
+
+    def test_retired_max_wait_ms_still_loads(self):
+        config = RunConfig.from_dict({"serving": {"max_batch": 32, "max_wait_ms": 2.0}})
+        assert config.serving == ServingSection(max_batch=32)
+        assert "max_wait_ms" not in config.to_json()
+
+    def test_unknown_serving_key_named(self):
+        with pytest.raises(ConfigError, match="serving field.*'bogus'"):
+            RunConfig.from_dict({"serving": {"bogus": 1}})
 
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError, match="not valid JSON"):

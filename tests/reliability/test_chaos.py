@@ -177,7 +177,7 @@ class TestSweepFaultPlanParity:
 async def _answers(path, index, expect_degraded):
     from repro.serving import PredictionServer
 
-    server = PredictionServer(max_batch=8, max_wait_ms=1.0)
+    server = PredictionServer(max_batch=8)
     async with server:
         deployment = await server.load_run(path, index=index)
         assert deployment.degraded is expect_degraded

@@ -4,11 +4,14 @@ Contract under test (see :mod:`repro.serving.server`):
 
 * a request whose ``deadline_ms`` budget expires before dispatch fails
   with :class:`DeadlineExceededError` instead of occupying batch slots;
+* the batcher is work-conserving: it never arms a timer, and requests
+  that queue while a batch scores form the next batch;
 * an index that turns stale/corrupt **at serving time** degrades the
   affected group to the exact full-sweep path — answers stay correct,
   responses are tagged ``degraded`` and the sticky server flag holds
   until the next successful swap;
-* the ``retry_after_ms`` overload hint is clamped: no pathological
+* the ``retry_after_ms`` overload hint prices every queued request at
+  the p90 per-request service time, clamped: no pathological
   service-time sample can balloon (or collapse) it;
 * drain shutdown and hot-swap atomicity hold with injected latency in
   the scoring thread (the ``server.dispatch`` fault site).
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import contextlib
 import json
 
 import numpy as np
@@ -34,6 +38,7 @@ from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
 from repro.reliability.faults import FaultInjector, FaultPlan, FaultSpec, fault_scope
 from repro.serving import LinkPredictor, PredictionServer
 from repro.serving.server import (
+    DISPATCH_SITE,
     RETRY_AFTER_CEILING_MS,
     RETRY_AFTER_FLOOR_MS,
     SERVICE_EMA_CEILING_S,
@@ -44,6 +49,14 @@ from repro.serving.server import (
 pytestmark = pytest.mark.reliability
 
 BUDGET = 16
+
+#: How long a ``slow`` dispatch fault holds the batch it hits: ample time
+#: to queue requests behind it once it is scoring.
+HOLD_S = 0.2
+
+#: Bound on a test that waits for a held batch, so a batcher that never
+#: dispatches fails the test instead of hanging it.
+TEST_TIMEOUT_S = 60.0
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +73,66 @@ def model(dataset):
     )
 
 
-def _slow_dispatch(delay_s: float, max_hits: int = 1) -> FaultInjector:
-    return FaultInjector(
+class _SlowDispatch(FaultInjector):
+    """``slow`` faults at ``server.dispatch`` that set :attr:`scoring`, from
+    the scoring thread, as soon as a batch starts scoring — so a test can
+    queue requests behind a held batch without sleeping."""
+
+    def __init__(self, plan: FaultPlan) -> None:
+        super().__init__(plan)
+        self._loop = asyncio.get_running_loop()
+        self.scoring = asyncio.Event()
+
+    def fire(self, site: str, context: str = "") -> None:
+        if site == DISPATCH_SITE:
+            self._loop.call_soon_threadsafe(self.scoring.set)
+        super().fire(site, context)
+
+
+def _slow_dispatch(delay_s: float, max_hits: int = 1) -> _SlowDispatch:
+    return _SlowDispatch(
         FaultPlan.of(
             FaultSpec(
-                site="server.dispatch", kind="slow", delay_s=delay_s, max_hits=max_hits
+                site=DISPATCH_SITE, kind="slow", delay_s=delay_s, max_hits=max_hits
             )
         )
     )
+
+
+async def _held_batch(server: PredictionServer, held: _SlowDispatch) -> asyncio.Future:
+    """Submit one request; return its future once its batch is scoring
+    (and so held by *held*'s slow fault).  Its own generous deadline keeps
+    a server's ``default_deadline_ms`` from expiring it."""
+    blocker = asyncio.ensure_future(
+        server.top_k(1, 0, side="tail", k=5, deadline_ms=60_000.0)
+    )
+    await held.scoring.wait()
+    return blocker
+
+
+def _run_bounded(main):
+    """``asyncio.run(main())``, failing after :data:`TEST_TIMEOUT_S`.  The
+    bound's own timer is armed before *main* starts."""
+    return asyncio.run(asyncio.wait_for(main(), TEST_TIMEOUT_S))
+
+
+@contextlib.contextmanager
+def _timers_armed():
+    """Collect the callback of every timer the running loop arms in the
+    block (``call_later``, ``wait_for`` and ``sleep`` all arm through
+    ``call_at``)."""
+    loop = asyncio.get_running_loop()
+    armed = []
+
+    def call_at(when, callback, *args, **kwargs):
+        armed.append(callback)
+        return type(loop).call_at(loop, when, callback, *args, **kwargs)
+
+    loop.call_at = call_at
+    try:
+        yield armed
+    finally:
+        del loop.call_at
 
 
 def _service_histogram(server):
@@ -88,17 +153,25 @@ class TestRetryAfterClamp:
         assert _service_histogram(server).min_value == SERVICE_EMA_FLOOR_S
 
     def test_hint_prices_off_the_p90_sample(self, model, dataset):
-        server = PredictionServer(
-            LinkPredictor(model, dataset), max_batch=10, max_wait_ms=0.0
-        )
+        server = PredictionServer(LinkPredictor(model, dataset), max_batch=10)
         assert server._retry_after_ms() == RETRY_AFTER_FLOOR_MS  # 50ms prior, no queue
         for _ in range(9):
             server._observe_service_time(0.02)
         server._observe_service_time(4.0)  # the outlier stays above p90
         server._pending = collections.deque(range(40))
-        # p90 is the 25ms bucket edge: 40 queued / 10 per batch * 25ms.
+        # p90 is the 25ms bucket edge: 40 queued * 25ms per request.
         assert _service_histogram(server).count == 10
-        assert server._retry_after_ms() == pytest.approx(100.0)
+        assert server._retry_after_ms() == pytest.approx(1000.0)
+
+    def test_full_queue_is_priced_per_request(self, model, dataset):
+        """Regression: the per-request service time was divided by
+        ``max_batch`` a second time, quoting a full queue ~64x too short."""
+        server = PredictionServer(LinkPredictor(model, dataset))
+        for _ in range(10):
+            server._observe_service_time(0.0005)
+        server._pending = collections.deque(range(server.queue_depth))
+        # 1024 queued * 0.5ms each is ~512ms to drain, not 10ms.
+        assert server._retry_after_ms() == pytest.approx(512.0)
 
     def test_hint_ceiling(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset), queue_depth=4096)
@@ -107,7 +180,7 @@ class TestRetryAfterClamp:
         assert server._retry_after_ms() == RETRY_AFTER_CEILING_MS
 
     def test_hint_floor(self, model, dataset):
-        server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=0.0)
+        server = PredictionServer(LinkPredictor(model, dataset))
         server._observe_service_time(SERVICE_EMA_FLOOR_S)
         assert server._retry_after_ms() == RETRY_AFTER_FLOOR_MS
 
@@ -128,42 +201,44 @@ class TestRetryAfterClamp:
 
 
 class TestDeadlines:
+    """An expiring request queues behind a batch held in flight by a
+    ``slow`` dispatch fault far longer than its 1ms budget."""
+
     def test_expired_deadline_fails_typed(self, model, dataset):
         async def main():
-            # max_wait_ms far beyond the request deadline: the batcher's
-            # straggler wait alone expires the budget before dispatch.
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=64, max_wait_ms=80.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=64)
             async with server:
-                with pytest.raises(DeadlineExceededError):
-                    await server.top_k(0, 0, side="tail", k=5, deadline_ms=1.0)
+                with fault_scope(_slow_dispatch(HOLD_S)) as held:
+                    blocker = await _held_batch(server, held)
+                    with pytest.raises(DeadlineExceededError):
+                        await server.top_k(0, 0, side="tail", k=5, deadline_ms=1.0)
+                    await blocker
                 assert server.stats_dict()["deadline_expired"] == 1
                 # The server keeps serving normally afterwards.
                 served = await server.top_k(0, 0, side="tail", k=5)
                 assert len(served.ids) == 5
 
-        asyncio.run(main())
+        _run_bounded(main)
 
     def test_default_deadline_applies(self, model, dataset):
         async def main():
             server = PredictionServer(
                 LinkPredictor(model, dataset),
                 max_batch=64,
-                max_wait_ms=80.0,
                 default_deadline_ms=1.0,
             )
             async with server:
-                with pytest.raises(DeadlineExceededError):
-                    await server.top_k(0, 0, side="head", k=5)
+                with fault_scope(_slow_dispatch(HOLD_S)) as held:
+                    blocker = await _held_batch(server, held)
+                    with pytest.raises(DeadlineExceededError):
+                        await server.top_k(0, 0, side="head", k=5)
+                    await blocker
 
-        asyncio.run(main())
+        _run_bounded(main)
 
     def test_generous_deadline_serves(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=1, max_wait_ms=0.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=1)
             async with server:
                 served = await server.top_k(0, 0, side="tail", k=5, deadline_ms=30_000.0)
                 assert served.degraded is False
@@ -184,6 +259,48 @@ class TestDeadlines:
         asyncio.run(main())
 
 
+class TestWorkConservingBatcher:
+    """The batcher dispatches whatever is queued the moment the previous
+    batch is scored; it never waits on a timer for stragglers."""
+
+    def test_lone_request_dispatches_without_a_timer(self, model, dataset):
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset))
+            async with server:
+                # Once this is answered the batcher is parked, idle.
+                await server.top_k(2, 0, side="tail", k=5)
+                with _timers_armed() as armed:
+                    served = await server.top_k(3, 0, side="tail", k=5)
+            return served, armed
+
+        served, armed = _run_bounded(main)
+        assert armed == []
+        assert served.coalesced == 1
+
+    def test_requests_queued_behind_a_held_batch_form_the_next(self, model, dataset):
+        count = 16
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset))
+            assert count <= server.max_batch
+            async with server:
+                with fault_scope(_slow_dispatch(HOLD_S)) as held:
+                    with _timers_armed() as armed:
+                        blocker = await _held_batch(server, held)
+                        queued = await asyncio.gather(
+                            *(server.top_k(h, 0, side="tail", k=5) for h in range(count))
+                        )
+                        first = await blocker
+                return first, queued, server.stats_dict(), armed
+
+        first, queued, stats, armed = _run_bounded(main)
+        assert armed == []
+        assert first.coalesced == 1
+        assert [served.coalesced for served in queued] == [count] * count
+        assert stats["batches"] == 2
+        assert stats["dispatch_calls"] == 2
+
+
 class TestServingTimeDegradation:
     def test_stale_index_falls_back_to_exact(self, model, dataset):
         """An index that goes stale *between* swap and request must not
@@ -193,7 +310,7 @@ class TestServingTimeDegradation:
         reference = LinkPredictor(model, dataset)  # index-free twin
 
         async def main():
-            server = PredictionServer(predictor, max_batch=4, max_wait_ms=1.0)
+            server = PredictionServer(predictor, max_batch=4)
             async with server:
                 before = await server.top_k(1, 0, side="tail", k=5, filtered=True)
                 assert before.degraded is False
@@ -221,7 +338,7 @@ class TestServingTimeDegradation:
         predictor = LinkPredictor(model, dataset, index=index)
 
         async def main():
-            server = PredictionServer(predictor, max_batch=4, max_wait_ms=1.0)
+            server = PredictionServer(predictor, max_batch=4)
             async with server:
                 model._bump_scoring_version()
                 served = await server.top_k(0, 0, side="tail", k=3)
@@ -241,9 +358,7 @@ class TestDrainAndSwapUnderInjectedLatency:
 
     def test_drain_answers_everything_despite_slow_batch(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=4, max_wait_ms=1.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=4)
             with fault_scope(_slow_dispatch(0.15, max_hits=2)):
                 async with server:
                     pending = [
@@ -267,9 +382,7 @@ class TestDrainAndSwapUnderInjectedLatency:
         )
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=0.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             with fault_scope(_slow_dispatch(0.2, max_hits=1)):
                 async with server:
                     first = [
@@ -300,7 +413,7 @@ class TestWireProtocol:
             return json.loads(await reader.readline())
 
         async def main():
-            server = PredictionServer(max_batch=4, max_wait_ms=1.0)
+            server = PredictionServer(max_batch=4)
             # Corrupt the persisted index: the TCP deployment degrades.
             victim = run_copy / "index" / "store" / "tail_0_centroids.npy"
             raw = bytearray(victim.read_bytes())
@@ -335,9 +448,7 @@ class TestWireProtocol:
 
     def test_deadline_error_code_on_the_wire(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=64, max_wait_ms=80.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=64)
             tcp = await start_tcp_server(server)
             host, port = tcp.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
@@ -346,9 +457,12 @@ class TestWireProtocol:
                     "op": "top_k", "id": 7, "head": 0, "relation": 0,
                     "k": 3, "deadline_ms": 1.0,
                 }
-                writer.write((json.dumps(payload) + "\n").encode())
-                await writer.drain()
-                response = json.loads(await reader.readline())
+                with fault_scope(_slow_dispatch(HOLD_S)) as held:
+                    blocker = await _held_batch(server, held)
+                    writer.write((json.dumps(payload) + "\n").encode())
+                    await writer.drain()
+                    response = json.loads(await reader.readline())
+                    await blocker
                 assert response["ok"] is False
                 assert response["error"]["code"] == "deadline"
             finally:
@@ -358,7 +472,7 @@ class TestWireProtocol:
                 await tcp.wait_closed()
                 await server.close()
 
-        asyncio.run(main())
+        _run_bounded(main)
 
     def test_bad_deadline_type_rejected(self, model, dataset):
         async def main():

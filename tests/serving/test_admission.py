@@ -75,7 +75,7 @@ class TestAdmission:
         ]
 
         async def main():
-            server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=2.0)
+            server = PredictionServer(LinkPredictor(model, dataset))
             tcp = await start_tcp_server(server, port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -105,9 +105,7 @@ class TestAdmission:
         k = 5
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=32, max_wait_ms=50.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=32)
             async with server:
                 calls = [
                     server.top_k(h, r, side="tail", k=k, filtered=True)
@@ -226,7 +224,7 @@ class TestWireTypes:
         messages.append({"id": len(bad), "op": "top_k", **good})
 
         async def main():
-            server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=20.0)
+            server = PredictionServer(LinkPredictor(model, dataset))
             tcp = await start_tcp_server(server, port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)

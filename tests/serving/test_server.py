@@ -84,9 +84,7 @@ class TestCoalescing:
         k = 5
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=32, max_wait_ms=50.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=32)
             async with server:
                 return await asyncio.gather(*[
                     server.top_k(h, r, side="tail", k=k, filtered=True)
@@ -117,9 +115,7 @@ class TestCoalescing:
         ]
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=64, max_wait_ms=20.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=64)
             async with server:
                 return await asyncio.gather(
                     *(server.top_k(a, b, side=side, k=k) for side, a, b, k in queries)
@@ -136,9 +132,7 @@ class TestCoalescing:
         """k=3 and k=7 land in different buckets (4 vs 8) ⇒ two calls."""
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=32, max_wait_ms=50.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=32)
             async with server:
                 small = [server.top_k(i, 0, side="tail", k=3) for i in range(4)]
                 large = [server.top_k(i, 0, side="tail", k=7) for i in range(4)]
@@ -152,9 +146,7 @@ class TestCoalescing:
 
     def test_max_batch_bounds_a_tick(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=50.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             async with server:
                 return await asyncio.gather(*[
                     server.top_k(i % 100, 0, side="tail", k=4) for i in range(20)
@@ -173,7 +165,6 @@ class TestBackpressure:
             server = PredictionServer(
                 LinkPredictor(model, dataset),
                 max_batch=4,
-                max_wait_ms=100.0,
                 queue_depth=depth,
             )
             async with server:
@@ -196,7 +187,6 @@ class TestBackpressure:
             server = PredictionServer(
                 LinkPredictor(model, dataset),
                 max_batch=2,
-                max_wait_ms=100.0,
                 queue_depth=2,
             )
             async with server:
@@ -220,9 +210,7 @@ class TestHotSwap:
         model_b._bump_scoring_version()
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model_a, dataset), max_batch=8, max_wait_ms=1.0
-            )
+            server = PredictionServer(LinkPredictor(model_a, dataset), max_batch=8)
             async with server:
                 first = [
                     asyncio.ensure_future(server.top_k(i % 100, 0, side="tail", k=4))
@@ -262,9 +250,7 @@ class TestHotSwap:
         model_b = _second_model(dataset)
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=16, max_wait_ms=5.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=16)
             async with server:
                 futures = [
                     asyncio.ensure_future(server.top_k(i, 0, side="tail", k=4))
@@ -294,9 +280,7 @@ class TestHotSwap:
         model._bump_scoring_version()  # the model "trained" after the build
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=4, max_wait_ms=1.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=4)
             async with server:
                 with pytest.raises(StaleIndexError):
                     await server.swap_predictor(indexed)
@@ -310,9 +294,7 @@ class TestHotSwap:
 class TestLifecycle:
     def test_graceful_drain_answers_everything(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=4, max_wait_ms=20.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=4)
             await server.start()
             futures = [
                 asyncio.ensure_future(server.top_k(i, 0, side="tail", k=3)) for i in range(10)
@@ -329,9 +311,7 @@ class TestLifecycle:
 
     def test_non_drain_shutdown_fails_queued_requests(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=4, max_wait_ms=200.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=4)
             await server.start()
             futures = [
                 asyncio.ensure_future(server.top_k(i, 0, side="tail", k=3)) for i in range(6)
@@ -367,17 +347,13 @@ class TestLifecycle:
         with pytest.raises(ServingError):
             PredictionServer(predictor, max_batch=0)
         with pytest.raises(ServingError):
-            PredictionServer(predictor, max_wait_ms=-1)
-        with pytest.raises(ServingError):
             PredictionServer(predictor, queue_depth=0)
 
 
 class TestTCPFrontend:
     def test_round_trip_and_error_codes(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=16, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=16)
             tcp = await start_tcp_server(server, port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -432,9 +408,7 @@ class TestTCPFrontend:
         assert positives > 0
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=4, max_wait_ms=1.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=4)
             tcp = await start_tcp_server(server, port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -490,7 +464,7 @@ class TestTCPFrontend:
                    "k": 5}
 
         async def main():
-            server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=1.0)
+            server = PredictionServer(LinkPredictor(model, dataset))
             tcp = await start_tcp_server(server, port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -548,7 +522,7 @@ class TestRunDirIntegration:
 
     def test_load_run_hot_swaps_in_background(self, run_dir):
         async def main():
-            server = PredictionServer(max_batch=4, max_wait_ms=1.0)
+            server = PredictionServer(max_batch=4)
             async with server:
                 deployment = await server.load_run(run_dir)
                 served = await server.top_k(0, 0, side="tail", k=3, filtered=True)

@@ -43,7 +43,7 @@ BUDGET = 16
 
 STATS_KEYS = {
     "generation", "graph_version", "scoring_version", "run_dir", "label",
-    "queue_len", "queue_depth", "max_batch", "max_wait_ms", "closing",
+    "queue_len", "queue_depth", "max_batch", "closing",
     "submitted", "served", "rejected", "failed", "cancelled", "batches",
     "dispatch_calls", "mean_coalesced", "coalesced_max", "swaps",
     "peak_depth", "degraded", "degraded_served", "deadline_expired",
@@ -84,9 +84,7 @@ class TestStatsCompatibility:
         """Registry-backed counters must not change the stats payload."""
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             async with server:
                 await _serve_some(server, 6)
                 return server.stats_dict()
@@ -103,9 +101,7 @@ class TestStatsCompatibility:
 
     def test_counters_live_in_the_registry(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             async with server:
                 await _serve_some(server, 4)
                 return server
@@ -126,9 +122,7 @@ class TestStatsCompatibility:
 class TestMetricsOp:
     def test_metrics_dict_has_registry_and_gauges(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             async with server:
                 await _serve_some(server, 5)
                 return server.metrics_dict()
@@ -148,9 +142,7 @@ class TestMetricsOp:
 
     def test_metrics_op_over_tcp(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             tcp = await start_tcp_server(server, port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -192,9 +184,7 @@ class TestMetricsOp:
 
     def test_metrics_text_is_prometheus_shaped(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             async with server:
                 await _serve_some(server, 3)
                 return server.metrics_text()
@@ -237,7 +227,6 @@ class TestSlowQueryLog:
             server = PredictionServer(
                 LinkPredictor(model, dataset),
                 max_batch=8,
-                max_wait_ms=2.0,
                 slow_query_ms=1e-6,
             )
             async with server:
@@ -262,7 +251,6 @@ class TestSlowQueryLog:
             server = PredictionServer(
                 LinkPredictor(model, dataset),
                 max_batch=1,  # one group per request -> one entry each
-                max_wait_ms=0.1,
                 slow_query_ms=1e-6,
             )
             async with server:
@@ -276,9 +264,7 @@ class TestSlowQueryLog:
 
     def test_fast_default_threshold_records_nothing(self, model, dataset):
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             async with server:
                 await _serve_some(server, 4)
                 return server.metrics_dict()
@@ -297,9 +283,7 @@ class TestSwapResetsLatencyProfile:
 
         async def main():
             loop = asyncio.get_running_loop()
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=16, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=16)
             async with server:
                 # A generation-1 deployment with pathological service
                 # times: every observation lands in the <= 5s bucket.
@@ -330,11 +314,12 @@ class TestSwapResetsLatencyProfile:
                 return slow_hint, fresh_hint, server
 
         slow_hint, fresh_hint, server = asyncio.run(main())
-        # Pre-swap: 8 pending * 5s p90 / 16 batch ~= 2.5s of backlog.
+        # Pre-swap: 8 pending * 5s p90 = 40s of backlog (clamped to 10s).
         assert slow_hint > 1000
         # Post-swap there are no measurements for generation 2; the hint
-        # falls back to the 50ms prior instead of the stale histogram.
-        assert fresh_hint < 100
+        # falls back to the 50ms prior instead of the stale histogram:
+        # 8 pending * 50ms.
+        assert fresh_hint == pytest.approx(400.0)
         assert server.metrics.histogram_count("server.service_seconds") == 0
         # One post-swap measurement prices the hint again.
         server._observe_service_time(0.001)
@@ -345,9 +330,7 @@ class TestSwapResetsLatencyProfile:
         """Only the latency profile resets; cumulative counters do not."""
 
         async def main():
-            server = PredictionServer(
-                LinkPredictor(model, dataset), max_batch=8, max_wait_ms=2.0
-            )
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
             async with server:
                 await _serve_some(server, 3)
                 await server.swap_predictor(
@@ -393,7 +376,7 @@ class TestOneSnapshot:
         so ``metrics`` kept reporting them after ``stats`` said no index."""
 
         async def main():
-            server = PredictionServer(_ivfpq_predictor(model, dataset), max_wait_ms=1.0)
+            server = PredictionServer(_ivfpq_predictor(model, dataset))
             async with server:
                 await _serve_some(server, 6)
                 before = server.metrics_dict()["metrics"]
@@ -421,7 +404,7 @@ class TestOneSnapshot:
         predictor = _ivfpq_predictor(model, dataset)
 
         async def main():
-            server = PredictionServer(predictor, max_batch=8, max_wait_ms=2.0)
+            server = PredictionServer(predictor, max_batch=8)
             async with server:
                 await _serve_some(server, 8)
                 return server.metrics_dict()["metrics"]["counters"], server.stats_dict()
@@ -440,7 +423,7 @@ class TestOneSnapshot:
         from repro.index.exact import ExactIndex
 
         async def main(predictor):
-            server = PredictionServer(predictor, max_wait_ms=1.0)
+            server = PredictionServer(predictor)
             async with server:
                 await _serve_some(server, 3)
                 return server.stats_dict()["index"], server.metrics_dict()["metrics"]

@@ -114,6 +114,25 @@ def test_ci_script_runs_the_chaos_smoke():
     assert (REPO_ROOT / "scripts" / "chaos_smoke.py").exists()
 
 
+DAEMON_SUITES = (
+    "tests/serving/test_server.py",
+    "tests/serving/test_admission.py",
+    "tests/serving/test_server_metrics.py",
+    "tests/reliability/test_server_degraded.py",
+    "tests/ingest/test_server_ingest.py",
+)
+
+
+def test_ci_script_runs_the_daemon_suites_in_dev_mode():
+    """ci.sh reruns the asyncio daemon suites under ``-X dev`` with
+    ResourceWarning as an error, naming each file."""
+    text = CI_SCRIPT.read_text(encoding="utf-8")
+    assert "python -X dev -W error::ResourceWarning -m pytest" in text
+    for suite in DAEMON_SUITES:
+        assert suite in text, suite
+        assert (REPO_ROOT / suite).exists(), suite
+
+
 def test_ci_script_is_executable():
     assert CI_SCRIPT.stat().st_mode & 0o111, "scripts/ci.sh must stay executable"
 

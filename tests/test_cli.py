@@ -16,6 +16,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "transformer"])
 
+    def test_serve_refuses_retired_max_wait_ms(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", "run", "--max-wait-ms", "2"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--max-wait-ms" in err
+
 
 class TestWeightsCommand:
     def test_lists_presets_with_properties(self, capsys):
