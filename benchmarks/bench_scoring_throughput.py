@@ -4,21 +4,17 @@
 embedding size in both time and space".  These micro-benchmarks measure
 batch scoring and 1-vs-all sweeps for the one/two/four-embedding models
 (all at the same parameter budget) and RESCAL (quadratic per relation)
-as the contrast, plus the serving layer's relation-folded einsum path
-(ω pre-contracted into a per-relation mixing tensor) against the
-training-time einsum.
+as the contrast.  Serving and evaluation score through these same model
+calls.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.baselines import RESCAL
 from repro.core.models import make_complex, make_distmult, make_quaternion
-from repro.serving.folded import RelationFoldedScorer
 
 NUM_ENTITIES, NUM_RELATIONS, BUDGET, BATCH = 2000, 20, 64, 256
 
@@ -58,57 +54,6 @@ def test_one_vs_all_throughput(benchmark, name, query):
     model = MODELS[name]
     result = benchmark(lambda: model.score_all_tails(heads, rels))
     assert result.shape == (BATCH, NUM_ENTITIES)
-
-
-@pytest.mark.parametrize("name", ["complex(n=2)", "quaternion(n=4)"])
-def test_folded_batch_scoring_throughput(benchmark, name, query):
-    """The serving layer's relation-folded path on the same workload."""
-    heads, tails, rels = query
-    folded = RelationFoldedScorer(MODELS[name])
-    result = benchmark(lambda: folded.score_triples(heads, tails, rels))
-    assert result.shape == (BATCH,)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize(
-    "name,required_speedup",
-    [("quaternion(n=4)", 2.0), ("complex(n=2)", 1.3)],
-)
-def test_relation_folding_speeds_up_triples_per_sec(name, required_speedup):
-    """Folding ω removes the n_r axis from the per-triple contraction.
-
-    The flop count drops by ~n_r (4x for quaternion, 2x for ComplEx), so
-    the measured triples/sec must rise by at least the asserted factor
-    (margins below the flop ratio absorb machine noise).
-    """
-    model = MODELS[name]
-    folded = RelationFoldedScorer(model)
-    rng = np.random.default_rng(4)
-    big_batch = 4096
-    heads = rng.integers(0, NUM_ENTITIES, big_batch)
-    tails = rng.integers(0, NUM_ENTITIES, big_batch)
-    rels = rng.integers(0, NUM_RELATIONS, big_batch)
-
-    def best_of(fn, repeats: int = 20) -> float:
-        fn()  # warm up
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    baseline = best_of(lambda: model.score_triples(heads, tails, rels))
-    fast = best_of(lambda: folded.score_triples(heads, tails, rels))
-    assert np.allclose(
-        folded.score_triples(heads, tails, rels),
-        model.score_triples(heads, tails, rels),
-    )
-    speedup = baseline / fast
-    assert speedup >= required_speedup, (
-        f"{name}: folded path only {speedup:.2f}x the baseline triples/sec "
-        f"(needs >= {required_speedup}x)"
-    )
 
 
 def test_trilinear_scales_linearly_in_dim():

@@ -62,7 +62,7 @@ def test_topk_latency_cached(benchmark, queries):
 
 
 def test_topk_batched_throughput(benchmark, queries):
-    """A full batch of queries through one folded, chunked sweep."""
+    """A full batch of queries through one chunked sweep."""
     heads, rels = queries
     predictor = LinkPredictor(_model(), cache_size=0)
     result = benchmark(lambda: predictor.top_k(heads, rels, side="tail", k=TOP_K))

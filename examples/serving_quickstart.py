@@ -3,9 +3,8 @@
 Trains a small ComplEx model on the Freebase-flavoured synthetic dataset
 and then answers the three serving-side questions a knowledge-base
 product asks — "which tails?", "which heads?", "which relations?" —
-through :class:`repro.serving.LinkPredictor`: batched scoring, the
-relation-folded einsum fast path, filtered-candidate masking, and the
-LRU score cache.  Runs in well under a minute:
+through :class:`repro.serving.LinkPredictor`: batched scoring,
+filtered-candidate masking, and the LRU score cache.  Runs in well under a minute:
 
     python examples/serving_quickstart.py
 """
@@ -37,9 +36,9 @@ def main() -> None:
     )
     Trainer(dataset, TrainingConfig(epochs=60, batch_size=512, seed=0, verbose=False)).train(model)
 
-    # 3. A predictor over the trained model.  folded="auto" pre-contracts
-    #    ω with every relation embedding once; the LRU cache re-serves hot
-    #    (entity, relation) sweeps without recomputing them.
+    # 3. A predictor over the trained model.  It scores through the
+    #    model's compiled ω kernel, like evaluation; the LRU cache
+    #    re-serves hot (entity, relation) sweeps without recomputing them.
     predictor = LinkPredictor(model, dataset, cache_size=1024)
 
     # 4. Tail prediction for the first few test triples, filtered so that

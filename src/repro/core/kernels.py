@@ -182,9 +182,9 @@ class OmegaKernel:
     def fold_relations(self, relation_table: np.ndarray) -> np.ndarray:
         """Per-relation mixing tensor ``W[r, i, j, d] = Σ_k ω_ijk r^(k)_d``.
 
-        Serving folds ω into this once per parameter version (see
-        :mod:`repro.serving.folded`); the sparse kernel builds it from
-        the nonzero terms only.
+        The retrieval index folds candidate matrices from it (see
+        :mod:`repro.index.folded_vectors`); scoring never does.  The
+        sparse kernel builds it from the nonzero terms only.
         """
         return cached_einsum("ijk,rkd->rijd", self.omega, relation_table)
 

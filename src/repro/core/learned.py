@@ -168,7 +168,7 @@ class LearnedWeightModel(MultiEmbeddingModel):
 
         Checkpoint loading assigns ρ directly; calling this keeps the
         cached ω consistent and bumps :attr:`scoring_version` so serving
-        caches and folded tensors built from the old ω are invalidated.
+        caches and index fold caches built from the old ω are invalidated.
         """
         self._omega_cache = self.transform.forward(self.rho)
         self._bump_scoring_version()

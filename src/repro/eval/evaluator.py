@@ -13,8 +13,7 @@ materialises more than one ``(batch_size, num_entities)`` score matrix
 per process.  Ranking compares candidates *within* a row, where chunk
 boundaries cannot reorder scores or break exact ties, so metrics are
 bit-identical for any ``batch_size`` (the chunking regression test pins
-this down for sizes 1, 7 and full-batch).  Folding is left off so the
-evaluator runs the models' own einsum order unchanged.
+this down for sizes 1, 7 and full-batch).
 
 ``shards`` and ``workers`` spread the same sweeps over
 :func:`~repro.parallel.pool.run_tasks`: each side's eval triples are cut
@@ -272,7 +271,7 @@ def compute_side_ranks(
         anchors, true_indices = triples[:, 1], triples[:, 0]
         lookup = filter_index.true_heads if filter_index is not None else None
     relations = triples[:, 2]
-    scorer = BatchedScorer(model, folded=False, chunk_size=batch_size)
+    scorer = BatchedScorer(model, chunk_size=batch_size)
     ranks: list[np.ndarray] = []
     for start, stop, scores in scorer.iter_all_scores(anchors, relations, side):
         filters = (

@@ -8,9 +8,10 @@ a plain inner product between a *raw* anchor embedding and a per-relation
                = ⟨ flat(h),  tail_fold_r(e) ⟩      with
     tail_fold_r(e)[i,d] = Σ_j W_r[i,j,d] · e[j,d]
 
-where ``W_r`` is the relation-folded mixing tensor serving already
-maintains (:mod:`repro.serving.folded`, built from the compiled kernel's
-nonzero ω terms).  The head side folds the other entity axis.
+where ``W_r`` is the relation-folded mixing tensor
+(:meth:`~repro.core.kernels.OmegaKernel.fold_relations`, built from the
+compiled kernel's nonzero ω terms).  Only this index folds; scoring runs
+through the model's kernel.  The head side folds the other entity axis.
 
 This is the geometry an approximate index has to partition: maximum
 inner product between the untouched anchor vector and relation-specific

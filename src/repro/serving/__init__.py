@@ -13,22 +13,18 @@ batched, cached view over any trained :class:`~repro.core.base.KGEModel`.
 
 Architecture
 ------------
-Three layers, each usable on its own:
-
-``RelationFoldedScorer`` (:mod:`repro.serving.folded`)
-    For the multi-embedding model (Eq. 8), folds the interaction tensor
-    ω into a per-relation mixing tensor ``W_r[i,j,d] = Σ_k ω_ijk r^(k)_d``
-    **once**, then scores all candidates of any query with a single
-    smaller einsum — the same shape of fast path RESCAL gets natively
-    from its per-relation matrix.  Rebuilt automatically when the model
-    trains (tracked via ``KGEModel.scoring_version``).
+Two layers, each usable on its own:
 
 ``BatchedScorer`` (:mod:`repro.serving.scorer`)
-    Memory-bounded chunked sweeps: 1-vs-all score matrices are produced
-    in row chunks derived from an element budget, so arbitrarily large
-    query batches (or eval splits) stream through constant memory.  The
+    Memory-bounded chunked sweeps through the model's own scoring (for
+    Eq. 8 models, the compiled ω kernel): 1-vs-all score matrices are
+    produced in row chunks derived from an element budget, so
+    arbitrarily large query batches (or eval splits) stream through
+    constant memory.  The
     :class:`~repro.eval.evaluator.LinkPredictionEvaluator` runs on this
-    same scorer, so evaluation and serving share one code path.
+    same scorer, so evaluation and serving share one code path: on the
+    same batch, serving returns bit for bit the scores evaluation ranks
+    with.
 
 ``LinkPredictor`` (:mod:`repro.serving.predictor`)
     The request-level API: one ``top_k(side="tail"|"head"|"relation")``
@@ -69,7 +65,6 @@ numbers behind the design.
 """
 
 from repro.serving.cache import LRUScoreCache
-from repro.serving.folded import RelationFoldedScorer
 from repro.serving.predictor import LinkPredictor, TopKResult
 from repro.serving.scorer import BatchedScorer
 from repro.serving.server import (
@@ -86,7 +81,6 @@ __all__ = [
     "LRUScoreCache",
     "LinkPredictor",
     "PredictionServer",
-    "RelationFoldedScorer",
     "ServedTopK",
     "TopKResult",
     "serve_forever",

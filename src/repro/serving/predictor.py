@@ -5,7 +5,6 @@
 (h, ?, r)?"*, *"which heads complete (?, t, r)?"* and *"which relations
 connect (h, t)?"* for whole batches of queries at once, with
 
-* the relation-folded einsum fast path for multi-embedding models,
 * an LRU cache of 1-vs-all score vectors keyed on
   ``(entity, relation, side)``, invalidated automatically when the
   model's parameters change,
@@ -125,9 +124,6 @@ class LinkPredictor:
         queries and the vocabularies for name-based prediction.
     filter_index:
         Explicit filter index (overrides the dataset's).
-    folded:
-        Passed to :class:`BatchedScorer`: ``"auto"`` folds ω for
-        multi-embedding models.
     cache_size:
         Capacity of the LRU score cache; ``0`` disables caching.
     chunk_size:
@@ -154,7 +150,6 @@ class LinkPredictor:
         dataset: KGDataset | None = None,
         *,
         filter_index: FilterIndex | None = None,
-        folded: bool | str = "auto",
         cache_size: int = 4096,
         chunk_size: int | None = None,
         index=None,
@@ -166,7 +161,7 @@ class LinkPredictor:
             raise ServingError("recall_sample_every must be >= 0")
         self.model = model
         self.dataset = dataset
-        self.scorer = BatchedScorer(model, folded=folded, chunk_size=chunk_size)
+        self.scorer = BatchedScorer(model, chunk_size=chunk_size)
         self._filter_index = filter_index
         self.cache = LRUScoreCache(cache_size) if cache_size else None
         self._model_version = model.scoring_version
@@ -260,7 +255,7 @@ class LinkPredictor:
         return out
 
     def clear_cache(self) -> None:
-        """Drop cached scores, folded tensors and index partitions.
+        """Drop cached scores and index partitions.
 
         Training invalidates all of them automatically via
         ``scoring_version``; this is the recovery path for in-place
@@ -269,7 +264,6 @@ class LinkPredictor:
         """
         if self.cache is not None:
             self.cache.clear()
-        self.scorer.refresh()
         if self.index is not None:
             self.index.invalidate()
         self._model_version = self.model.scoring_version
@@ -524,9 +518,6 @@ class LinkPredictor:
             raise ServingError("heads and tails must be 1-D arrays of equal length")
         num_relations = self.model.num_relations
         all_relations = np.arange(num_relations, dtype=np.int64)
-        # One vectorised (rows * R) sweep per memory-bounded row chunk:
-        # the folded backend then sees R groups of `rows` triples each
-        # instead of degenerate single-row groups.
         rows_per_chunk = max(1, self.scorer.max_chunk_elements // num_relations)
         scores = np.empty((len(heads), num_relations), dtype=np.float64)
         for start in range(0, len(heads), rows_per_chunk):
@@ -594,12 +585,13 @@ class LinkPredictor:
 
         Raises :class:`~repro.errors.ServingError` for an unknown *side*,
         ``k < 1``, ``filtered`` or ``candidates`` on a relation query, or
-        an id outside the served model's tables (naming the first bad
-        one).  Unchecked, numpy indexing would answer a negative id as an
-        entity counted from the end of the table, and fail one past the
-        end with a bare ``IndexError``.  The serving daemon runs this same
-        check at admission, before a request can join a micro-batch, so
-        the library and the daemon refuse the same queries alike.
+        an anchor, other or candidate id outside the served model's
+        tables (naming the first bad one).  Unchecked, numpy indexing
+        would answer a negative id as an entity counted from the end of
+        the table, and fail one past the end with a bare ``IndexError``.
+        The serving daemon runs this same check at admission, before a
+        request can join a micro-batch, so the library and the daemon
+        refuse the same queries alike.
         """
         slots = query_slots(side)
         if k < 1:
@@ -614,7 +606,10 @@ class LinkPredictor:
                 raise ServingError(
                     "candidates are not supported for side='relation'"
                 )
-        for slot, ids in zip(slots, (anchors, others)):
+        checked = list(zip(slots, (anchors, others)))
+        if candidates is not None:
+            checked.append(("candidate", candidates))
+        for slot, ids in checked:
             bound = (
                 self.model.num_relations if slot == "relation" else self.model.num_entities
             )

@@ -5,14 +5,12 @@ are produced: the :class:`~repro.serving.predictor.LinkPredictor` uses
 it to answer top-k requests and the
 :class:`~repro.eval.evaluator.LinkPredictionEvaluator` streams its eval
 triples through :meth:`~BatchedScorer.iter_all_scores`, in process or
-in its shard workers alike.  It adds two things on top of a raw model:
-
-* **chunking** — a ``(b, num_entities)`` float64 score matrix for a big
-  batch can dwarf RAM, so sweeps are computed in row chunks whose size
-  is derived from an element budget (or fixed by the caller);
-* **backend selection** — for the multi-embedding model it can swap in
-  the :class:`~repro.serving.folded.RelationFoldedScorer` fast path,
-  transparently refreshed when the model trains.
+in its shard workers alike.  It scores through the model it wraps (for
+Eq. 8 models, the compiled ω kernel), so on the same batch serving
+returns bit for bit the scores evaluation ranks with.  It adds
+**chunking** on top: a ``(b, num_entities)`` float64 score matrix for a
+big batch can dwarf RAM, so sweeps are computed in row chunks whose size
+is derived from an element budget (or fixed by the caller).
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core.base import CANDIDATE_SIDES, KGEModel
-from repro.core.interaction import MultiEmbeddingModel
 from repro.errors import ServingError
-from repro.serving.folded import RelationFoldedScorer
 
 #: Default budget: at most this many float64 score-matrix elements live at once.
 DEFAULT_CHUNK_ELEMENTS = 1 << 24
@@ -36,15 +32,9 @@ class BatchedScorer:
     Parameters
     ----------
     model:
-        The scorer to wrap.
-    folded:
-        ``"auto"`` (fold ω when the model is a multi-embedding one),
-        ``True`` (require folding, error otherwise) or ``False`` (always
-        call the model directly).  The folded path re-associates float
-        operations, so callers needing bit-identical parity with the
-        model's own einsum order — the evaluator — pass ``False``.
+        The model to score through.
     chunk_size:
-        Fixed number of query rows per backend call, or ``None`` to
+        Fixed number of query rows per model call, or ``None`` to
         derive it from ``max_chunk_elements``.
     max_chunk_elements:
         Element budget for one ``(chunk, num_entities)`` score matrix.
@@ -53,7 +43,6 @@ class BatchedScorer:
     def __init__(
         self,
         model: KGEModel,
-        folded: bool | str = "auto",
         chunk_size: int | None = None,
         max_chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
     ) -> None:
@@ -62,32 +51,8 @@ class BatchedScorer:
         if max_chunk_elements < 1:
             raise ServingError("max_chunk_elements must be >= 1")
         self.model = model
-        if folded == "auto":
-            folded = isinstance(model, MultiEmbeddingModel)
-        self._folded_scorer = RelationFoldedScorer(model) if folded else None
         self.chunk_size = int(chunk_size) if chunk_size is not None else None
         self.max_chunk_elements = int(max_chunk_elements)
-
-    @property
-    def uses_folding(self) -> bool:
-        """Whether the relation-folded fast path is active."""
-        return self._folded_scorer is not None
-
-    def refresh(self) -> None:
-        """Force-rebuild folded tensors from the model's current weights.
-
-        Needed after in-place parameter surgery that bypasses
-        ``train_step`` (and therefore never bumps ``scoring_version``).
-        """
-        if self._folded_scorer is not None:
-            self._folded_scorer.refresh(force=True)
-
-    @property
-    def _backend(self) -> KGEModel | RelationFoldedScorer:
-        if self._folded_scorer is not None:
-            self._folded_scorer.refresh()
-            return self._folded_scorer
-        return self.model
 
     def effective_chunk_size(self) -> int:
         """Rows per chunk after applying the element budget."""
@@ -114,8 +79,9 @@ class BatchedScorer:
         relations = np.asarray(relations, dtype=np.int64)
         if anchors.ndim != 1 or anchors.shape != relations.shape:
             raise ServingError("anchors and relations must be 1-D arrays of equal length")
-        backend = self._backend
-        sweep = backend.score_all_tails if side == "tail" else backend.score_all_heads
+        # Resolved per call, not at construction, so a wrapper set on the
+        # model instance after this scorer was built still runs.
+        sweep = self.model.score_all_tails if side == "tail" else self.model.score_all_heads
         chunk = self.effective_chunk_size()
         for start in range(0, len(anchors), chunk):
             stop = min(start + chunk, len(anchors))
@@ -131,9 +97,9 @@ class BatchedScorer:
 
     # --------------------------------------------------------- point scores
     def score_triples(self, heads, tails, relations) -> np.ndarray:
-        """Batch triple scores through the active backend."""
-        return self._backend.score_triples(heads, tails, relations)
+        """Batch triple scores through the model."""
+        return self.model.score_triples(heads, tails, relations)
 
     def score_candidates(self, anchors, relations, candidates, side="tail") -> np.ndarray:
-        """Candidate-set scores through the active backend."""
-        return self._backend.score_candidates(anchors, relations, candidates, side)
+        """Candidate-set scores through the model."""
+        return self.model.score_candidates(anchors, relations, candidates, side)

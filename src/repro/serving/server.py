@@ -1,6 +1,6 @@
 """Micro-batched asyncio serving daemon over :class:`LinkPredictor`.
 
-The library's serving layer already amortises the folded matmul across
+The library's serving layer already amortises the 1-vs-all matmul across
 *batched* calls — but production traffic arrives as many small
 concurrent requests, not as pre-assembled batches.  This module closes
 that gap with a stdlib-only asyncio service:

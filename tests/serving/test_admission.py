@@ -173,6 +173,16 @@ class TestOneCheck:
 
         assert str(asyncio.run(main()).value) == str(library.value)
 
+    def test_out_of_range_candidate_is_named(self, model, dataset):
+        predictor = LinkPredictor(model, dataset)
+        bound = dataset.num_entities
+        for bad in (-1, bound):
+            message = rf"candidate id {bad} out of range \[0, {bound}\)"
+            with pytest.raises(ServingError, match=message):
+                predictor.check_query([0], [0], candidates=[3, bad])
+            with pytest.raises(ServingError, match=message):
+                predictor.top_k([0], [0], side="head", k=1, candidates=[[3, bad]])
+
     def test_warm_cache_refuses_out_of_range_ids(self, model, dataset):
         predictor = LinkPredictor(model, dataset)
         with pytest.raises(ServingError, match="head id -1 out of range"):

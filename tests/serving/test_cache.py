@@ -132,33 +132,17 @@ class TestCacheInvalidation:
         # have been observable
         assert not np.array_equal(before.scores, after.scores)
 
-    def test_folded_tensor_refreshes_after_training(self, model, queries):
+    def test_clear_cache_resyncs_after_manual_surgery(self, model, queries):
+        """In-place weight edits bypass scoring_version; clear_cache must
+        drop the stale LRU entries."""
         heads, rels = queries
         predictor = LinkPredictor(model)
-        assert predictor.scorer.uses_folding
-        predictor.top_k(heads, rels, side="tail", k=3)
-        _train_one_step(model, np.random.default_rng(13))
-        after = predictor.top_k(heads, rels, side="tail", k=3)
-        expected = LinkPredictor(model, cache_size=0, folded=False).top_k(
-            heads, rels, side="tail", k=3
-        )
-        assert np.array_equal(after.ids, expected.ids)
-        np.testing.assert_allclose(after.scores, expected.scores, atol=1e-9)
-
-    @pytest.mark.parametrize("folded", [False, True])
-    def test_clear_cache_resyncs_after_manual_surgery(self, model, queries, folded):
-        """In-place weight edits bypass scoring_version; clear_cache must
-        drop both the LRU entries and any stale folded tensor."""
-        heads, rels = queries
-        predictor = LinkPredictor(model, folded=folded)
         before = predictor.top_k(heads, rels, side="tail", k=3)
         model.entity_embeddings[:] = model.entity_embeddings[::-1].copy()
         model.relation_embeddings[:] = -model.relation_embeddings
         predictor.clear_cache()
         after = predictor.top_k(heads, rels, side="tail", k=3)
-        fresh = LinkPredictor(model, cache_size=0, folded=False).top_k(
-            heads, rels, side="tail", k=3
-        )
+        fresh = LinkPredictor(model, cache_size=0).top_k(heads, rels, side="tail", k=3)
         assert np.array_equal(after.ids, fresh.ids)
         np.testing.assert_allclose(after.scores, fresh.scores, atol=1e-9)
         assert not np.array_equal(before.scores, after.scores)

@@ -132,6 +132,32 @@ def test_relation_top_k_matches_brute_force(name, queries):
     assert np.array_equal(got.ids, order)
 
 
+@pytest.mark.parametrize("name", list(MODELS))
+@pytest.mark.parametrize("side", ["tail", "head", "relation"])
+def test_served_scores_are_the_models_own(name, side):
+    """Serving scores through the model itself: every returned score is
+    bit-identical to the model's own sweep (or triple scores) on the same
+    batch, which is what evaluation ranks with."""
+    model = MODELS[name]
+    rng = np.random.default_rng(31)
+    anchors = rng.integers(0, NUM_ENTITIES, 16)
+    relations = rng.integers(0, NUM_RELATIONS, 16)
+    predictor = LinkPredictor(model, cache_size=0)
+    if side == "relation":
+        tails = rng.integers(0, NUM_ENTITIES, 16)
+        got = predictor.top_k(anchors, tails, side="relation", k=NUM_RELATIONS)
+        scores = model.score_triples(
+            np.repeat(anchors, NUM_RELATIONS),
+            np.repeat(tails, NUM_RELATIONS),
+            np.tile(np.arange(NUM_RELATIONS), len(anchors)),
+        ).reshape(len(anchors), NUM_RELATIONS)
+    else:
+        got = predictor.top_k(anchors, relations, side=side, k=NUM_ENTITIES)
+        sweep = model.score_all_tails if side == "tail" else model.score_all_heads
+        scores = sweep(anchors, relations)
+    assert np.array_equal(got.scores, np.take_along_axis(scores, got.ids, axis=1))
+
+
 class TestTieEdgeCases:
     """Deliberate ties: duplicated embeddings force exactly-equal scores."""
 

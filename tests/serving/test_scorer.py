@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import TransE
 from repro.core.models import make_complex
-from repro.errors import ModelError, ServingError
-from repro.serving import BatchedScorer, LinkPredictor, RelationFoldedScorer
+from repro.errors import ServingError
+from repro.serving import BatchedScorer, LinkPredictor
 
 NUM_ENTITIES, NUM_RELATIONS, BUDGET = 35, 5, 8
 
@@ -25,15 +24,14 @@ def queries():
 
 
 class TestBatchedScorer:
-    @pytest.mark.parametrize("folded", [False, True])
-    def test_chunk_size_stable_scores_and_identical_ranking(self, model, queries, folded):
+    def test_chunk_size_stable_scores_and_identical_ranking(self, model, queries):
         """Chunking may move values by a last-ulp (BLAS kernels differ per
         batch size) but must never change any within-row candidate order."""
         anchors, relations = queries
-        full = BatchedScorer(model, folded=folded).all_scores(anchors, relations, "tail")
+        full = BatchedScorer(model).all_scores(anchors, relations, "tail")
         full_order = np.argsort(-full, axis=1, kind="stable")
         for chunk in (1, 3, 13, 50):
-            chunked = BatchedScorer(model, folded=folded, chunk_size=chunk).all_scores(
+            chunked = BatchedScorer(model, chunk_size=chunk).all_scores(
                 anchors, relations, "tail"
             )
             np.testing.assert_allclose(full, chunked, rtol=1e-12, atol=1e-12)
@@ -55,22 +53,6 @@ class TestBatchedScorer:
         tiny = BatchedScorer(model, max_chunk_elements=1)
         assert tiny.effective_chunk_size() == 1
 
-    def test_auto_folding_only_for_multi_embedding(self, model):
-        assert BatchedScorer(model).uses_folding
-        transe = TransE(NUM_ENTITIES, NUM_RELATIONS, BUDGET, np.random.default_rng(3))
-        assert not BatchedScorer(transe).uses_folding
-
-    def test_forced_folding_on_wrong_model_raises(self):
-        transe = TransE(NUM_ENTITIES, NUM_RELATIONS, BUDGET, np.random.default_rng(3))
-        with pytest.raises(ServingError):
-            BatchedScorer(transe, folded=True)
-
-    def test_folded_scores_match_model_scores(self, model, queries):
-        anchors, relations = queries
-        plain = BatchedScorer(model, folded=False).all_scores(anchors, relations, "tail")
-        folded = BatchedScorer(model, folded=True).all_scores(anchors, relations, "tail")
-        np.testing.assert_allclose(plain, folded, atol=1e-9)
-
     def test_bad_side_raises(self, model, queries):
         anchors, relations = queries
         with pytest.raises(ServingError):
@@ -79,19 +61,6 @@ class TestBatchedScorer:
     def test_bad_chunk_size_raises(self, model):
         with pytest.raises(ServingError):
             BatchedScorer(model, chunk_size=0)
-
-
-class TestFoldedRefresh:
-    def test_refresh_is_noop_until_version_changes(self, model):
-        scorer = RelationFoldedScorer(model)
-        assert scorer.refresh() is False
-        model._bump_scoring_version()
-        assert scorer.refresh() is True
-        assert scorer.refresh() is False
-
-    def test_force_refresh_always_rebuilds(self, model):
-        scorer = RelationFoldedScorer(model)
-        assert scorer.refresh(force=True) is True
 
 
 class TestPredictorApi:
@@ -141,9 +110,10 @@ class TestPredictorApi:
             LinkPredictor(model).top_k([0, 1], [0], side="tail", k=1)
 
     def test_out_of_range_candidates_raise(self, model):
-        with pytest.raises(ModelError):
+        bad = NUM_ENTITIES + 3
+        with pytest.raises(ServingError, match=f"candidate id {bad} out of range"):
             LinkPredictor(model).top_k(
-                [0], [0], side="tail", k=1, candidates=np.array([NUM_ENTITIES + 3])
+                [0], [0], side="tail", k=1, candidates=np.array([bad])
             )
 
     def test_labeled_results_use_vocabulary(self, tiny_dataset):

@@ -8,6 +8,7 @@ local runs), quick mode on pull requests, the full suite on main.
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,29 @@ def test_ci_script_runs_the_benchmark_suites_and_examples():
     assert "REPRO_BENCH_FAST=1" in text
     assert "--benchmark-disable" in text
     assert 'for example in examples/*.py' in text
+
+
+def _ci_array(text: str, name: str) -> list[str]:
+    """The entries of the bash array *name* defined in ci.sh."""
+    match = re.search(rf"^{name}=\((.*?)^\)", text, re.MULTILINE | re.DOTALL)
+    assert match, f"ci.sh defines no {name} array"
+    return match.group(1).split()
+
+
+def test_every_benchmark_file_runs_in_ci():
+    """Each ``benchmarks/bench_*.py`` is a suite ci.sh runs or is loaded by
+    a smoke test ci.sh runs, so a benchmark that imports a deleted name
+    fails CI instead of breaking unseen."""
+    text = CI_SCRIPT.read_text(encoding="utf-8")
+    suites = set(_ci_array(text, "BENCH_SUITES"))
+    loaded = set()
+    for smoke in _ci_array(text, "SMOKE_TESTS"):
+        source = (REPO_ROOT / smoke).read_text(encoding="utf-8")
+        loaded.update(re.findall(r'"(bench_\w+\.py)"', source))
+    benches = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
+    assert benches
+    for bench in benches:
+        assert f"benchmarks/{bench.name}" in suites or bench.name in loaded, bench.name
 
 
 def test_jobs_install_pytest_benchmark(workflow):
