@@ -15,7 +15,13 @@ processes and real files:
    require the daemon to come up **degraded** (health op over the
    wire), serve top-k answers tagged ``degraded: true``, and match the
    exact in-process predictor bit-for-bit;
-3. the same with one index store file deleted instead of flipped.
+3. the same with one index store file deleted instead of flipped;
+4. start a four-child sweep in its own process group, serial and then
+   pooled (``workers=1``), wait for its first child to complete, send
+   SIGINT to the group as a terminal's Ctrl-C does, and require the
+   sweep to exit with ``KeyboardInterrupt`` within 10 s, with no child
+   recorded ``failed``, fewer children completed than the grid holds
+   and no process of the group left running.
 
 Exit code 0 means every step passed.  Stdlib only — no test framework —
 so it can run anywhere the library runs.
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -38,6 +45,8 @@ SRC = str(REPO_ROOT / "src")
 sys.path.insert(0, SRC)
 
 READY_TIMEOUT_SECONDS = 60.0
+INTERRUPT_EXIT_SECONDS = 10.0
+INTERRUPT_GRID = {"training.learning_rate": [0.01, 0.02, 0.05, 0.1]}
 
 
 def tiny_config():
@@ -187,7 +196,91 @@ def degraded_serving_round_trip(run_dir: Path, damage) -> None:
             process.wait()
 
 
+def interrupt_target(run_root: str, workers: int) -> None:
+    """Body of the sweep process that :func:`interrupt_running_sweep` stops."""
+    # A shell that starts a job in the background ignores SIGINT for it;
+    # restore Python's Ctrl-C handling, which the pool workers inherit.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    from dataclasses import replace
+
+    from repro.pipeline.config import IndexSection, TrainingSection
+    from repro.pipeline.sweep import sweep
+
+    # Long enough a child that the signal lands while one is running.
+    config = replace(
+        tiny_config(),
+        training=TrainingSection(epochs=200, batch_size=256),
+        index=IndexSection(),
+    )
+    sweep(config, INTERRUPT_GRID, run_root=run_root, workers=workers)
+
+
+def group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def interrupt_running_sweep(root: Path, workers: int) -> None:
+    """Ctrl-C a running sweep: it must stop at once and record no failure."""
+    run_root = root / f"interrupt-workers{workers}"
+    process = subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "interrupt-target",
+         str(run_root), str(workers)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        cwd=REPO_ROOT,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + READY_TIMEOUT_SECONDS
+        while not any(run_root.glob("*/status.json")):
+            if process.poll() is not None or time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"sweep ended or stalled before its first child completed "
+                    f"(rc={process.poll()}):\n{process.stdout.read()}"
+                )
+            time.sleep(0.02)
+        os.killpg(process.pid, signal.SIGINT)
+        sent = time.monotonic()
+        output, _ = process.communicate(timeout=INTERRUPT_EXIT_SECONDS)
+        elapsed = time.monotonic() - sent
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+    assert "KeyboardInterrupt" in output and process.returncode != 0, (
+        f"workers={workers}: the sweep did not stop on Ctrl-C "
+        f"(rc={process.returncode}):\n{output}"
+    )
+    statuses = [
+        json.loads(path.read_text())["status"]
+        for path in sorted(run_root.glob("*/status.json"))
+    ]
+    assert "failed" not in statuses, f"workers={workers}: Ctrl-C recorded {statuses}"
+    assert len(statuses) < len(INTERRUPT_GRID["training.learning_rate"]), (
+        f"workers={workers}: every child completed; the sweep ignored Ctrl-C"
+    )
+    settle = time.monotonic() + 2.0
+    while group_alive(process.pid) and time.monotonic() < settle:
+        time.sleep(0.05)
+    if group_alive(process.pid):
+        os.killpg(process.pid, signal.SIGKILL)
+        raise AssertionError(f"workers={workers}: a worker outlived Ctrl-C")
+    print(
+        f"== chaos smoke: Ctrl-C stopped a workers={workers} sweep in "
+        f"{elapsed:.2f} s; children completed: {len(statuses)} of "
+        f"{len(INTERRUPT_GRID['training.learning_rate'])} =="
+    )
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["interrupt-target"]:
+        interrupt_target(sys.argv[2], int(sys.argv[3]))
+        return 0
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
         root = Path(tmp)
         print("== chaos smoke: sweeping tiny grid ==")
@@ -196,6 +289,8 @@ def main() -> int:
             run_dir = root / damage.__name__
             shutil.copytree(healed_run, run_dir)
             degraded_serving_round_trip(run_dir, damage)
+        for workers in (0, 1):
+            interrupt_running_sweep(root, workers)
     print("chaos smoke OK")
     return 0
 

@@ -90,6 +90,7 @@ python scripts/serving_smoke.py
 # Chaos smoke: tear a sweep child's checkpoint and resume (heal by
 # re-run), then byte-flip, and separately delete, one file of a
 # persisted index and require the daemon to serve degraded-but-exact
-# answers over the wire.
+# answers over the wire; last, Ctrl-C a running serial and a running
+# pooled sweep and require each to stop without recording a failure.
 echo "== chaos smoke =="
 python scripts/chaos_smoke.py

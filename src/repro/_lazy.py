@@ -1,7 +1,7 @@
 """Shared PEP 562 lazy-export machinery.
 
-Four packages (:mod:`repro`, :mod:`repro.pipeline`, :mod:`repro.parallel`,
-:mod:`repro.index`) expose attributes that live in heavyweight
+Four packages (:mod:`repro`, :mod:`repro.pipeline`, :mod:`repro.index`,
+:mod:`repro.obs`) expose attributes that live in heavyweight
 submodules; each declares a ``{name: module}`` mapping and installs the
 ``__getattr__``/``__dir__`` pair built here instead of repeating the
 boilerplate.

@@ -271,6 +271,7 @@ def compute_side_ranks(
         anchors, true_indices = triples[:, 1], triples[:, 0]
         lookup = filter_index.true_heads if filter_index is not None else None
     relations = triples[:, 2]
+    obs_registry.inc("eval.triples_ranked", len(triples))
     scorer = BatchedScorer(model, chunk_size=batch_size)
     ranks: list[np.ndarray] = []
     for start, stop, scores in scorer.iter_all_scores(anchors, relations, side):
@@ -379,7 +380,6 @@ def _run_shard_task(task: tuple[str, int, int]) -> np.ndarray:
     telemetry = obs_registry.active_registry() is not None
     started = time.perf_counter() if telemetry else 0.0
     try:
-        obs_registry.inc("eval.triples_ranked", stop - start)
         return compute_side_ranks(
             ctx.model,
             ctx.triples[start:stop],

@@ -1,40 +1,28 @@
-"""Parallel execution engine: process pools, model payloads, parallel sweeps.
-
-The engine has three layers:
+"""Parallel execution engine: process pools and model payloads.
 
 * :mod:`repro.parallel.pool` — the one process-pool primitive
   (:func:`~repro.parallel.pool.run_tasks`) with an in-process
-  ``workers=0`` fallback and per-task crash capture;
+  ``workers=0`` mode and per-task crash capture;
 * :mod:`repro.parallel.payload` — in-memory model checkpoints so worker
-  processes rebuild bit-identical scorers without touching disk;
-* two consumers: :class:`~repro.eval.evaluator.LinkPredictionEvaluator`
-  (its ``shards``/``workers`` settings, metrics bit-identical to the
-  unsharded sweep) and :mod:`repro.parallel.sweeps` (crash-isolated,
-  resumable sweep children for :func:`repro.pipeline.sweep.sweep`).
+  processes rebuild bit-identical scorers without touching disk.
 
-Submodules are imported lazily (PEP 562): ``sweeps`` imports the
-pipeline runner, whose evaluator imports ``pool`` and ``payload`` from
-this package, so eager imports would cycle.
+Its consumers: :class:`~repro.eval.evaluator.LinkPredictionEvaluator`
+(its ``shards``/``workers`` settings, metrics bit-identical to the
+default evaluator), :func:`repro.pipeline.sweep.sweep` (every sweep,
+serial or pooled: crash-isolated, resumable children) and
+:meth:`repro.index.ivf.IVFIndex.build` (per-partition k-means).
 """
 
 from __future__ import annotations
 
-from repro._lazy import lazy_exports
+from repro.parallel.payload import ModelPayload, model_from_payload, model_to_payload
+from repro.parallel.pool import TaskOutcome, default_start_method, run_tasks
 
-_LAZY_EXPORTS = {
-    "TaskOutcome": "repro.parallel.pool",
-    "default_start_method": "repro.parallel.pool",
-    "run_tasks": "repro.parallel.pool",
-    "ModelPayload": "repro.parallel.payload",
-    "model_from_payload": "repro.parallel.payload",
-    "model_to_payload": "repro.parallel.payload",
-    "config_hash": "repro.parallel.sweeps",
-    "load_cached_child": "repro.parallel.sweeps",
-    "read_status": "repro.parallel.sweeps",
-    "run_sweep_child": "repro.parallel.sweeps",
-    "write_status": "repro.parallel.sweeps",
-}
-
-__all__ = sorted(_LAZY_EXPORTS)
-
-__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY_EXPORTS)
+__all__ = [
+    "ModelPayload",
+    "TaskOutcome",
+    "default_start_method",
+    "model_from_payload",
+    "model_to_payload",
+    "run_tasks",
+]

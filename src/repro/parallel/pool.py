@@ -1,8 +1,8 @@
 """Process-pool execution primitives for the parallel engine.
 
-:func:`run_tasks` is the one place worker processes are created: both
-sharded evaluation and parallel sweeps funnel their work through it.  It
-deliberately has a tiny contract —
+:func:`run_tasks` is the one place worker processes are created:
+sharded evaluation, index builds and every sweep, serial or pooled,
+funnel their work through it.  It deliberately has a tiny contract —
 
 * ``workers=0`` runs every task in-process (no subprocess, no pickling),
   so callers get a deterministic fallback with identical semantics and
@@ -18,7 +18,10 @@ deliberately has a tiny contract —
   kill, segfault, a crashing initializer) comes back as error outcomes
   rather than a hang: the executor marks the pool broken and every
   unfinished task reports it (``multiprocessing.Pool.map`` would
-  respawn workers and block forever on the lost task).
+  respawn workers and block forever on the lost task).  What is no
+  ``Exception`` is no task's failure: a ``KeyboardInterrupt`` (Ctrl-C)
+  or ``SystemExit``, in the caller or in a task, terminates the
+  workers and propagates, never retried.
 
 On top of that sits the fault-tolerance contract (``retries=``,
 ``task_timeout=``, ``backoff=``):
@@ -162,7 +165,7 @@ def _call_captured(
             outcome = TaskOutcome(index=index, value=fn(task))
     except TransientError:
         outcome = TaskOutcome(index=index, error=traceback.format_exc(), retryable=True)
-    except BaseException:  # noqa: BLE001 — worker tracebacks must travel home
+    except Exception:  # worker tracebacks must travel home
         outcome = TaskOutcome(index=index, error=traceback.format_exc())
     finally:
         if telemetry:
@@ -216,8 +219,7 @@ def _pool_attempt(
                 # than strictly necessary is only a latency cost — task
                 # results are deterministic.
                 torn_down = True
-                for process in getattr(pool, "_processes", {}).values():
-                    process.terminate()
+                _terminate_workers(pool)
                 outcomes.append(
                     TaskOutcome(
                         index=index,
@@ -225,7 +227,7 @@ def _pool_attempt(
                         retryable=True,
                     )
                 )
-            except BaseException as error:  # noqa: BLE001 — BrokenProcessPool et al.
+            except Exception as error:  # BrokenProcessPool et al.
                 outcomes.append(
                     TaskOutcome(
                         index=index,
@@ -236,9 +238,19 @@ def _pool_attempt(
                         retryable=True,
                     )
                 )
+    except BaseException:
+        # Ctrl-C, here or in a worker: stop the workers now, or shutdown
+        # would wait for the tasks they are running.
+        _terminate_workers(pool)
+        raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return outcomes
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    for process in getattr(pool, "_processes", {}).values():
+        process.terminate()
 
 
 def _in_process_attempt(

@@ -49,11 +49,11 @@ def _section_from_dict(cls, data: Mapping[str, Any], context: str):
     return cls(**dict(data))
 
 
-def _drop_retired(section: Any, key: str) -> Any:
-    """*section* without the retired field *key*; non-mappings pass through."""
+def _drop_retired(section: Any, *keys: str) -> Any:
+    """*section* without the retired fields *keys*; non-mappings pass through."""
     if not isinstance(section, Mapping):
         return section
-    return {name: value for name, value in section.items() if name != key}
+    return {name: value for name, value in section.items() if name not in keys}
 
 
 @dataclass(frozen=True)
@@ -369,7 +369,6 @@ class ServingSection:
     port: int = 0
     max_batch: int = 64
     queue_depth: int = 1024
-    default_k: int = 10
     index: str = "auto"
 
     def __post_init__(self) -> None:
@@ -383,8 +382,6 @@ class ServingSection:
             raise ConfigError(
                 f"serving.queue_depth must be >= 1, got {self.queue_depth}"
             )
-        if self.default_k < 1:
-            raise ConfigError(f"serving.default_k must be >= 1, got {self.default_k}")
         if self.index not in _SERVING_INDEX_MODES:
             raise ConfigError(
                 f"serving.index must be one of {list(_SERVING_INDEX_MODES)}, "
@@ -549,11 +546,12 @@ class RunConfig:
             raise ConfigError(f"run config field 'seed' must be an integer, got {seed!r}")
         # Configs that set a retired switch still load: ``storage.memmap``
         # (one checkpoint layout is left), ``parallel.shard_axis`` (one
-        # ranking algorithm is left) and ``serving.max_wait_ms`` (the
-        # batcher no longer waits for stragglers).
+        # ranking algorithm is left), ``serving.max_wait_ms`` (the
+        # batcher no longer waits for stragglers) and ``serving.default_k``
+        # (never read: a wire request without ``k`` gets 10).
         storage = _drop_retired(data.get("storage", {}), "memmap")
         parallel = _drop_retired(data.get("parallel", {}), "shard_axis")
-        serving = _drop_retired(data.get("serving", {}), "max_wait_ms")
+        serving = _drop_retired(data.get("serving", {}), "max_wait_ms", "default_k")
         return cls(
             dataset=_section_from_dict(
                 DatasetSection, data.get("dataset", {}), "dataset"

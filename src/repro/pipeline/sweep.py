@@ -1,4 +1,4 @@
-"""Grid sweeps: expand a grid spec into seeded child runs.
+"""Grid sweeps: expand a grid spec into seeded child runs, and run them.
 
 The paper's §5.3 experiments grid-search learning rates, regularization
 strengths and batch sizes per model; :func:`sweep` expresses that as a
@@ -11,30 +11,46 @@ field paths::
     }, seeds=[0, 1])
 
 Expansion is deterministic (sorted keys, row-major product, seeds
-outermost), every child config revalidates through ``RunConfig``, and —
-because each child's RNG streams derive only from its config — running
-the same grid spec twice yields bit-identical per-run metrics.  With
-``workers=N`` the children execute on a process pool
-(:mod:`repro.parallel.sweeps`) with crash isolation and a config-hash
-result cache, still writing the exact run-dir trees a serial sweep
-would.
+outermost) and every child config revalidates through ``RunConfig``.
+Every child runs as one :func:`~repro.parallel.pool.run_tasks` task —
+in this process for ``workers=0``, on a process pool otherwise — with
+three guarantees:
+
+* **determinism** — a child's result depends only on its config (every
+  RNG stream derives from config seeds), so running the same grid spec
+  twice, or with any worker count, writes byte-identical run-dir trees;
+* **crash isolation** — a child that raises records ``status.json`` with
+  ``status: "failed"`` (plus the traceback) in its run directory and the
+  sweep continues; the caller decides whether to re-raise;
+* **resumability** — completed children leave ``status.json`` carrying a
+  hash of their config, so re-running the same sweep over the same
+  ``run_root`` skips them (see :func:`load_cached_child`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import re
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.errors import ConfigError, SweepError
+from repro.errors import ArtifactError, ConfigError, SweepError
 from repro.eval.metrics import RankingMetrics
 from repro.kg.graph import KGDataset
+from repro.obs import registry as obs_registry
+from repro.obs.trace import trace_scope
+from repro.parallel.pool import run_tasks
 from repro.pipeline.config import RunConfig
-from repro.pipeline.runner import RunResult, run_pipeline
-from repro.reliability import faults
+from repro.pipeline.runner import _metrics_from_dict, run_pipeline
+from repro.reliability.atomic import atomic_write_json
+from repro.reliability.manifest import verify_manifest
+
+_STATUS_FILE = "status.json"
+_METRICS_FILE = "metrics.json"
 
 
 def expand_grid(grid: Mapping[str, Sequence[Any]]) -> list[dict[str, Any]]:
@@ -104,15 +120,14 @@ class SweepRun:
     ``status`` is ``"completed"``, ``"failed"`` (crash-isolated child;
     see *on_error*) or ``"cached"`` (skipped because a previous sweep
     already completed an identical config in the same ``run_root``).
-    ``result`` carries the full in-memory :class:`RunResult` only for
-    children executed serially in this process (``workers=0``); pool
-    children and cached children expose their ``metrics`` instead.
+    ``metrics`` maps each evaluated split to its metrics for completed
+    and cached children; with a ``run_root``, the artifacts live under
+    ``run_dir``.
     """
 
     index: int
     overrides: dict[str, Any]
     config: RunConfig
-    result: RunResult | None = None
     status: str = "completed"
     error: str | None = None
     metrics: dict[str, RankingMetrics] | None = None
@@ -128,7 +143,7 @@ class SweepRun:
 
     @property
     def test_metrics(self) -> RankingMetrics | None:
-        """Metrics on the child's evaluation split, however it was run."""
+        """Metrics on the child's evaluation split."""
         if self.metrics is None:
             return None
         return self.metrics.get(self.config.evaluation.split)
@@ -136,12 +151,14 @@ class SweepRun:
 
 @dataclass(frozen=True)
 class _ChildSpec:
-    """One planned child: everything needed to run (or skip) it."""
+    """One planned child: everything needed to run (or skip) it.
+
+    It is also the pool task: :func:`run_sweep_child` receives it.
+    """
 
     index: int
     overrides: dict[str, Any]
     config: RunConfig
-    slug: str
     run_dir: Path | None
 
 
@@ -177,7 +194,6 @@ def _plan_children(
                     index=index,
                     overrides=child_overrides,
                     config=config,
-                    slug=slug,
                     run_dir=run_dir,
                 )
             )
@@ -185,81 +201,128 @@ def _plan_children(
     return specs
 
 
-def _run_serial_child(
-    spec: _ChildSpec,
-    position: int,
-    dataset: KGDataset | None,
-    dataset_cache: dict[str, KGDataset],
-    on_error: str,
-    retries: int = 0,
-    backoff: float = 0.0,
-    injectors: Sequence[faults.FaultInjector] | None = None,
-) -> SweepRun:
-    """Run one child in this process, keeping the full RunResult.
+# ---------------------------------------------------------------- status files
+def config_hash(config: RunConfig) -> str:
+    """Stable content hash of a config — the sweep result-cache key."""
+    return hashlib.sha256(config.to_json().encode("utf-8")).hexdigest()
 
-    Mirrors the pool's retry classification: a child that dies with a
-    :class:`~repro.errors.TransientError` is re-run (with deterministic
-    exponential backoff) up to *retries* times before being recorded as
-    failed; deterministic failures fail on the first attempt.
 
-    It also mirrors the pool's fault site: attempt ``n`` fires
-    ``pool.task`` with the context the pool gives it
-    (``task:<position>;attempt:<n>``, *position* counting the children
-    that run) under ``injectors[n]``, one injector per attempt round,
-    as :func:`~repro.parallel.pool.run_tasks` arms in process.
+def write_status(
+    run_dir: str | Path, status: str, config_sha256: str, error: str | None = None
+) -> None:
+    """Record a child's outcome in its run directory.
+
+    Deliberately timestamp-free: two runs of the same sweep must produce
+    byte-identical run-dir trees.
     """
-    import time as _time
-    from contextlib import nullcontext
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    payload = {"status": status, "config_sha256": config_sha256, "error": error}
+    atomic_write_json(run_dir / _STATUS_FILE, payload, sort_keys=True)
 
-    from repro.errors import TransientError
-    from repro.obs.trace import trace_scope
-    from repro.parallel.pool import TASK_SITE, task_context
-    from repro.parallel.sweeps import child_dataset, config_hash, write_status
 
+def read_status(run_dir: str | Path) -> dict | None:
+    """The ``status.json`` payload of a child run dir, or ``None``."""
+    path = Path(run_dir) / _STATUS_FILE
+    if not path.exists():
+        return None
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return None
+
+
+def load_cached_child(
+    run_dir: str | Path, config: RunConfig
+) -> dict[str, RankingMetrics] | None:
+    """Metrics of a previously *completed* child with an identical config.
+
+    Returns ``None`` (run the child) unless ``status.json`` reports
+    ``completed`` **and** the stored config hash matches — a stale dir
+    from an edited grid is re-run, never silently reused.  Failed
+    children are always retried.
+
+    Integrity: when the child dir carries a sha256 manifest, every
+    recorded artifact is verified before the cache hit is honoured — a
+    truncated checkpoint or torn ``metrics.json`` (a crash mid-write
+    under pre-atomic IO, or plain bit rot) makes the child re-run from
+    scratch instead of resuming onto corrupt state.  That re-run is the
+    "fall back to the last good state" contract: resume never crashes
+    on a damaged child, it heals it.
+    """
+    status = read_status(run_dir)
+    if not status or status.get("status") != "completed":
+        return None
+    if status.get("config_sha256") != config_hash(config):
+        return None
+    metrics_path = Path(run_dir) / _METRICS_FILE
+    if not metrics_path.exists():
+        return None
+    try:
+        verify_manifest(run_dir)
+        stored = json.loads(metrics_path.read_text(encoding="utf-8"))
+    except (ArtifactError, OSError, json.JSONDecodeError):
+        return None
+    return {split: _metrics_from_dict(data) for split, data in stored.items()}
+
+
+# ------------------------------------------------------------------ child side
+#: Per-process dataset cache, keyed by the dataset section's JSON: a
+#: process running several children of one sweep builds each graph once.
+_DATASET_CACHE: dict[str, KGDataset] = {}
+
+#: Dataset the caller pinned for every child (set by the pool initializer).
+_PINNED_DATASET: KGDataset | None = None
+
+
+def _init_sweep_context(pinned_dataset: KGDataset | None) -> None:
+    """Pool initializer: pin *pinned_dataset* for every child in this process."""
+    global _PINNED_DATASET
+    _PINNED_DATASET = pinned_dataset
+
+
+def child_dataset(config: RunConfig) -> KGDataset:
+    """The dataset for one sweep child, built at most once per process.
+
+    The pinned dataset when there is one; otherwise children whose
+    ``dataset`` sections serialize identically share one build.
+    """
+    if _PINNED_DATASET is not None:
+        return _PINNED_DATASET
+    key = json.dumps(
+        {"generator": config.dataset.generator, "params": config.dataset.params},
+        sort_keys=True,
+        default=str,
+    )
+    dataset = _DATASET_CACHE.get(key)
+    if dataset is None:
+        dataset = _DATASET_CACHE[key] = config.dataset.build()
+    return dataset
+
+
+def run_sweep_child(spec: _ChildSpec) -> dict[str, RankingMetrics]:
+    """Run one sweep child end to end in this process; return its metrics.
+
+    The pool task behind every sweep.  The outcome is recorded in the
+    run dir's ``status.json`` before it travels home: a child that
+    raises records ``failed`` with its traceback and re-raises, and the
+    pool turns the exception into a failed outcome (retrying a
+    :class:`~repro.errors.TransientError`), so one bad grid point cannot
+    kill the sweep.  ``KeyboardInterrupt`` records nothing and stops the
+    sweep.
+    """
     digest = config_hash(spec.config)
     try:
-        for attempt in range(retries + 1):
-            if attempt and backoff:
-                _time.sleep(backoff * (2 ** (attempt - 1)))
-            armed = faults.fault_scope(injectors[attempt]) if injectors else nullcontext()
-            try:
-                with armed:
-                    faults.fire(TASK_SITE, context=task_context(position, attempt))
-                    built = child_dataset(spec.config, dataset_cache, pinned=dataset)
-                    with trace_scope(
-                        "sweep.child", index=spec.index, run_dir=str(spec.run_dir)
-                    ):
-                        result = run_pipeline(
-                            spec.config, dataset=built, run_dir=spec.run_dir
-                        )
-                break
-            except TransientError:
-                if attempt >= retries:
-                    raise
-    except Exception:
-        error = traceback.format_exc()
+        dataset = child_dataset(spec.config)
+        with trace_scope("sweep.child", index=spec.index, run_dir=str(spec.run_dir)):
+            result = run_pipeline(spec.config, dataset=dataset, run_dir=spec.run_dir)
         if spec.run_dir is not None:
-            write_status(spec.run_dir, "failed", digest, error=error)
-        if on_error == "raise":
-            raise
-        return SweepRun(
-            index=spec.index,
-            overrides=spec.overrides,
-            config=spec.config,
-            status="failed",
-            error=error,
-            run_dir=spec.run_dir,
-        )
-    if spec.run_dir is not None:
-        write_status(spec.run_dir, "completed", digest)
-    return SweepRun(
-        index=spec.index,
-        overrides=spec.overrides,
-        config=spec.config,
-        result=result,
-        metrics=dict(result.metrics),
-        run_dir=spec.run_dir,
-    )
+            write_status(spec.run_dir, "completed", digest)
+    except Exception:
+        if spec.run_dir is not None:
+            write_status(spec.run_dir, "failed", digest, error=traceback.format_exc())
+        raise
+    return dict(result.metrics)
 
 
 def sweep(
@@ -283,55 +346,48 @@ def sweep(
     With *run_root*, child ``i`` persists its artifacts under
     ``run_root/run<i>-<slug>/`` — including a ``status.json`` whose
     config hash makes completed children *resumable*: re-running the
-    same sweep over the same root skips them (``status="cached"``,
-    ``result=None`` — read their ``metrics``/``test_metrics`` instead).
-    Pass ``resume=False`` to ignore the cache and re-execute every
-    child (results are overwritten in place).
+    same sweep over the same root skips them (``status="cached"``, with
+    the stored ``metrics``).  Pass ``resume=False`` to ignore the cache
+    and re-execute every child (results are overwritten in place).
 
-    ``workers`` dispatches children to that many worker processes
-    (``0`` = serial in-process execution).  Every child's RNG streams
-    derive only from its config, so worker count and scheduling cannot
-    change any result — parallel and serial sweeps write identical
-    run-dir trees.
+    Every child runs as one :func:`~repro.parallel.pool.run_tasks` task:
+    ``workers`` is the pool size (``0`` = in this process, one child
+    after another).  Every child's RNG streams derive only from its
+    config, so worker count and scheduling cannot change any result —
+    all worker counts write identical run-dir trees.
 
     ``on_error`` controls crash isolation: ``"record"`` (default for
     ``workers >= 1``) turns a failing child into a ``status="failed"``
     entry (recorded in its run dir) and continues; ``"raise"`` (default
-    for serial sweeps, matching the historical behaviour) re-raises.
+    for ``workers=0``) raises :class:`~repro.errors.SweepError` with the
+    first failed child's traceback once every child has run.  Ctrl-C
+    (``KeyboardInterrupt``) stops the sweep at once in either mode.
 
     ``retries``/``backoff``/``task_timeout`` heal *transient* child
     failures (a :class:`~repro.errors.TransientError`, a hard worker
     death, a timeout) through the pool's retry machinery before the
     child is recorded as failed — deterministic failures still fail
     fast.  ``fault_plan`` arms a reproducible
-    :class:`~repro.reliability.faults.FaultPlan` in every child, pooled
-    or serial, and fires ``pool.task`` with the same per-attempt context
-    either way (chaos testing).
+    :class:`~repro.reliability.faults.FaultPlan` for every child and
+    fires ``pool.task`` with the per-attempt context
+    ``task:<i>;attempt:<n>``, ``i`` counting the children that run
+    (chaos testing).
 
-    Datasets are cached per distinct ``dataset`` section — serially in
-    the parent, per-process in workers — so a sweep over training
-    hyperparameters builds each graph once per process.  Pass *dataset*
-    to pin one shared dataset for every child regardless of config.
+    Datasets are cached per distinct ``dataset`` section in each process
+    that runs children, for the length of the call, so a sweep over
+    training hyperparameters builds each graph once per process.  Pass
+    *dataset* to pin one shared dataset for every child regardless of
+    config.
     """
-    if workers < 0:
-        raise ConfigError(f"workers must be >= 0, got {workers}")
-    if retries < 0:
-        raise ConfigError(f"retries must be >= 0, got {retries}")
-    if backoff < 0:
-        raise ConfigError(f"backoff must be >= 0, got {backoff}")
     if on_error is None:
         on_error = "raise" if workers == 0 else "record"
     if on_error not in ("raise", "record"):
         raise ConfigError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-    from repro.parallel import sweeps as parallel_sweeps
-
-    specs = _plan_children(base, grid, seeds, run_root)
-
     runs: dict[int, SweepRun] = {}
     pending: list[_ChildSpec] = []
-    for spec in specs:
+    for spec in _plan_children(base, grid, seeds, run_root):
         cached = (
-            parallel_sweeps.load_cached_child(spec.run_dir, spec.config)
+            load_cached_child(spec.run_dir, spec.config)
             if resume and spec.run_dir is not None
             else None
         )
@@ -347,64 +403,38 @@ def sweep(
         else:
             pending.append(spec)
 
-    if workers == 0:
-        injectors = (
-            [faults.FaultInjector(fault_plan) for _ in range(retries + 1)]
-            if fault_plan is not None
-            else None
-        )
-        dataset_cache: dict[str, KGDataset] = {}
-        for position, spec in enumerate(pending):
-            runs[spec.index] = _run_serial_child(
-                spec,
-                position,
-                dataset,
-                dataset_cache,
-                on_error,
-                retries=retries,
-                backoff=backoff,
-                injectors=injectors,
-            )
-    elif pending:
-        from repro.parallel.pool import run_tasks
-
-        tasks = [
-            {
-                "config": spec.config.to_dict(),
-                "run_dir": str(spec.run_dir) if spec.run_dir is not None else None,
-            }
-            for spec in pending
-        ]
+    try:
         outcomes = run_tasks(
-            parallel_sweeps.run_sweep_child,
-            tasks,
+            run_sweep_child,
+            pending,
             workers=workers,
-            initializer=parallel_sweeps._init_sweep_context,
+            initializer=_init_sweep_context,
             initargs=(dataset,),
             retries=retries,
             backoff=backoff,
             task_timeout=task_timeout,
             fault_plan=fault_plan,
         )
-        for spec, outcome in zip(pending, outcomes):
-            summary = outcome.value if outcome.ok else {"status": "failed", "error": outcome.error}
-            run = SweepRun(
-                index=spec.index,
-                overrides=spec.overrides,
-                config=spec.config,
-                status=summary["status"],
-                error=summary.get("error"),
-                metrics=parallel_sweeps.metrics_from_summary(summary),
-                run_dir=spec.run_dir,
-            )
-            runs[spec.index] = run
-            if not run.ok and on_error == "raise":
-                # The original exception object died with the worker;
-                # SweepError is the dedicated carrier for its traceback.
-                raise SweepError(f"sweep child {run.label!r} failed:\n{run.error}")
+    finally:
+        # workers=0 ran the children in *this* process; drop the datasets
+        # they left so none outlives the call.  The cache is emptied here,
+        # not by the initializer, so an in-process retry round reuses it.
+        _init_sweep_context(None)
+        _DATASET_CACHE.clear()
+    for spec, outcome in zip(pending, outcomes):
+        run = SweepRun(
+            index=spec.index,
+            overrides=spec.overrides,
+            config=spec.config,
+            status="completed" if outcome.ok else "failed",
+            error=outcome.error,
+            metrics=outcome.value,
+            run_dir=spec.run_dir,
+        )
+        runs[spec.index] = run
+        if not run.ok and on_error == "raise":
+            raise SweepError(f"sweep child {run.label!r} failed:\n{run.error}")
     ordered = [runs[index] for index in sorted(runs)]
-    from repro.obs import registry as obs_registry
-
     obs_registry.inc("sweep.children", len(ordered))
     obs_registry.inc("sweep.cached", sum(1 for r in ordered if r.status == "cached"))
     obs_registry.inc("sweep.failed", sum(1 for r in ordered if r.status == "failed"))

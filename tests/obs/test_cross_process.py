@@ -104,12 +104,12 @@ class TestShardedEvaluationAggregation:
             np.random.default_rng(0),
         )
 
-    def _evaluate(self, dataset, model, workers: int) -> MetricsRegistry:
+    def _evaluate(self, dataset, model, workers: int, shards: int = 3) -> MetricsRegistry:
         from repro.eval.evaluator import LinkPredictionEvaluator
 
         registry = MetricsRegistry()
         with metrics_scope(registry):
-            LinkPredictionEvaluator(dataset, shards=3, workers=workers).evaluate(
+            LinkPredictionEvaluator(dataset, shards=shards, workers=workers).evaluate(
                 model, "test"
             )
         return registry
@@ -117,10 +117,16 @@ class TestShardedEvaluationAggregation:
     def test_shard_metrics_aggregate_in_process(self, tiny_dataset, model):
         registry = self._evaluate(tiny_dataset, model, workers=0)
         assert registry.counter_value("eval.shard_tasks") > 0
+        assert registry.histogram_count("eval.shard_seconds") > 0
+
+    @pytest.mark.parametrize("shards, workers", [(1, 0), (3, 0), (3, 2)])
+    def test_every_evaluator_counts_triples_ranked(
+        self, tiny_dataset, model, shards, workers
+    ):
+        registry = self._evaluate(tiny_dataset, model, workers=workers, shards=shards)
         assert registry.counter_value("eval.triples_ranked") == 2 * len(
             tiny_dataset.test
         )
-        assert registry.histogram_count("eval.shard_seconds") > 0
 
     def test_shard_metrics_cross_process_equal_serial(self, tiny_dataset, model):
         serial = self._evaluate(tiny_dataset, model, workers=0)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
 
 from repro.errors import ConfigError, SweepError
-from repro.parallel.sweeps import config_hash, read_status, write_status
 from repro.pipeline.config import DatasetSection, ModelSection, RunConfig, TrainingSection
-from repro.pipeline.sweep import sweep
+from repro.pipeline.sweep import config_hash, read_status, sweep, write_status
+from repro.reliability.faults import FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.parallel
 
@@ -39,12 +40,12 @@ class TestParallelParity:
             assert a.test_metrics.mr == b.test_metrics.mr
             assert a.test_metrics.hits == b.test_metrics.hits
 
-    def test_pool_children_carry_metrics_not_results(self, base):
-        pooled = sweep(base, GRID, workers=2)
-        assert all(run.result is None for run in pooled)
-        assert all(run.metrics is not None for run in pooled)
-        serial = sweep(base, GRID)
-        assert all(run.result is not None for run in serial)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_children_carry_metrics(self, base, workers):
+        runs = sweep(base, GRID, workers=workers)
+        for run in runs:
+            assert run.metrics is not None
+            assert run.test_metrics is run.metrics[run.config.evaluation.split]
 
 
 class TestStatusArtifacts:
@@ -111,7 +112,7 @@ class TestCrashIsolation:
         assert "num_entities" in status["error"]
 
     def test_serial_default_raises(self, base):
-        with pytest.raises(ConfigError, match="num_entities"):
+        with pytest.raises(SweepError, match="num_entities"):
             sweep(base, self.BAD_GRID)
 
     def test_serial_record_mode_isolates(self, base, tmp_path):
@@ -128,6 +129,33 @@ class TestCrashIsolation:
             sweep(base, GRID, on_error="ignore")
         with pytest.raises(ConfigError, match="workers"):
             sweep(base, GRID, workers=-2)
+
+
+class TestInterrupt:
+    def test_ctrl_c_in_serial_child_stops_the_sweep(self, base, tmp_path, monkeypatch):
+        """KeyboardInterrupt is no child's failure, even when failures are
+        recorded: it leaves the sweep at once and records no status."""
+        module = importlib.import_module("repro.pipeline.sweep")
+        run_pipeline = module.run_pipeline
+
+        def interrupt_cph(config, dataset=None, run_dir=None):
+            if config.model.name == "cph":
+                raise KeyboardInterrupt
+            return run_pipeline(config, dataset=dataset, run_dir=run_dir)
+
+        monkeypatch.setattr(module, "run_pipeline", interrupt_cph)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(
+                base,
+                {"model.name": ["distmult", "cph", "cp"]},
+                run_root=tmp_path,
+                on_error="record",
+            )
+        statuses = {
+            path.parent.name.split("-")[0]: read_status(path.parent)["status"]
+            for path in tmp_path.glob("*/status.json")
+        }
+        assert statuses == {"run000": "completed"}
 
 
 class TestNoNestedPools:
@@ -164,9 +192,36 @@ class TestResumeFlag:
         first = sweep(base, GRID, run_root=tmp_path, workers=2)
         rerun = sweep(base, GRID, run_root=tmp_path, resume=False)
         assert [run.status for run in rerun] == ["completed", "completed"]
-        assert all(run.result is not None for run in rerun)  # serial re-execution
         for a, b in zip(first, rerun):
             assert a.test_metrics.mrr == b.test_metrics.mrr
+
+
+class TestSweepContext:
+    def test_serial_sweep_holds_no_dataset_after_it_returns(self, base, tiny_dataset):
+        module = importlib.import_module("repro.pipeline.sweep")
+        sweep(base, GRID)
+        assert module._DATASET_CACHE == {}
+        sweep(base, GRID, dataset=tiny_dataset)
+        assert module._PINNED_DATASET is None
+        with pytest.raises(SweepError):
+            sweep(base, TestCrashIsolation.BAD_GRID)
+        assert module._DATASET_CACHE == {}
+
+    def test_in_process_retry_reuses_the_dataset(self, base, monkeypatch):
+        builds = []
+        build = DatasetSection.build
+
+        def counted_build(section):
+            builds.append(section)
+            return build(section)
+
+        monkeypatch.setattr(DatasetSection, "build", counted_build)
+        plan = FaultPlan.of(
+            FaultSpec(site="pool.task", kind="exception", match="task:1;attempt:0")
+        )
+        runs = sweep(base, GRID, retries=1, fault_plan=plan)
+        assert [run.status for run in runs] == ["completed", "completed"]
+        assert len(builds) == 1
 
 
 class TestPinnedDataset:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,16 @@ def _pid_of(_: object) -> int:
 
 def _exit_hard(_: object) -> None:
     os._exit(1)
+
+
+def _mark_then_interrupt_first(task: tuple[str, int]) -> int:
+    """Leave one marker file per run of task *index*; task 0 is Ctrl-C'd."""
+    directory, index = task
+    markers = Path(directory)
+    (markers / f"task{index}-run{len(list(markers.glob(f'task{index}-*')))}").touch()
+    if index == 0:
+        raise KeyboardInterrupt
+    return index
 
 
 class TestInProcess:
@@ -109,6 +121,24 @@ class TestPool:
         outcomes = run_tasks(_exit_hard, [0, 1], workers=1)
         assert all(not o.ok for o in outcomes)
         assert "died" in outcomes[0].error
+
+
+class TestKeyboardInterrupt:
+    """Ctrl-C is no task's failure: it stops the call, in either mode."""
+
+    def test_in_process_interrupt_stops_later_tasks(self, tmp_path):
+        tasks = [(str(tmp_path), index) for index in range(3)]
+        with pytest.raises(KeyboardInterrupt):
+            run_tasks(_mark_then_interrupt_first, tasks, workers=0, retries=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["task0-run0"]
+
+    def test_pool_interrupt_propagates_unretried(self, tmp_path):
+        tasks = [(str(tmp_path), index) for index in range(3)]
+        before = set(multiprocessing.active_children())
+        with pytest.raises(KeyboardInterrupt):
+            run_tasks(_mark_then_interrupt_first, tasks, workers=1, retries=1)
+        assert [p.name for p in tmp_path.glob("task0-*")] == ["task0-run0"]
+        assert set(multiprocessing.active_children()) <= before  # no worker left
 
 
 def test_default_start_method_is_known():

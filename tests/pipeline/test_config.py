@@ -179,10 +179,11 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="parallel field.*'bogus'"):
             RunConfig.from_dict({"parallel": {"bogus": 1}})
 
-    def test_retired_max_wait_ms_still_loads(self):
-        config = RunConfig.from_dict({"serving": {"max_batch": 32, "max_wait_ms": 2.0}})
+    @pytest.mark.parametrize("key, value", [("max_wait_ms", 2.0), ("default_k", 10)])
+    def test_retired_serving_keys_still_load(self, key, value):
+        config = RunConfig.from_dict({"serving": {"max_batch": 32, key: value}})
         assert config.serving == ServingSection(max_batch=32)
-        assert "max_wait_ms" not in config.to_json()
+        assert key not in config.to_json()
 
     def test_unknown_serving_key_named(self):
         with pytest.raises(ConfigError, match="serving field.*'bogus'"):

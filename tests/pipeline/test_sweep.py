@@ -85,29 +85,26 @@ class TestSweep:
         assert [run.index for run in runs] == [0, 1, 2, 3]
         assert len({run.label for run in runs}) == 4
 
-    def test_reproducible_across_invocations(self, base):
-        """Satellite: same grid spec + seed must give bit-identical
-        per-run metrics on a second invocation."""
-        first = sweep(base, self.GRID, seeds=[0])
-        second = sweep(base, self.GRID, seeds=[0])
+    def test_reproducible_across_invocations(self, base, tmp_path):
+        """Same grid spec + seed must give bit-identical per-run
+        metrics and training histories on a second invocation."""
+        first = sweep(base, self.GRID, seeds=[0], run_root=tmp_path / "first")
+        second = sweep(base, self.GRID, seeds=[0], run_root=tmp_path / "second")
         assert len(first) == len(second) == 4
         for a, b in zip(first, second):
             assert a.overrides == b.overrides
             assert a.config == b.config
-            assert a.result.test_metrics.mrr == b.result.test_metrics.mrr
-            assert a.result.test_metrics.mr == b.result.test_metrics.mr
-            assert a.result.test_metrics.hits == b.result.test_metrics.hits
-            assert a.result.training.history.losses == b.result.training.history.losses
+            assert a.test_metrics.mrr == b.test_metrics.mrr
+            assert a.test_metrics.mr == b.test_metrics.mr
+            assert a.test_metrics.hits == b.test_metrics.hits
+            assert _history_bytes(a) == _history_bytes(b)
 
-    def test_seeds_cross_grid(self, base):
-        runs = sweep(base, {"model.name": ["distmult"]}, seeds=[0, 1])
+    def test_seeds_cross_grid(self, base, tmp_path):
+        runs = sweep(base, {"model.name": ["distmult"]}, seeds=[0, 1], run_root=tmp_path)
         assert len(runs) == 2
         assert [run.config.seed for run in runs] == [0, 1]
         # Different training seeds shuffle/sample differently.
-        assert (
-            runs[0].result.training.history.losses
-            != runs[1].result.training.history.losses
-        )
+        assert _history_bytes(runs[0]) != _history_bytes(runs[1])
 
     def test_run_root_persists_children(self, base, tmp_path):
         runs = sweep(base, {"model.name": ["distmult", "cph"]}, run_root=tmp_path)
@@ -115,9 +112,13 @@ class TestSweep:
         assert len(dirs) == 2
         assert dirs[0].startswith("run000-")
         for run in runs:
-            assert run.result.run_dir is not None
-            assert (run.result.run_dir / "checkpoint" / "store" / "store.json").exists()
+            assert run.run_dir is not None
+            assert (run.run_dir / "checkpoint" / "store" / "store.json").exists()
 
     def test_empty_seeds_rejected(self, base):
         with pytest.raises(ConfigError, match="seeds"):
             sweep(base, {}, seeds=[])
+
+
+def _history_bytes(run) -> bytes:
+    return (run.run_dir / "history.json").read_bytes()
