@@ -24,15 +24,10 @@ import numpy as np
 from repro.errors import IngestError, VocabularyError
 from repro.ingest.delta import GraphDelta
 from repro.kg.graph import KGDataset
-from repro.kg.triples import TripleSet
+from repro.kg.triples import TripleSet, in_sorted, pack_triples
 from repro.kg.vocab import Vocabulary
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-
-def _pack(rows: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:
-    """Collision-free int64 key per ``(h, t, r)`` row."""
-    return (rows[:, 0] * num_entities + rows[:, 1]) * num_relations + rows[:, 2]
 
 
 @dataclass(frozen=True)
@@ -111,23 +106,27 @@ def apply_delta(
             ) from None
     ne, nr = len(entities), len(relations)
 
-    train_set = dataset.train.as_set()
-    for row, labeled in zip(deleted, delta.delete_triples):
-        if (int(row[0]), int(row[1]), int(row[2])) not in train_set:
-            raise IngestError(
-                f"cannot delete {labeled!r}: not a training triple"
-            )
-    known = train_set | dataset.valid.as_set() | dataset.test.as_set()
-    for row, labeled in zip(added, delta.add_triples):
-        if (int(row[0]), int(row[1]), int(row[2])) in known:
-            raise IngestError(
-                f"cannot add {labeled!r}: the dataset already contains it"
-            )
-
+    # Every row lies inside the successor's id spaces, so packed keys
+    # over (ne, nr) are collision-free; the first offender in delta
+    # order is the one named.
     train_arr = dataset.train.array
+    train_keys = pack_triples(train_arr, ne, nr)
+    deleted_keys = pack_triples(deleted, ne, nr)
+    absent = ~in_sorted(deleted_keys, np.sort(train_keys))
+    if absent.any():
+        labeled = delta.delete_triples[int(np.argmax(absent))]
+        raise IngestError(f"cannot delete {labeled!r}: not a training triple")
+    known_keys = np.concatenate(
+        [train_keys]
+        + [pack_triples(split.array, ne, nr) for split in (dataset.valid, dataset.test)]
+    )
+    present = in_sorted(pack_triples(added, ne, nr), np.sort(known_keys))
+    if present.any():
+        labeled = delta.add_triples[int(np.argmax(present))]
+        raise IngestError(f"cannot add {labeled!r}: the dataset already contains it")
+
     if len(deleted):
-        keep = ~np.isin(_pack(train_arr, ne, nr), _pack(deleted, ne, nr))
-        train_arr = train_arr[keep]
+        train_arr = train_arr[~in_sorted(train_keys, np.sort(deleted_keys))]
     if len(added):
         train_arr = np.concatenate([train_arr, added])
     if not len(train_arr):

@@ -15,30 +15,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.kg.triples import TripleSet
+from repro.kg.triples import HEAD, REL, TAIL, TripleSet, in_sorted, pack_triples
 from repro.kg.vocab import Vocabulary
+
+
+def _group_members(
+    rows: np.ndarray, anchor: int, member: int
+) -> dict[tuple[int, int], np.ndarray]:
+    """Sorted unique ``rows[:, member]`` per ``(rows[:, anchor], relation)`` key.
+
+    One stable sort over (anchor, relation, member) puts each key's
+    members next to each other in ascending order; repeated rows are
+    dropped in one pass, and every key's members are a slice of one
+    shared int64 array.  The three columns are sorted as separate keys,
+    never packed into one integer, so rows outside the id spaces (which
+    :meth:`FilterIndex.remove_triples` ignores) cannot alias another key.
+    """
+    order = np.lexsort((rows[:, member], rows[:, REL], rows[:, anchor]))
+    anchors, relations, members = (rows[order, col] for col in (anchor, REL, member))
+    starts_key = np.ones(len(order), dtype=bool)
+    starts_key[1:] = (anchors[1:] != anchors[:-1]) | (relations[1:] != relations[:-1])
+    keep = starts_key.copy()
+    keep[1:] |= members[1:] != members[:-1]
+    members = members[keep]
+    bounds = np.append(np.flatnonzero(starts_key[keep]), len(members)).tolist()
+    keys = zip(anchors[starts_key].tolist(), relations[starts_key].tolist())
+    return {key: members[lo:hi] for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])}
 
 
 def _sorted_insert(existing: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Merge sorted-unique *values* into sorted-unique *existing*."""
     if not len(existing):
         return values.copy()
-    pos = np.searchsorted(existing, values)
-    hit = (pos < len(existing)) & (existing[np.minimum(pos, len(existing) - 1)] == values)
+    hit = in_sorted(values, existing)
     if hit.all():
         return existing
-    return np.insert(existing, pos[~hit], values[~hit])
+    return np.insert(existing, np.searchsorted(existing, values[~hit]), values[~hit])
 
 
 def _sorted_remove(existing: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Drop sorted-unique *values* from sorted-unique *existing* (absent ok)."""
-    if not len(existing):
-        return existing
-    pos = np.searchsorted(existing, values)
-    hit = (pos < len(existing)) & (existing[np.minimum(pos, len(existing) - 1)] == values)
+    hit = in_sorted(values, existing)
     if not hit.any():
         return existing
-    return np.delete(existing, pos[hit])
+    return np.delete(existing, np.searchsorted(existing, values[hit]))
 
 
 class FilterIndex:
@@ -57,13 +77,8 @@ class FilterIndex:
     """
 
     def __init__(self, triples: TripleSet) -> None:
-        tails: dict[tuple[int, int], list[int]] = {}
-        heads: dict[tuple[int, int], list[int]] = {}
-        for h, t, r in triples:
-            tails.setdefault((h, r), []).append(t)
-            heads.setdefault((t, r), []).append(h)
-        self._tails = {k: np.unique(np.asarray(v, dtype=np.int64)) for k, v in tails.items()}
-        self._heads = {k: np.unique(np.asarray(v, dtype=np.int64)) for k, v in heads.items()}
+        self._tails = _group_members(triples.array, HEAD, TAIL)
+        self._heads = _group_members(triples.array, TAIL, HEAD)
         self.num_entities = triples.num_entities
         self.num_relations = triples.num_relations
 
@@ -124,17 +139,9 @@ class FilterIndex:
             self.num_relations = int(num_relations)
 
     def _update(self, rows: np.ndarray, op) -> None:
-        grouped_tails: dict[tuple[int, int], list[int]] = {}
-        grouped_heads: dict[tuple[int, int], list[int]] = {}
-        for h, t, r in rows:
-            grouped_tails.setdefault((int(h), int(r)), []).append(int(t))
-            grouped_heads.setdefault((int(t), int(r)), []).append(int(h))
-        for mapping, grouped in ((self._tails, grouped_tails), (self._heads, grouped_heads)):
-            for key, values in grouped.items():
-                updated = op(
-                    mapping.get(key, self._EMPTY),
-                    np.unique(np.asarray(values, dtype=np.int64)),
-                )
+        for mapping, anchor, member in ((self._tails, HEAD, TAIL), (self._heads, TAIL, HEAD)):
+            for key, values in _group_members(rows, anchor, member).items():
+                updated = op(mapping.get(key, self._EMPTY), values)
                 if len(updated):
                     mapping[key] = updated
                 else:
@@ -202,9 +209,10 @@ class KGDataset:
                 )
         if len(self.train) == 0:
             raise DatasetError("training split must be non-empty")
-        train_set = self.train.as_set()
+        train_keys = np.sort(pack_triples(self.train.array, ne, nr))
         for split_name, split in (("valid", self.valid), ("test", self.test)):
-            overlap = len(train_set & split.as_set())
+            keys = pack_triples(split.array, ne, nr)
+            overlap = len(np.unique(keys[in_sorted(keys, train_keys)]))
             if overlap:
                 raise DatasetError(
                     f"{overlap} triples appear in both train and {split_name}; "

@@ -30,6 +30,39 @@ def _as_triple_array(triples: object) -> np.ndarray:
     return arr
 
 
+def pack_triples(rows: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:
+    """Collision-free int64 key per ``(h, t, r)`` row.
+
+    Keys are distinct exactly when rows are, provided every row lies
+    inside the given id spaces (entity ids below *num_entities*,
+    relation ids below *num_relations*); callers pack only rows already
+    validated against one shared pair of sizes.  Membership and
+    deduplication then run on one int64 array instead of a set of
+    Python tuples.
+    """
+    if int(num_entities) ** 2 * int(num_relations) > np.iinfo(np.int64).max:
+        raise TripleError(
+            f"id spaces of {num_entities} entities / {num_relations} relations "
+            "are too large to pack triples into int64 keys"
+        )
+    rows = np.asarray(rows, dtype=np.int64)
+    return (rows[:, HEAD] * num_entities + rows[:, TAIL]) * num_relations + rows[:, REL]
+
+
+def in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the *values* that occur in ascending *sorted_keys*.
+
+    One binary search per value; unlike :func:`numpy.isin` it never
+    re-sorts *sorted_keys*, so a key array sorted once serves many probes.
+    """
+    if not len(sorted_keys):
+        return np.zeros(len(values), dtype=bool)
+    pos = np.searchsorted(sorted_keys, values)
+    return (pos < len(sorted_keys)) & (
+        sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == values
+    )
+
+
 class TripleSet:
     """An immutable set of ``(h, t, r)`` triples backed by a numpy array.
 
@@ -127,7 +160,8 @@ class TripleSet:
 
     def deduplicate(self) -> "TripleSet":
         """Drop duplicate triples, preserving first-occurrence order."""
-        _, first = np.unique(self._arr, axis=0, return_index=True)
+        keys = pack_triples(self._arr, self.num_entities, self.num_relations)
+        _, first = np.unique(keys, return_index=True)
         return self._like(self._arr[np.sort(first)])
 
     def shuffled(self, rng: np.random.Generator) -> "TripleSet":

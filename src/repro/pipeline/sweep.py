@@ -422,7 +422,7 @@ def sweep(
         _init_sweep_context(None)
         _DATASET_CACHE.clear()
     for spec, outcome in zip(pending, outcomes):
-        run = SweepRun(
+        runs[spec.index] = SweepRun(
             index=spec.index,
             overrides=spec.overrides,
             config=spec.config,
@@ -431,11 +431,11 @@ def sweep(
             metrics=outcome.value,
             run_dir=spec.run_dir,
         )
-        runs[spec.index] = run
-        if not run.ok and on_error == "raise":
-            raise SweepError(f"sweep child {run.label!r} failed:\n{run.error}")
     ordered = [runs[index] for index in sorted(runs)]
+    failed = [r for r in ordered if r.status == "failed"]
     obs_registry.inc("sweep.children", len(ordered))
     obs_registry.inc("sweep.cached", sum(1 for r in ordered if r.status == "cached"))
-    obs_registry.inc("sweep.failed", sum(1 for r in ordered if r.status == "failed"))
+    obs_registry.inc("sweep.failed", len(failed))
+    if failed and on_error == "raise":
+        raise SweepError(f"sweep child {failed[0].label!r} failed:\n{failed[0].error}")
     return ordered

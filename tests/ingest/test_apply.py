@@ -9,12 +9,15 @@ over randomized deltas below.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.errors import IngestError
 from repro.ingest import GraphDelta, MutableGraph, apply_delta
 from repro.kg.graph import FilterIndex, KGDataset
+from repro.kg.triples import TripleSet
 
 pytestmark = pytest.mark.ingest
 
@@ -103,10 +106,20 @@ class TestTransactionality:
 
     def test_delete_of_non_train_triple_refused(self, toy_dataset):
         before = len(toy_dataset.train)
-        # (dave, eve, likes) lives in the *valid* split
-        with pytest.raises(IngestError, match="not a training triple"):
+        # (dave, eve, likes) lives in the *valid* split, (carol, frank,
+        # likes) in *test*; the message names the first in delta order.
+        with pytest.raises(
+            IngestError,
+            match=re.escape("cannot delete ('dave', 'eve', 'likes'): not a training triple"),
+        ):
             apply_delta(
-                toy_dataset, GraphDelta(delete_triples=(("dave", "eve", "likes"),))
+                toy_dataset,
+                GraphDelta(
+                    delete_triples=(
+                        ("dave", "eve", "likes"),
+                        ("carol", "frank", "likes"),
+                    )
+                ),
             )
         assert len(toy_dataset.train) == before
 
@@ -118,13 +131,17 @@ class TestTransactionality:
 
     def test_add_of_existing_triple_refused(self, toy_dataset):
         num_entities = toy_dataset.num_entities
-        with pytest.raises(IngestError, match="already contains"):
+        with pytest.raises(
+            IngestError,
+            match=re.escape("cannot add ('alice', 'bob', 'likes'): the dataset already contains it"),
+        ):
             apply_delta(
                 toy_dataset,
                 GraphDelta(
                     add_triples=(
                         ("grace", "bob", "likes"),  # fine on its own
                         ("alice", "bob", "likes"),  # train duplicate
+                        ("dave", "eve", "likes"),  # valid duplicate
                     )
                 ),
             )
@@ -287,6 +304,31 @@ class TestIncrementalFilterIndex:
         assert set(source_index._tails) == set(snapshot)
         for key, values in snapshot.items():
             np.testing.assert_array_equal(source_index._tails[key], values)
+
+
+def test_no_tuple_set_on_construction_or_delta_path(toy_dataset, monkeypatch):
+    """Building a dataset, its filter index and ``all_triples()``, and
+    applying a delta, check triple membership on packed int64 keys: no
+    Python tuple set of the splits is built."""
+    splits = [named(toy_dataset, split.array) for split in toy_dataset.splits.values()]
+
+    def refuse(self):
+        raise AssertionError("TripleSet.as_set() called")
+
+    monkeypatch.setattr(TripleSet, "as_set", refuse)
+    dataset = KGDataset.from_labeled_triples(*splits, name="toy")
+    assert len(dataset.all_triples()) == 12
+    index = dataset.filter_index
+    delta = GraphDelta(
+        add_triples=(("grace", "alice", "likes"),),
+        delete_triples=(("alice", "bob", "likes"),),
+    )
+    successor, stats = apply_delta(dataset, delta)
+    assert stats.num_added == stats.num_deleted == 1
+    grace, alice, bob = (successor.entities.index(n) for n in ("grace", "alice", "bob"))
+    assert successor.filter_index.contains(grace, alice, 0)
+    assert not successor.filter_index.contains(alice, bob, 0)
+    assert index.contains(alice, bob, 0)
 
 
 class TestMutableGraph:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DatasetError
 from repro.kg.graph import FilterIndex, KGDataset, split_triples
@@ -39,6 +41,9 @@ class TestKGDataset:
     def test_train_test_overlap_raises(self):
         with pytest.raises(DatasetError, match="disjoint"):
             _dataset([[0, 1, 0]], test=[[0, 1, 0]])
+        # The count is of distinct triples, however often a split repeats one.
+        with pytest.raises(DatasetError, match="^1 triples appear in both train and test"):
+            _dataset([[0, 1, 0], [1, 2, 0]], test=[[0, 1, 0], [2, 3, 1], [0, 1, 0]])
 
     def test_out_of_vocab_ids_raise(self):
         with pytest.raises(DatasetError, match="outside"):
@@ -92,6 +97,76 @@ class TestFilterIndex:
     def test_filter_index_cached(self):
         ds = _dataset([[0, 1, 0]])
         assert ds.filter_index is ds.filter_index
+
+    def test_removing_rows_outside_the_id_spaces_changes_nothing(self, toy_dataset):
+        """``(a, t, num_relations)`` is out of range and must be ignored.  A
+        grouping key packed as ``anchor * num_relations + relation`` would
+        alias it onto ``(a + 1, 0)`` and drop the known tail ``t`` there."""
+        index = FilterIndex(toy_dataset.all_triples())
+        nr = toy_dataset.num_relations
+        a = next(h - 1 for h, r in index._tails if h >= 1 and r == 0)
+        t = int(index.true_tails(a + 1, 0)[0])
+        before = {
+            side: {key: members.copy() for key, members in getattr(index, side).items()}
+            for side in ("_tails", "_heads")
+        }
+        index.remove_triples(np.array([[a, t, nr]], dtype=np.int64))
+        for side, snapshot in before.items():
+            mapping = getattr(index, side)
+            assert set(mapping) == set(snapshot)
+            for key, members in snapshot.items():
+                np.testing.assert_array_equal(mapping[key], members)
+
+
+def _reference_index(rows: np.ndarray) -> tuple[dict, dict]:
+    """The per-triple construction: a dict of ``np.unique`` arrays per key."""
+    tails: dict[tuple[int, int], list[int]] = {}
+    heads: dict[tuple[int, int], list[int]] = {}
+    for h, t, r in rows.tolist():
+        tails.setdefault((h, r), []).append(t)
+        heads.setdefault((t, r), []).append(h)
+
+    def arrays(groups):
+        return {k: np.unique(np.asarray(v, dtype=np.int64)) for k, v in groups.items()}
+
+    return arrays(tails), arrays(heads)
+
+
+@st.composite
+def _triple_sets(draw) -> TripleSet:
+    """Random triple sets with repeated rows, one relation, one head, one
+    tail, or no rows at all."""
+    ne, nr = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["mixed", "one_relation", "one_head", "one_tail", "empty"]))
+    if shape == "empty":
+        return TripleSet.empty(ne, nr)
+    rows = np.array(
+        draw(
+            st.lists(
+                st.tuples(st.integers(0, ne - 1), st.integers(0, ne - 1), st.integers(0, nr - 1)),
+                min_size=1,
+                max_size=60,
+            )
+        ),
+        dtype=np.int64,
+    )
+    fixed = {"one_relation": 2, "one_head": 0, "one_tail": 1}.get(shape)
+    if fixed is not None:
+        rows[:, fixed] = rows[0, fixed]
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
+    return TripleSet(np.concatenate([rows, rows[repeats]]), ne, nr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_triple_sets())
+def test_property_index_equals_per_triple_reference(triples):
+    """Same keys and, per key, the same dtype and bytes as the per-triple build."""
+    index = FilterIndex(triples)
+    for actual, expected in zip((index._tails, index._heads), _reference_index(triples.array)):
+        assert set(actual) == set(expected)
+        for key, members in expected.items():
+            assert actual[key].dtype == members.dtype
+            assert actual[key].tobytes() == members.tobytes()
 
 
 class TestSplitTriples:

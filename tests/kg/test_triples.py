@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import TripleError
-from repro.kg.triples import TripleSet
+from repro.kg.triples import TripleSet, pack_triples
 
 
 @pytest.fixture
@@ -91,6 +91,15 @@ class TestTransforms:
     def test_deduplicate_keeps_first_occurrence_order(self):
         ts = TripleSet([[1, 2, 0], [0, 1, 0], [1, 2, 0]])
         assert ts.deduplicate().array.tolist() == [[1, 2, 0], [0, 1, 0]]
+
+    def test_packing_refuses_id_spaces_past_int64(self):
+        """Keys past int64 would wrap and alias distinct triples."""
+        rows = np.array([[0, 1, 0]], dtype=np.int64)
+        assert pack_triples(rows, 3_000_000_000, 1).tolist() == [1]
+        with pytest.raises(TripleError, match="too large"):
+            pack_triples(rows, 3_100_000_000, 1)
+        with pytest.raises(TripleError, match="too large"):
+            TripleSet(rows, 10**8, 10**3).deduplicate()
 
     def test_shuffled_is_permutation(self, triples):
         shuffled = triples.shuffled(np.random.default_rng(0))

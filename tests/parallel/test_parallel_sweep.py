@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError, SweepError
+from repro.obs.registry import MetricsRegistry, metrics_scope
 from repro.pipeline.config import DatasetSection, ModelSection, RunConfig, TrainingSection
 from repro.pipeline.sweep import config_hash, read_status, sweep, write_status
 from repro.reliability.faults import FaultPlan, FaultSpec
@@ -111,9 +112,16 @@ class TestCrashIsolation:
         assert status["status"] == "failed"
         assert "num_entities" in status["error"]
 
+    @staticmethod
+    def assert_children_counted(registry):
+        assert registry.counter_value("sweep.children") == 2
+        assert registry.counter_value("sweep.failed") == 1
+
     def test_serial_default_raises(self, base):
-        with pytest.raises(SweepError, match="num_entities"):
-            sweep(base, self.BAD_GRID)
+        with metrics_scope(MetricsRegistry()) as registry:
+            with pytest.raises(SweepError, match="num_entities"):
+                sweep(base, self.BAD_GRID)
+        self.assert_children_counted(registry)
 
     def test_serial_record_mode_isolates(self, base, tmp_path):
         runs = sweep(base, self.BAD_GRID, run_root=tmp_path, on_error="record")
@@ -121,8 +129,10 @@ class TestCrashIsolation:
         assert read_status(runs[1].run_dir)["status"] == "failed"
 
     def test_parallel_raise_mode_raises(self, base):
-        with pytest.raises(SweepError, match="failed"):
-            sweep(base, self.BAD_GRID, workers=2, on_error="raise")
+        with metrics_scope(MetricsRegistry()) as registry:
+            with pytest.raises(SweepError, match="failed"):
+                sweep(base, self.BAD_GRID, workers=2, on_error="raise")
+        self.assert_children_counted(registry)
 
     def test_bad_on_error_rejected(self, base):
         with pytest.raises(ConfigError, match="on_error"):

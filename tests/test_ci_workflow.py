@@ -8,6 +8,7 @@ local runs), quick mode on pull requests, the full suite on main.
 
 from __future__ import annotations
 
+import ast
 import re
 import subprocess
 import sys
@@ -117,10 +118,41 @@ def test_every_benchmark_file_runs_in_ci():
         assert f"benchmarks/{bench.name}" in suites or bench.name in loaded, bench.name
 
 
-def test_jobs_install_pytest_benchmark(workflow):
-    for job in workflow["jobs"].values():
-        installs = " ".join(step.get("run", "") for step in job["steps"])
-        assert "pytest-benchmark" in installs
+#: Import name -> pip distribution, where the two differ.
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+def _top_level_third_party_imports() -> set[str]:
+    """Packages the test tree imports at module level, outside the stdlib,
+    ``repro`` and ``tests``: a fresh runner must install each of them or
+    collection fails."""
+    found = set()
+    for path in (REPO_ROOT / "tests").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in ("repro", "tests"):
+                    found.add(DISTRIBUTIONS.get(top, top))
+    return found
+
+
+def test_jobs_install_every_test_dependency(workflow):
+    """Each job installs what the tests import, plus pytest-benchmark
+    (the benchmark suites) and scipy (the compiled segment-sum path in
+    ``nn/optimizers.py`` that training runs)."""
+    required = _top_level_third_party_imports() | {"pytest-benchmark", "scipy"}
+    assert {"numpy", "pytest", "hypothesis"} <= required
+    for name, job in workflow["jobs"].items():
+        installs = " ".join(step.get("run", "") for step in job["steps"]).split()
+        missing = sorted(required - set(installs))
+        assert not missing, f"job {name!r} does not install {missing}"
 
 
 def test_ci_script_runs_the_serving_daemon_smoke():
