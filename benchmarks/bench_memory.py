@@ -9,10 +9,11 @@ full scale), then serves the same top-10 queries through two arms:
   answers are the recall ground truth.
 * **mapped** — the checkpoint downcast to float32 (behind the
   score-equivalence gate) and saved in the memory-mapped store layout,
-  per-relation folded candidate matrices materialized into a mapped
-  :class:`~repro.core.memstore.MemStore`, and a product-quantized IVF
-  index (ADC coarse pass, exact re-rank) persisted and reloaded in its
-  memmap layout — every big table file-backed and shared, none private.
+  and a product-quantized IVF index (ADC coarse pass, exact re-rank)
+  built over the mapped model, persisted and reloaded in its memmap
+  layout — every big table file-backed and shared, none private.  The
+  build's folded candidate matrices are transient: serving reads only
+  the raw query vectors and the persisted partitions.
 
 For each arm the bench records the tracked working set split into
 private in-process bytes vs file-backed mapped bytes
@@ -44,11 +45,10 @@ from tempfile import TemporaryDirectory
 import numpy as np
 import pytest
 
-from repro.core.memstore import MemStore, array_memory
+from repro.core.memstore import array_memory
 from repro.core.models import make_complex
 from repro.core.serialization import load_model, save_model
 from repro.index.base import load_index
-from repro.index.folded_vectors import FoldedCandidateSource
 from repro.index.ivf import IVFIndex
 from repro.index.pq import PQConfig
 from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
@@ -218,10 +218,6 @@ def run_benchmark(
     mapped_model = load_model(root / "ckpt")
     ckpt_meta = json.loads((root / "ckpt" / "meta.json").read_text(encoding="utf-8"))
 
-    fold_store = MemStore.create(root / "folds")
-    FoldedCandidateSource(mapped_model, store=fold_store).materialize(
-        relations=[int(r) for r in bench_relations], sides=("tail",), dtype="float32"
-    )
     pq = PQConfig(
         m=scale_config["pq_m"],
         refine=scale_config["refine"],
@@ -236,19 +232,16 @@ def run_benchmark(
         seed=0,
         pq=pq,
         train_sample=scale_config["kmeans_train_sample"],
-        fold_store=MemStore.open(root / "folds"),
     )
     builder.build(relations=bench_relations, sides=("tail",))
     builder.save(root / "index")
     build_seconds = time.perf_counter() - started
-    artifact_bytes = _tree_bytes(root / "ckpt", root / "folds", root / "index")
+    artifact_bytes = _tree_bytes(root / "ckpt", root / "index")
     del builder, exact, model
     gc.collect()
 
     # ------------------------------------------- mapped: float32 + PQ-IVF serve
-    index = load_index(
-        root / "index", mapped_model, fold_store=MemStore.open(root / "folds")
-    )
+    index = load_index(root / "index", mapped_model)
     predictor = LinkPredictor(mapped_model, dataset, cache_size=0, index=index)
     mapped_batch_seconds = _time_batch(
         lambda: predictor.top_k(heads, relations, side="tail", k=TOP_K)
@@ -264,7 +257,7 @@ def run_benchmark(
         _model_arrays(mapped_model) + index.resident_arrays()
     )
     mapped = {
-        "storage": "float32 memmap checkpoint + materialized folds + PQ-IVF memmap",
+        "storage": "float32 memmap checkpoint + PQ-IVF memmap",
         "tracked_in_process_bytes": mapped_private,
         "tracked_mapped_bytes": mapped_bytes,
         "artifact_bytes_on_disk": artifact_bytes,

@@ -1,11 +1,11 @@
-"""Parallel-evaluation benchmark: sharded ranking sweeps vs the serial path.
+"""Parallel-evaluation benchmark: pooled ranking sweeps vs the serial path.
 
 Times filtered link-prediction evaluation of a paper-scale synthetic
 graph through :class:`LinkPredictionEvaluator` at its default
-``(shards, workers) == (1, 0)`` (the serial path) and at several other
-``(shards, workers)`` settings, verifying on every row that the sharded
-metrics are **bit-identical** to the serial ones (the engine's core
-contract — parallelism must never change results).
+``workers=0`` (the serial path) and at several worker counts (each
+splits both sides into that many blocks), verifying on every row that
+the pooled metrics are **bit-identical** to the serial ones (the
+engine's core contract — parallelism must never change results).
 
 Results go to ``BENCH_parallel.json`` at the repository root (see
 ``benchmarks/README.md`` for the schema).  The JSON records
@@ -49,18 +49,11 @@ DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_parallel.json"
 #: least this speedup over the serial evaluator.
 SPEEDUP_TARGET = 2.0
 
-#: (shards, workers) settings benchmarked at full scale.
-FULL_SETTINGS = (
-    (4, 0),
-    (2, 2),
-    (4, 4),
-)
+#: Worker counts benchmarked at full scale.
+FULL_SETTINGS = (2, 4)
 
-#: Reduced settings for smoke runs (still exercises pool workers once).
-FAST_SETTINGS = (
-    (2, 0),
-    (2, 2),
-)
+#: Reduced settings for smoke runs.
+FAST_SETTINGS = (1, 2)
 
 
 def _build_setup(fast: bool):
@@ -123,14 +116,11 @@ def run_benchmark(
     serial_seconds, serial_result = _timed_evaluate(serial_evaluator, model, repeats)
 
     rows = []
-    for shards, workers in FAST_SETTINGS if fast else FULL_SETTINGS:
-        evaluator = LinkPredictionEvaluator(
-            dataset, batch_size=batch_size, shards=shards, workers=workers
-        )
+    for workers in FAST_SETTINGS if fast else FULL_SETTINGS:
+        evaluator = LinkPredictionEvaluator(dataset, batch_size=batch_size, workers=workers)
         seconds, result = _timed_evaluate(evaluator, model, repeats)
         rows.append(
             {
-                "shards": shards,
                 "workers": workers,
                 "seconds": seconds,
                 "triples_per_sec": num_eval / seconds,
@@ -186,7 +176,7 @@ def format_results(results: dict) -> str:
         f"{serial['triples_per_sec']:>10.1f} {'1.00x':>8} {'(ref)':>10}"
     )
     for row in results["sharded"]:
-        label = f"shards={row['shards']}, workers={row['workers']}"
+        label = f"workers={row['workers']}"
         lines.append(
             f"{label:<28} {row['seconds']:>9.3f} {row['triples_per_sec']:>10.1f} "
             f"{row['speedup_vs_serial']:>7.2f}x {str(row['metrics_match_serial']):>10}"

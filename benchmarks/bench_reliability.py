@@ -154,7 +154,7 @@ def _bench_crash_retry(fast: bool) -> dict:
         np.random.default_rng(5),
     )
     start = time.perf_counter()
-    clean = LinkPredictionEvaluator(dataset, shards=4, workers=0).evaluate(model, "test")
+    clean = LinkPredictionEvaluator(dataset).evaluate(model, "test")
     clean_seconds = time.perf_counter() - start
 
     plan = FaultPlan.of(
@@ -162,7 +162,7 @@ def _bench_crash_retry(fast: bool) -> dict:
     )
     start = time.perf_counter()
     healed = LinkPredictionEvaluator(
-        dataset, shards=4, workers=2, retries=1, fault_plan=plan
+        dataset, workers=2, retries=1, fault_plan=plan
     ).evaluate(model, "test")
     healed_seconds = time.perf_counter() - start
     return {

@@ -1,12 +1,13 @@
 """Training-throughput benchmark: compiled ω kernels vs the dense oracle.
 
 For every model class (DistMult, ComplEx, CP, CPh, quaternion, learned-ω)
-this bench times ``train_step`` on the synthetic FB15k-flavoured dataset
-twice — once through the compiled-kernel fused hot path (the default
-engine) and once through the dense-einsum reference engine
-(``use_compiled_kernel=False``, the pre-kernel implementation kept as the
-correctness oracle) — and verifies that one step of each engine from the
-same initialisation produces identical scores and parameters to 1e-10.
+this bench times a train step on the synthetic FB15k-flavoured dataset
+twice — once through the model's own compiled-kernel fused hot path and
+once through the dense-einsum reference engine
+(``tests/core/dense_reference.py``, the pre-kernel implementation kept
+as the correctness oracle) — and verifies that one step of each engine
+from the same initialisation produces identical scores and parameters
+to 1e-10.
 
 Results go to ``BENCH_training.json`` at the repository root (see
 ``benchmarks/README.md`` for the schema).  Run modes:
@@ -43,6 +44,11 @@ from repro.nn.optimizers import make_optimizer
 from repro.training.negatives import UniformNegativeSampler
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone: the oracle lives under tests/
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.core.dense_reference import DenseReference  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_training.json"
 
 #: Model classes benchmarked, with their factory functions.
@@ -70,19 +76,16 @@ FAST_SCALE = dict(num_entities=200, total_dim=32, batch_size=64, warmup=1, repea
 
 
 def _build_pair(name: str, num_entities: int, num_relations: int, total_dim: int):
-    """The same model twice from one seed: kernel engine and dense oracle."""
+    """The same model twice from one seed: one trained by its kernel, one
+    wrapped in the dense oracle (its parameters are ``.model``'s)."""
     builder = MODEL_BUILDERS[name]
     kernel_model = builder(
         num_entities, num_relations, total_dim, np.random.default_rng(17)
     )
-    dense_model = builder(
-        num_entities,
-        num_relations,
-        total_dim,
-        np.random.default_rng(17),
-        use_compiled_kernel=False,
+    dense = DenseReference(
+        builder(num_entities, num_relations, total_dim, np.random.default_rng(17))
     )
-    return kernel_model, dense_model
+    return kernel_model, dense
 
 
 def _sample_batch(dataset, batch_size: int, seed: int):
@@ -96,14 +99,15 @@ def _sample_batch(dataset, batch_size: int, seed: int):
     return positives, negatives
 
 
-def _median_step_seconds(model, positives, negatives, warmup: int, repeats: int) -> float:
+def _median_step_seconds(engine, positives, negatives, warmup: int, repeats: int) -> float:
+    """Median ``engine.train_step`` wall-clock (a model or a DenseReference)."""
     optimizer = make_optimizer("adam", 1e-3)
     for _ in range(warmup):
-        model.train_step(positives, negatives, optimizer)
+        engine.train_step(positives, negatives, optimizer)
     timings = []
     for _ in range(repeats):
         start = time.perf_counter()
-        model.train_step(positives, negatives, optimizer)
+        engine.train_step(positives, negatives, optimizer)
         timings.append(time.perf_counter() - start)
     return float(np.median(timings))
 
@@ -111,22 +115,23 @@ def _median_step_seconds(model, positives, negatives, warmup: int, repeats: int)
 def _equivalence_deltas(name: str, num_entities: int, num_relations: int,
                         total_dim: int, positives, negatives) -> dict:
     """Max |kernel − dense| after identical steps from identical inits."""
-    kernel_model, dense_model = _build_pair(name, num_entities, num_relations, total_dim)
+    kernel_model, dense = _build_pair(name, num_entities, num_relations, total_dim)
     kernel_opt = make_optimizer("adam", 1e-3)
     dense_opt = make_optimizer("adam", 1e-3)
     score_delta = float(
         np.max(
             np.abs(
                 kernel_model.score_triples(positives[:, 0], positives[:, 1], positives[:, 2])
-                - dense_model.score_triples(positives[:, 0], positives[:, 1], positives[:, 2])
+                - dense.score_triples(positives[:, 0], positives[:, 1], positives[:, 2])
             )
         )
     )
     loss_delta = 0.0
     for _ in range(2):
         loss_kernel = kernel_model.train_step(positives, negatives, kernel_opt)
-        loss_dense = dense_model.train_step(positives, negatives, dense_opt)
+        loss_dense = dense.train_step(positives, negatives, dense_opt)
         loss_delta = max(loss_delta, abs(loss_kernel - loss_dense))
+    dense_model = dense.model
     param_delta = max(
         float(np.max(np.abs(kernel_model.entity_embeddings - dense_model.entity_embeddings))),
         float(np.max(np.abs(kernel_model.relation_embeddings - dense_model.relation_embeddings))),
@@ -149,14 +154,14 @@ def run_benchmark(fast: bool = False, json_path: Path | str | None = DEFAULT_JSO
 
     models = {}
     for name in MODEL_BUILDERS:
-        kernel_model, dense_model = _build_pair(
+        kernel_model, dense = _build_pair(
             name, dataset.num_entities, dataset.num_relations, scale["total_dim"]
         )
         kernel_seconds = _median_step_seconds(
             kernel_model, positives, negatives, scale["warmup"], scale["repeats"]
         )
         dense_seconds = _median_step_seconds(
-            dense_model, positives, negatives, scale["warmup"], scale["repeats"]
+            dense, positives, negatives, scale["warmup"], scale["repeats"]
         )
         models[name] = {
             "kernel_mode": kernel_model.kernel.mode,

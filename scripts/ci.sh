@@ -54,12 +54,29 @@ DAEMON_SUITES=(
   tests/serving/test_server_metrics.py
   tests/reliability/test_server_degraded.py
   tests/ingest/test_server_ingest.py
+  tests/serving/test_wire_fuzz.py
 )
 echo "== asyncio daemon suites under -X dev =="
 python -X dev -W error::ResourceWarning -m pytest -q "${DAEMON_SUITES[@]}"
 
 echo "== benchmark smoke tests =="
 python -m pytest -q "${SMOKE_TESTS[@]}"
+
+# The repository benchmark, each workload for two seconds with the
+# per-layer trace on: the traced mode imports and patches every library
+# name perfbench wraps, so a deletion that breaks the benchmark fails
+# here.  Each run must exit 0, and its last line must report a correct
+# run with no failed operations.
+echo "== perfbench smoke =="
+for workload in serve-exact serve-ivfpq-ingest train-eval; do
+  echo "-- $workload"
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+  python3 -c '
+import json, sys
+result = json.loads(sys.argv[1])
+assert result["correct"] is True and result["failed"] == 0, sys.argv[1][:400]
+' "$result"
+done
 
 # Callers tier-1 never executes: the pytest-benchmark suites at toy
 # scale (timing off, host-dependent `slow` timing assertions deselected;

@@ -94,11 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--optimizer", default="adam",
                        help="optimizer registry name (sgd, adagrad, adam)")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--shards", type=int, default=None,
-                       help="split each ranking evaluation into this many shards "
-                            "(metrics are bit-identical to the serial evaluator)")
     train.add_argument("--workers", type=int, default=None,
-                       help="worker processes scoring evaluation shards "
+                       help="worker processes ranking evaluation blocks; metrics are "
+                            "bit-identical to the serial evaluator "
                             "(0 = in-process; default from --config, else 0)")
     train.add_argument("--quiet", action="store_true")
     train.add_argument("--dtype", choices=DOWNCAST_DTYPES,
@@ -243,22 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--total-dim", type=int, default=64)
     table.add_argument("--epochs", type=int, default=300)
     table.add_argument("--seed", type=int, default=0)
-    table.add_argument("--shards", type=int, default=None,
-                       help="evaluation shards per table row (bit-identical metrics)")
     table.add_argument("--workers", type=int, default=None,
-                       help="worker processes scoring evaluation shards (0 = in-process)")
+                       help="worker processes ranking evaluation blocks per table row "
+                            "(0 = in-process; bit-identical metrics)")
     return parser
 
 
 def _apply_parallel_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Overlay ``--shards``/``--workers`` onto a config's parallel section."""
-    if args.shards is None and args.workers is None:
+    """Overlay ``--workers`` onto a config's parallel section."""
+    if args.workers is None:
         return config
     data = config.to_dict()
-    if args.shards is not None:
-        data["parallel"]["eval_shards"] = args.shards
-    if args.workers is not None:
-        data["parallel"]["eval_workers"] = args.workers
+    data["parallel"]["eval_workers"] = args.workers
     return RunConfig.from_dict(data)
 
 

@@ -13,16 +13,13 @@ unit-L2-norm constraint on entity embeddings after each step.  The
 gradients are certified against the autodiff engine and finite
 differences by the test-suite.
 
-Scoring and training run on one of two engines:
-
-* the **compiled kernel** (default) — ω is compiled once per model into
-  a term-grouped program over its nonzero entries
-  (:mod:`repro.core.kernels`), and ``train_step`` runs a fused hot path
-  with preallocated gather buffers, a reused forward combination, and
-  duplicate-aware scatter accumulation;
-* the **dense reference** (``use_compiled_kernel=False``) — the
-  original per-call ``np.einsum`` contraction of the full ω lattice,
-  kept verbatim as the correctness oracle the kernel is tested against.
+Scoring and training run on one engine, the **compiled kernel**: ω is
+compiled once per model into a term-grouped program over its nonzero
+entries (:mod:`repro.core.kernels`), and ``train_step`` runs a fused hot
+path with preallocated gather buffers, a reused forward combination, and
+duplicate-aware scatter accumulation.  The test-suite certifies it to
+1e-10 against an independent dense-einsum oracle
+(``tests/core/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -38,18 +35,17 @@ from repro.errors import ConfigError, ModelError
 from repro.nn.constraints import UnitNormConstraint
 from repro.nn.initializers import get_initializer
 from repro.nn.losses import LogisticLoss
-from repro.nn.optimizers import Optimizer, aggregate_rows, scatter_accumulate_transposed
+from repro.nn.optimizers import Optimizer, scatter_accumulate_transposed
 from repro.nn.regularizers import L2Regularizer, N3Regularizer
 
 
 @dataclass
 class _BatchCache:
-    """Forward-pass tensors reused by the backward pass.
+    """Forward-pass tensors handed to the :meth:`_extra_updates` hook.
 
     The fused train step fills the embedding fields with transposed
-    *views* into its per-batch workspace buffers, so the layout contract
-    (``(b, slots, D)``) holds either way but fused-path views are only
-    valid until the next step.
+    *views* into its per-batch workspace buffers: the layout is
+    ``(b, slots, D)``, and the views are only valid until the next step.
     """
 
     heads: np.ndarray  # (b,) entity ids
@@ -134,11 +130,6 @@ class MultiEmbeddingModel(KGEModel):
         ``"l2"`` (paper Eq. 16, default) or ``"n3"`` (the cubic nuclear
         norm of Lacroix et al. 2018, the regulariser that — together
         with inverse augmentation — makes CP competitive at scale).
-    use_compiled_kernel:
-        Route scoring and training through the compiled ω kernel and the
-        fused train step (default).  ``False`` selects the dense-einsum
-        reference engine — the original implementation, kept as the
-        oracle the kernel is certified against.
     """
 
     def __init__(
@@ -153,7 +144,6 @@ class MultiEmbeddingModel(KGEModel):
         unit_norm_entities: bool = True,
         loss: LogisticLoss | None = None,
         regularizer_kind: str = "l2",
-        use_compiled_kernel: bool = True,
     ) -> None:
         if num_entities < 1 or num_relations < 1:
             raise ConfigError("id spaces must be non-empty")
@@ -185,7 +175,6 @@ class MultiEmbeddingModel(KGEModel):
             raise ConfigError(f"unknown regularizer_kind {regularizer_kind!r}; use 'l2' or 'n3'")
         self.loss = loss or LogisticLoss()
         self.constraint = UnitNormConstraint() if unit_norm_entities else None
-        self.use_compiled_kernel = bool(use_compiled_kernel)
         self._kernel: OmegaKernel | None = None
         self._kernel_omega: np.ndarray | None = None
         self._kernel_version: int = -1
@@ -312,25 +301,10 @@ class MultiEmbeddingModel(KGEModel):
             raise ModelError("heads, tails, relations must be 1-D arrays of equal length")
         return heads, tails, relations
 
-    def _forward(
-        self, heads: np.ndarray, tails: np.ndarray, relations: np.ndarray
-    ) -> _BatchCache:
-        """Reference forward pass: dense per-call einsum over the ω lattice."""
-        heads, tails, relations = self._validate_triples(heads, tails, relations)
-        h_vecs = self.entity_embeddings[heads]
-        t_vecs = self.entity_embeddings[tails]
-        r_vecs = self.relation_embeddings[relations]
-        # ⟨·,·,·⟩ lattice contracted with ω:  C[b, j, d] = Σ_{ik} ω_ijk h_i r_k
-        combined = np.einsum("ijk,bid,bkd->bjd", self.omega, h_vecs, r_vecs, optimize=True)
-        scores = np.einsum("bjd,bjd->b", combined, t_vecs, optimize=True)
-        return _BatchCache(heads, tails, relations, h_vecs, t_vecs, r_vecs, scores)
-
     def score_triples(
         self, heads: np.ndarray, tails: np.ndarray, relations: np.ndarray
     ) -> np.ndarray:
         """Eq. 8 scores for a batch of triples."""
-        if not self.use_compiled_kernel:
-            return self._forward(heads, tails, relations).scores
         heads, tails, relations = self._validate_triples(heads, tails, relations)
         return self.kernel.score_triples(
             gather_transposed(self.entity_embeddings, heads),
@@ -344,16 +318,8 @@ class MultiEmbeddingModel(KGEModel):
         """``(b, n_e * D)`` anchor/relation combination for sweep scoring.
 
         For ``side="tail"`` the anchors are heads and the combination
-        lives in the tail slots (and vice versa).  Dispatches to the
-        compiled kernel or the reference einsum.
+        lives in the tail slots (and vice versa).
         """
-        anchor_vecs_needed = not self.use_compiled_kernel
-        if anchor_vecs_needed:
-            anchor_vecs = self.entity_embeddings[anchors]
-            r_vecs = self.relation_embeddings[relations]
-            spec = "ijk,bid,bkd->bjd" if side == "tail" else "ijk,bjd,bkd->bid"
-            combined = np.einsum(spec, self.omega, anchor_vecs, r_vecs, optimize=True)
-            return combined.reshape(len(anchors), -1)
         anchor_t = gather_transposed(self.entity_embeddings, anchors)
         r_t = gather_transposed(self.relation_embeddings, relations)
         kernel = self.kernel
@@ -413,93 +379,15 @@ class MultiEmbeddingModel(KGEModel):
             return flat @ entity_flat[candidates[0]].T
         return np.einsum("bf,bcf->bc", flat, entity_flat[candidates], optimize=True)
 
-    # --------------------------------------------------------------- gradients
-    def _score_gradients(
-        self, cache: _BatchCache, grad_scores: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-occurrence gradients of the weighted loss w.r.t. H, T, R rows.
-
-        ``grad_scores`` is dL/dS per batch element; the trilinear form
-        gives, e.g., ``dS/dh^(i) = Σ_{jk} ω_ijk (t^(j) ⊙ r^(k))``.
-        """
-        omega = self.omega
-        g = grad_scores[:, None, None]
-        grad_h = g * np.einsum("ijk,bjd,bkd->bid", omega, cache.t_vecs, cache.r_vecs, optimize=True)
-        grad_t = g * np.einsum("ijk,bid,bkd->bjd", omega, cache.h_vecs, cache.r_vecs, optimize=True)
-        grad_r = g * np.einsum("ijk,bid,bjd->bkd", omega, cache.h_vecs, cache.t_vecs, optimize=True)
-        return grad_h, grad_t, grad_r
-
-    def _omega_gradient(self, cache: _BatchCache, grad_scores: np.ndarray) -> np.ndarray:
-        """dL/dω — used only by trainable-ω subclasses."""
-        return np.einsum(
-            "b,bid,bjd,bkd->ijk",
-            grad_scores,
-            cache.h_vecs,
-            cache.t_vecs,
-            cache.r_vecs,
-            optimize=True,
-        )
-
     # ---------------------------------------------------------------- training
     def train_step(
         self, positives: np.ndarray, negatives: np.ndarray, optimizer: Optimizer
     ) -> float:
         """One optimisation step on a batch (Eq. 16 loss + L2 + constraint).
 
-        Runs the fused kernel hot path by default; the dense reference
-        step (``use_compiled_kernel=False``) computes the same update
-        through the original einsum/`aggregate_rows` pipeline.  Tables
-        still mapped read-only from a checkpoint become private copies
-        first (same values, same ``scoring_version``).
-        """
-        if not self.entity_embeddings.flags.writeable:
-            self.entity_embeddings = np.array(self.entity_embeddings)
-        if not self.relation_embeddings.flags.writeable:
-            self.relation_embeddings = np.array(self.relation_embeddings)
-        positives = np.asarray(positives, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
-        if self.use_compiled_kernel:
-            return self._train_step_fused(positives, negatives, optimizer)
-        return self._train_step_reference(positives, negatives, optimizer)
-
-    def _train_step_reference(
-        self, positives: np.ndarray, negatives: np.ndarray, optimizer: Optimizer
-    ) -> float:
-        """The original dense train step, kept as the equivalence oracle."""
-        triples = np.concatenate([positives, negatives], axis=0)
-        labels = np.concatenate(
-            [np.ones(len(positives)), -np.ones(len(negatives))]
-        )
-        cache = self._forward(triples[:, 0], triples[:, 1], triples[:, 2])
-        loss_value = self.loss.value(cache.scores, labels)
-        grad_scores = self.loss.grad_score(cache.scores, labels)
-        grad_h, grad_t, grad_r = self._score_gradients(cache, grad_scores)
-
-        # Per-occurrence L2 of Eq. 16 (each triple penalises its own
-        # embedding vectors), averaged over the batch like the data loss.
-        if self.regularizer.strength > 0.0:
-            inv_batch = 1.0 / len(triples)
-            loss_value += inv_batch * (
-                self.regularizer.value(cache.h_vecs)
-                + self.regularizer.value(cache.t_vecs)
-                + self.regularizer.value(cache.r_vecs)
-            )
-            grad_h = grad_h + inv_batch * self.regularizer.grad(cache.h_vecs)
-            grad_t = grad_t + inv_batch * self.regularizer.grad(cache.t_vecs)
-            grad_r = grad_r + inv_batch * self.regularizer.grad(cache.r_vecs)
-
-        self._apply_updates(cache, grad_h, grad_t, grad_r, optimizer)
-        self._extra_updates(cache, grad_scores, optimizer)
-        self._bump_scoring_version()
-        return float(loss_value)
-
-    def _train_step_fused(
-        self, positives: np.ndarray, negatives: np.ndarray, optimizer: Optimizer
-    ) -> float:
-        """Compiled-kernel hot path: one step, three contractions, no lattice.
-
-        Identical update to :meth:`_train_step_reference` (within float
-        re-association; certified to 1e-10 by the test-suite) but:
+        Compiled-kernel hot path: three contractions, no ω lattice.
+        Compared with a plain dense-einsum step (the test-suite's oracle,
+        matched to 1e-10):
 
         * embeddings are gathered into preallocated transposed buffers,
         * the forward combination is reused as the tail gradient,
@@ -508,14 +396,22 @@ class MultiEmbeddingModel(KGEModel):
           ``np.add.at`` over full-width temporaries, and
         * the optimizer update runs through
           :meth:`~repro.nn.optimizers.Optimizer.step_sparse_fused`.
+
+        Tables still mapped read-only from a checkpoint become private
+        copies first (same values, same ``scoring_version``).
         """
+        if not self.entity_embeddings.flags.writeable:
+            self.entity_embeddings = np.array(self.entity_embeddings)
+        if not self.relation_embeddings.flags.writeable:
+            self.relation_embeddings = np.array(self.relation_embeddings)
+        positives = np.asarray(positives, dtype=np.int64)
+        negatives = np.asarray(negatives, dtype=np.int64)
         kernel = self.kernel
         heads = np.concatenate([positives[:, 0], negatives[:, 0]])
         tails = np.concatenate([positives[:, 1], negatives[:, 1]])
         relations = np.concatenate([positives[:, 2], negatives[:, 2]])
         batch = len(heads)
         if batch == 0:
-            # Match the reference path, which fails in the loss' checks.
             raise ConfigError("loss requires at least one example")
         ws = self._workspace(batch)
         labels = np.concatenate(
@@ -602,23 +498,6 @@ class MultiEmbeddingModel(KGEModel):
         self._extra_updates(cache, grad_scores, optimizer)
         self._bump_scoring_version()
         return float(loss_value)
-
-    def _apply_updates(
-        self,
-        cache: _BatchCache,
-        grad_h: np.ndarray,
-        grad_t: np.ndarray,
-        grad_r: np.ndarray,
-        optimizer: Optimizer,
-    ) -> None:
-        entity_indices = np.concatenate([cache.heads, cache.tails])
-        entity_grads = np.concatenate([grad_h, grad_t], axis=0)
-        rows, grads = aggregate_rows(entity_indices, entity_grads)
-        optimizer.step_sparse("entities", self.entity_embeddings, rows, grads)
-        if self.constraint is not None:
-            self.constraint.apply(self.entity_embeddings, rows)
-        rel_rows, rel_grads = aggregate_rows(cache.relations, grad_r)
-        optimizer.step_sparse("relations", self.relation_embeddings, rel_rows, rel_grads)
 
     def _extra_updates(
         self, cache: _BatchCache, grad_scores: np.ndarray, optimizer: Optimizer

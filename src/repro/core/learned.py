@@ -125,7 +125,6 @@ class LearnedWeightModel(MultiEmbeddingModel):
         initializer: str = "unit_normalized",
         init_scale: float = 0.1,
         loss: LogisticLoss | None = None,
-        use_compiled_kernel: bool = True,
     ) -> None:
         shape = (num_entity_vectors, num_entity_vectors, num_relation_vectors)
         placeholder = WeightVector(f"Auto weight ({transform})", np.ones(shape))
@@ -138,7 +137,6 @@ class LearnedWeightModel(MultiEmbeddingModel):
             regularization=regularization,
             initializer=initializer,
             loss=loss,
-            use_compiled_kernel=use_compiled_kernel,
         )
         self.transform = make_transform(transform)
         self.sparsity = sparsity
@@ -176,15 +174,9 @@ class LearnedWeightModel(MultiEmbeddingModel):
     def _extra_updates(
         self, cache: _BatchCache, grad_scores: np.ndarray, optimizer: Optimizer
     ) -> None:
-        # The kernel's ω gradient reuses a cached contraction path; in
-        # reference mode the inherited ``_omega_gradient`` einsum runs so
-        # the oracle arm shares no code with the compiled engine.
-        if self.use_compiled_kernel:
-            grad_omega = self.kernel.omega_gradient(
-                grad_scores, cache.h_vecs, cache.t_vecs, cache.r_vecs
-            )
-        else:
-            grad_omega = self._omega_gradient(cache, grad_scores)
+        grad_omega = self.kernel.omega_gradient(
+            grad_scores, cache.h_vecs, cache.t_vecs, cache.r_vecs
+        )
         if self.sparsity is not None:
             grad_omega = grad_omega + self.sparsity.grad(self._omega_cache)
         grad_rho = self.transform.backward(self.rho, self._omega_cache, grad_omega)

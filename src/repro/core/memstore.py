@@ -98,7 +98,7 @@ class MemStore:
     for an existing one; :meth:`put` writes an array crash-safely,
     :meth:`get` maps one read-only after checking its recorded sha256.
     ``extra`` is a free-form JSON dict callers stamp provenance into
-    (e.g. the model fingerprint a folded-matrix store was built from).
+    when they create the store (e.g. the index kind it holds).
     """
 
     def __init__(
@@ -202,11 +202,6 @@ class MemStore:
         """Total logical bytes of every stored array."""
         return int(sum(entry["nbytes"] for entry in self._entries.values()))
 
-    def update_extra(self, **values) -> None:
-        """Merge provenance keys into ``extra`` and persist the meta."""
-        self.extra.update(values)
-        self._write_meta()
-
     def flush(self) -> None:
         """Atomically persist the meta — the commit point for :meth:`begin`."""
         self._write_meta()
@@ -227,7 +222,7 @@ class MemStore:
         return out
 
     # --------------------------------------------------------------- access
-    def put(self, name: str, array: np.ndarray, dtype=None, flush: bool = True) -> np.ndarray:
+    def put(self, name: str, array: np.ndarray, flush: bool = True) -> np.ndarray:
         """Write *array* crash-safely and return its read-only mapping.
 
         An existing entry of the same name is atomically replaced.  The
@@ -240,8 +235,6 @@ class MemStore:
         """
         _check_name(name)
         array = np.asarray(array)
-        if dtype is not None:
-            array = array.astype(dtype, copy=False)
         payload = npy_bytes(array)
         filename = f"{name}.npy"
         path = self.directory / filename

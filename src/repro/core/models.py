@@ -47,19 +47,12 @@ def make_model(
     dim: int | None = None,
     total_dim: int | None = None,
     regularization: float = 0.0,
-    use_compiled_kernel: bool = True,
     **kwargs: object,
 ) -> MultiEmbeddingModel:
     """Build a multi-embedding model from a weight vector or preset name.
 
     Exactly one of ``dim`` (per-vector dimension) or ``total_dim``
     (parameter-parity budget, split across vectors) must be given.
-
-    ``use_compiled_kernel`` selects the scoring engine: the default
-    compiles ω's nonzero terms into batched kernels
-    (:mod:`repro.core.kernels`) shared by training and serving;
-    ``False`` keeps the dense-einsum reference path, which every
-    benchmark uses as its baseline arm.
     """
     if isinstance(weights, str):
         weights = get_preset(weights)
@@ -74,7 +67,6 @@ def make_model(
         weights,
         rng,
         regularization=regularization,
-        use_compiled_kernel=use_compiled_kernel,
         **kwargs,
     )
 

@@ -91,7 +91,6 @@ def model_state(model: MultiEmbeddingModel) -> tuple[dict, dict[str, np.ndarray]
         "weight_shape": list(model.weights.tensor.shape),
         "regularization": model.regularizer.strength,
         "unit_norm_entities": model.constraint is not None,
-        "use_compiled_kernel": model.use_compiled_kernel,
     }
     if isinstance(model, LearnedWeightModel):
         arrays["rho"] = model.rho
@@ -107,15 +106,13 @@ def model_from_state(meta: dict, arrays: dict[str, np.ndarray]) -> MultiEmbeddin
     """Rebuild a model from a :func:`model_state` pair.
 
     The returned model scores bit-identically to the source model: the
-    embedding tables are adopted as-is and the scoring engine flag
-    (``use_compiled_kernel``) is restored, so both take the same einsum
-    paths.  Optimizer state is not part of the contract (retraining
-    restarts moments from zero).
+    embedding tables are adopted as-is and both score through the same
+    compiled ω kernel.  The engine flag that checkpoints recorded while
+    a second (dense-einsum) engine existed is ignored.  Optimizer state
+    is not part of the contract (retraining restarts moments from zero).
     """
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ModelError(f"unsupported checkpoint version: {meta.get('format_version')}")
-    # Checkpoints written before the engine flag existed ran the default.
-    use_kernel = bool(meta.get("use_compiled_kernel", True))
 
     # Tables are overwritten below, so skip the random init entirely
     # ("empty" allocates untouched pages): at million-entity scale the
@@ -141,7 +138,6 @@ def model_from_state(meta: dict, arrays: dict[str, np.ndarray]) -> MultiEmbeddin
             sparsity=sparsity,
             regularization=meta["regularization"],
             initializer="empty",
-            use_compiled_kernel=use_kernel,
         )
         model.rho = np.array(arrays["rho"])  # ρ must stay trainable/writable
         model.refresh_omega()
@@ -156,7 +152,6 @@ def model_from_state(meta: dict, arrays: dict[str, np.ndarray]) -> MultiEmbeddin
             regularization=meta["regularization"],
             initializer="empty",
             unit_norm_entities=meta["unit_norm_entities"],
-            use_compiled_kernel=use_kernel,
         )
     else:
         raise ModelError(f"unknown model class in checkpoint: {meta['model_class']}")

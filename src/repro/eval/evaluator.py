@@ -15,16 +15,16 @@ boundaries cannot reorder scores or break exact ties, so metrics are
 bit-identical for any ``batch_size`` (the chunking regression test pins
 this down for sizes 1, 7 and full-batch).
 
-``shards`` and ``workers`` spread the same sweeps over
+``workers`` spreads the same sweeps over
 :func:`~repro.parallel.pool.run_tasks`: each side's eval triples are cut
-into contiguous blocks at multiples of ``batch_size``, and every
-``(side, block)`` pair becomes one task, scored in process
-(``workers=0``) or in worker processes that rebuild the model from a
+into ``workers`` contiguous blocks at multiples of ``batch_size``, and
+every ``(side, block)`` pair becomes one task, scored in a worker
+process that rebuilds the model from a
 :class:`~repro.parallel.payload.ModelPayload`.  A task issues exactly
-the chunk sweeps the unsharded path would, so merged metrics are
-bit-identical by construction for any shard and worker count.  Sharding
-buys wall-clock on multi-core hosts; it does not shrink the score
-matrix, which ``batch_size`` bounds either way.
+the chunk sweeps the serial path would, so merged metrics are
+bit-identical by construction for any worker count.  Workers buy
+wall-clock on multi-core hosts; they do not shrink the score matrix,
+which ``batch_size`` bounds either way.
 """
 
 from __future__ import annotations
@@ -83,17 +83,17 @@ class LinkPredictionEvaluator:
         Cutoffs for Hits@k.
     tie_policy:
         Tie handling convention, see :mod:`repro.eval.ranking`.
-    shards:
-        Batch-aligned blocks each side's eval triples are split into.
     workers:
-        Worker processes scoring the blocks; ``0`` scores them in
-        process.  The default ``(shards, workers) == (1, 0)`` ranks each
-        side with one :func:`compute_side_ranks` call and never touches
-        the pool; any other setting runs the block plan through
-        :func:`~repro.parallel.pool.run_tasks` with the same metrics.
+        Worker processes; each ranks one batch-aligned block of each
+        side's eval triples, so the pool runs ``2 * workers`` tasks with
+        the serial metrics.  ``0`` (default) ranks each side with one
+        :func:`compute_side_ranks` call in process and never touches the
+        pool.  Inside a pool worker (e.g. a parallel-sweep child) or a
+        daemonic process the evaluator also runs serially: a grandchild
+        pool would oversubscribe the machine, or be forbidden outright.
     retries, backoff, task_timeout, fault_plan:
         Forwarded to :func:`~repro.parallel.pool.run_tasks` on the
-        sharded path.  Block results are deterministic in their inputs,
+        pooled path.  Block results are deterministic in their inputs,
         so ``retries=1`` (default) heals a worker lost to OOM or a
         segfault without any risk of changing metrics; deterministic
         failures still fail fast.
@@ -106,7 +106,6 @@ class LinkPredictionEvaluator:
         filtered: bool = True,
         hits_at: tuple[int, ...] = DEFAULT_HITS_AT,
         tie_policy: str = "average",
-        shards: int = 1,
         workers: int = 0,
         retries: int = 1,
         backoff: float = 0.0,
@@ -121,8 +120,6 @@ class LinkPredictionEvaluator:
             raise EvaluationError(
                 f"unknown tie policy {tie_policy!r}; known: {TIE_POLICIES}"
             )
-        if shards < 1:
-            raise EvaluationError(f"shards must be >= 1, got {shards}")
         if workers < 0:
             raise EvaluationError(f"workers must be >= 0, got {workers}")
         if retries < 0:
@@ -138,7 +135,6 @@ class LinkPredictionEvaluator:
         self.filtered = bool(filtered)
         self.hits_at = tuple(hits_at)
         self.tie_policy = tie_policy
-        self.shards = int(shards)
         self.workers = int(workers)
         self.retries = int(retries)
         self.backoff = float(backoff)
@@ -175,7 +171,10 @@ class LinkPredictionEvaluator:
             raise EvaluationError(f"max_triples must be >= 1 or None, got {max_triples}")
         arr = triples.array[:max_triples]
         filter_index = self.dataset.filter_index if self.filtered else None
-        if self.shards == 1 and self.workers == 0:
+        workers = self.workers
+        if in_worker_process() or multiprocessing.current_process().daemon:
+            workers = 0
+        if workers == 0:
             tail_ranks = compute_side_ranks(
                 model, arr, filter_index, "tail", self.batch_size, self.tie_policy
             )
@@ -183,7 +182,9 @@ class LinkPredictionEvaluator:
                 model, arr, filter_index, "head", self.batch_size, self.tie_policy
             )
         else:
-            tail_ranks, head_ranks = self._sharded_side_ranks(model, arr, filter_index)
+            tail_ranks, head_ranks = self._pooled_side_ranks(
+                model, arr, filter_index, workers
+            )
         tail_metrics = compute_metrics(tail_ranks, self.hits_at)
         head_metrics = compute_metrics(head_ranks, self.hits_at)
         return EvaluationResult(
@@ -194,49 +195,38 @@ class LinkPredictionEvaluator:
         )
 
     # ----------------------------------------------------------------- helpers
-    def _sharded_side_ranks(
-        self, model: KGEModel, arr: np.ndarray, filter_index: FilterIndex | None
+    def _pooled_side_ranks(
+        self,
+        model: KGEModel,
+        arr: np.ndarray,
+        filter_index: FilterIndex | None,
+        workers: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run the block plan through the pool and concatenate each side."""
-        slices = plan_shards(len(arr), self.shards, align=self.batch_size).slices()
+        slices = plan_shards(len(arr), workers, align=self.batch_size).slices()
         tasks = [(side, start, stop) for side in ("tail", "head") for start, stop in slices]
-        workers = self.workers
-        if workers > 0 and (
-            in_worker_process() or multiprocessing.current_process().daemon
-        ):
-            # Already inside a pool worker (e.g. a parallel-sweep child)
-            # or a daemonic process: spawning a grandchild pool would
-            # oversubscribe the machine (or be outright forbidden for
-            # daemons).  The in-process path yields the same metrics.
-            workers = 0
-        shipped = model_to_payload(model) if workers > 0 else model
-        if isinstance(shipped, ModelPayload):
-            # The sharing win is observable: store-backed models ship
-            # file paths, not table bytes, so per-worker dispatch cost
-            # stays flat as the model grows.
-            logger.info(
-                "dispatching %d eval shards to %d workers — %s",
-                len(tasks),
-                workers,
-                describe_shipping(shipped),
+        payload = model_to_payload(model)
+        # The sharing win is observable: store-backed models ship file
+        # paths, not table bytes, so per-worker dispatch cost stays flat
+        # as the model grows.
+        logger.info(
+            "dispatching %d eval shards to %d workers — %s",
+            len(tasks),
+            workers,
+            describe_shipping(payload),
+        )
+        with trace_scope("eval.sharded", shards=len(tasks), workers=workers):
+            outcomes = run_tasks(
+                _run_shard_task,
+                tasks,
+                workers=workers,
+                initializer=_init_eval_context,
+                initargs=(payload, arr, filter_index, self.batch_size, self.tie_policy),
+                retries=self.retries,
+                backoff=self.backoff,
+                task_timeout=self.task_timeout,
+                fault_plan=self.fault_plan,
             )
-        try:
-            with trace_scope("eval.sharded", shards=len(tasks), workers=workers):
-                outcomes = run_tasks(
-                    _run_shard_task,
-                    tasks,
-                    workers=workers,
-                    initializer=_init_eval_context,
-                    initargs=(shipped, arr, filter_index, self.batch_size, self.tie_policy),
-                    retries=self.retries,
-                    backoff=self.backoff,
-                    task_timeout=self.task_timeout,
-                    fault_plan=self.fault_plan,
-                )
-        finally:
-            # workers=0 installed the context in *this* process; drop it
-            # so the model/filter references don't outlive the call.
-            _clear_eval_context()
         failed = [outcome for outcome in outcomes if not outcome.ok]
         if failed:
             raise EvaluationError(
@@ -261,8 +251,8 @@ def compute_side_ranks(
     Streams chunks of ``batch_size`` queries through a
     :class:`BatchedScorer`; each chunk's ``(chunk, num_entities)`` score
     matrix is ranked and discarded before the next is computed.  Both
-    evaluation paths run it: once per side, or once per shard task on
-    that shard's block of triples.
+    evaluation paths run it: once per side, or once per pool task on
+    that task's block of triples.
     """
     if side == "tail":
         anchors, true_indices = triples[:, 0], triples[:, 1]
@@ -345,30 +335,17 @@ _EVAL_CTX: _EvalContext | None = None
 
 
 def _init_eval_context(
-    model_or_payload: KGEModel | ModelPayload,
+    payload: ModelPayload,
     triples: np.ndarray,
     filter_index: FilterIndex | None,
     batch_size: int,
     tie_policy: str,
 ) -> None:
-    """Pool initializer: set up this process's evaluation context.
-
-    Runs once per worker (or once in-process for ``workers=0``, where
-    the live model object is passed instead of a payload).
-    """
+    """Pool initializer: rebuild the model once per worker process."""
     global _EVAL_CTX
-    model = (
-        model_from_payload(model_or_payload)
-        if isinstance(model_or_payload, ModelPayload)
-        else model_or_payload
+    _EVAL_CTX = _EvalContext(
+        model_from_payload(payload), triples, filter_index, batch_size, tie_policy
     )
-    _EVAL_CTX = _EvalContext(model, triples, filter_index, batch_size, tie_policy)
-
-
-def _clear_eval_context() -> None:
-    """Drop the module-global context (frees model/filter references)."""
-    global _EVAL_CTX
-    _EVAL_CTX = None
 
 
 def _run_shard_task(task: tuple[str, int, int]) -> np.ndarray:

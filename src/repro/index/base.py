@@ -318,22 +318,19 @@ def check_loaded_meta(meta: dict, model, on_stale: str) -> bool:
     return False
 
 
-def load_index(directory: str | Path, model, on_stale: str = "rebuild", fold_store=None):
+def load_index(directory: str | Path, model, on_stale: str = "rebuild"):
     """Load any saved index, dispatching on its persisted ``kind``.
 
     Stale indexes (fingerprint mismatch) come back empty under the
     ``"rebuild"`` policy — partitions are rebuilt lazily on first use —
-    and raise :class:`StaleIndexError` under ``"error"``.  *fold_store*
-    (a :class:`~repro.core.memstore.MemStore` of materialized folded
-    matrices) is forwarded to index kinds that serve from folds, so a
-    reloaded index keeps re-mapping shared pages instead of refolding.
+    and raise :class:`StaleIndexError` under ``"error"``.
     """
     meta = read_index_meta(directory)
     kind = meta.get("kind")
     if kind == "ivf":
         from repro.index.ivf import IVFIndex
 
-        return IVFIndex.load(directory, model, on_stale=on_stale, fold_store=fold_store)
+        return IVFIndex.load(directory, model, on_stale=on_stale)
     if kind == "exact":
         from repro.index.exact import ExactIndex
 

@@ -23,15 +23,6 @@ are measured — which measurably improves recall at a fixed probe budget.
 Folded matrices are built lazily per ``(relation, side)``, kept in a
 configurable LRU (they are ``(N, n_e·D)`` — big at million-entity
 scale), and invalidated whenever the model's ``scoring_version`` moves.
-At scale the source can additionally be backed by a
-:class:`~repro.core.memstore.MemStore`: :meth:`materialize` folds every
-requested relation once into mapped ``.npy`` files (optionally
-downcast), and later cache misses re-map those pages instead of
-re-running the einsum — cheap for every pool worker and serving process
-on the machine, because the pages are shared.  The store is stamped
-with the model's parameter fingerprint and ignored when it does not
-match, so a store from yesterday's checkpoint can never silently feed
-today's index.
 """
 
 from __future__ import annotations
@@ -42,14 +33,8 @@ import numpy as np
 
 from repro.core.base import CANDIDATE_SIDES
 from repro.core.interaction import MultiEmbeddingModel
-from repro.core.memstore import MemStore
 from repro.errors import ServingError
 from repro.obs.registry import MetricsRegistry
-
-
-def fold_store_key(relation: int, side: str) -> str:
-    """Store entry name of one folded matrix (e.g. ``tail_3``)."""
-    return f"{side}_{relation}"
 
 
 def fold_candidate_matrix(
@@ -121,23 +106,17 @@ class FoldedCandidateSource:
     query vectors (:meth:`query_matrix`) and the per-partition centroids
     are needed, so the big folded matrices never stay resident.
 
-    *store*, when given, is a :class:`~repro.core.memstore.MemStore`
-    used read-through: cache misses check it before folding, and
-    :meth:`materialize` fills it.  Store entries are trusted only while
-    their stamped fingerprint matches the model's parameters.
-
     Cache outcomes are counted into *metrics* (the owning index's
     registry; a private one by default) as ``index.fold_cache.*``:
-    ``misses`` of which ``store_hits`` re-mapped a materialized fold, and
-    ``evictions`` — a high rate against few relations means
-    ``max_cached`` is too small and folds are recomputed over and over.
+    ``hits``, ``misses`` and ``evictions`` — a high eviction rate against
+    few relations means ``max_cached`` is too small and folds are
+    recomputed over and over.
     """
 
     def __init__(
         self,
         model: MultiEmbeddingModel,
         max_cached: int = 2,
-        store: MemStore | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if not isinstance(model, MultiEmbeddingModel):
@@ -149,15 +128,11 @@ class FoldedCandidateSource:
             raise ServingError("max_cached must be >= 1")
         self.model = model
         self.max_cached = int(max_cached)
-        self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        for name in ("hits", "misses", "evictions", "store_hits"):
+        for name in ("hits", "misses", "evictions"):
             self.metrics.inc("index.fold_cache." + name, 0)
         self._cache: OrderedDict[tuple[int, str], np.ndarray] = OrderedDict()
         self._cache_version = model.scoring_version
-        # None = not yet checked; checked lazily because fingerprinting
-        # hashes the full parameter tables (expensive at scale).
-        self._store_usable: bool | None = None if store is not None else False
 
     @property
     def version(self) -> int:
@@ -191,68 +166,16 @@ class FoldedCandidateSource:
         anchors = np.asarray(anchors, dtype=np.int64)
         return self.entity_matrix()[anchors]
 
-    # ------------------------------------------------------------ store path
-    def _store_ok(self) -> bool:
-        """Whether the backing store's folds match the current parameters.
-
-        Fingerprinted once per source (hashing the tables is expensive);
-        a later training step permanently disables the store for this
-        source — the folds on disk describe the old parameters.
-        """
-        if self._store_usable is None:
-            from repro.index.base import model_fingerprint
-
-            self._store_usable = self.store.extra.get(
-                "fingerprint"
-            ) == model_fingerprint(self.model)
-        return bool(self._store_usable)
-
-    def materialize(
-        self,
-        relations=None,
-        sides: tuple[str, ...] = ("tail", "head"),
-        dtype: str | None = None,
-    ) -> int:
-        """Fold every requested ``(relation, side)`` into the backing store.
-
-        Entries are written as mappable ``.npy`` files (optionally
-        downcast to *dtype* — the fold is a shortlist geometry, not a
-        score, so float32 folds only move which candidates are probed,
-        never the exact re-rank).  The store is stamped with the model's
-        fingerprint; returns the number of matrices written.
-        """
-        if self.store is None:
-            raise ServingError("no store attached; pass store= to materialize folds")
-        if relations is None:
-            relations = range(self.model.num_relations)
-        from repro.index.base import model_fingerprint
-
-        written = 0
-        for side in sides:
-            for relation in relations:
-                matrix = fold_candidate_matrix(self.model, int(relation), side)
-                self.store.put(fold_store_key(int(relation), side), matrix, dtype=dtype)
-                written += 1
-        self.store.update_extra(
-            fingerprint=model_fingerprint(self.model), kind="folded_candidates"
-        )
-        self._store_usable = True
-        return written
-
     def candidate_matrix(self, relation: int, side: str = "tail") -> np.ndarray:
         """The folded candidate matrix of ``(relation, side)``, LRU-cached.
 
         Cached entries are dropped whenever the model trains, so a
         matrix handed out here always matches the current parameters.
-        Misses consult the backing store (if any) before recomputing the
-        fold; all outcomes are counted in :attr:`metrics`.
+        All outcomes are counted in :attr:`metrics`.
         """
         if self._cache_version != self.version:
             self._cache.clear()
             self._cache_version = self.version
-            if self.store is not None:
-                # The stored folds describe the pre-training parameters.
-                self._store_usable = False
         key = (int(relation), side)
         hit = self._cache.get(key)
         if hit is not None:
@@ -260,12 +183,7 @@ class FoldedCandidateSource:
             self.metrics.inc("index.fold_cache.hits")
             return hit
         self.metrics.inc("index.fold_cache.misses")
-        name = fold_store_key(int(relation), side)
-        if self.store is not None and name in self.store and self._store_ok():
-            matrix = self.store.get(name)
-            self.metrics.inc("index.fold_cache.store_hits")
-        else:
-            matrix = fold_candidate_matrix(self.model, int(relation), side)
+        matrix = fold_candidate_matrix(self.model, int(relation), side)
         if len(self._cache) >= self.max_cached:
             self._cache.popitem(last=False)
             self.metrics.inc("index.fold_cache.evictions")

@@ -249,7 +249,7 @@ _BUILD_CTX: dict | None = None
 
 
 def _init_build_context(
-    model_or_payload: MultiEmbeddingModel | ModelPayload,
+    payload: ModelPayload,
     nlist: int,
     seed: int,
     iters: int,
@@ -259,13 +259,8 @@ def _init_build_context(
 ) -> None:
     """Pool initializer: rebuild the model once per worker process."""
     global _BUILD_CTX
-    model = (
-        model_from_payload(model_or_payload)
-        if isinstance(model_or_payload, ModelPayload)
-        else model_or_payload
-    )
     _BUILD_CTX = {
-        "source": FoldedCandidateSource(model),
+        "source": FoldedCandidateSource(model_from_payload(payload)),
         "nlist": nlist,
         "seed": seed,
         "iters": iters,
@@ -376,11 +371,6 @@ class IVFIndex(CandidateIndex):
         LRU capacity of the folded-matrix cache (matrices are
         ``(N, n_e·D)`` — at million-entity scale each one is the
         dominant build-time allocation).
-    fold_store:
-        Optional :class:`~repro.core.memstore.MemStore` of materialized
-        folded matrices; cache misses re-map these instead of
-        recomputing the fold (see
-        :meth:`~repro.index.folded_vectors.FoldedCandidateSource.materialize`).
     on_stale:
         ``"rebuild"`` (drop partitions when the model trains; default)
         or ``"error"`` (raise :class:`~repro.errors.StaleIndexError`).
@@ -403,13 +393,12 @@ class IVFIndex(CandidateIndex):
         pq: PQConfig | None = None,
         train_sample: int | None = None,
         fold_cache: int = 2,
-        fold_store=None,
         on_stale: str = "rebuild",
         workers: int = 0,
     ) -> None:
         super().__init__(model, on_stale=on_stale)
         self._source = FoldedCandidateSource(
-            model, max_cached=fold_cache, store=fold_store, metrics=self.metrics
+            model, max_cached=fold_cache, metrics=self.metrics
         )
         n = model.num_entities
         if nlist is None:
@@ -920,7 +909,6 @@ class IVFIndex(CandidateIndex):
         directory,
         model: MultiEmbeddingModel,
         on_stale: str = "rebuild",
-        fold_store=None,
     ) -> "IVFIndex":
         """Restore a saved IVF index against *model*.
 
@@ -945,7 +933,6 @@ class IVFIndex(CandidateIndex):
             pq=PQConfig.from_dict(pq_meta) if pq_meta is not None else None,
             train_sample=meta.get("train_sample"),
             fold_cache=meta.get("fold_cache", 2),
-            fold_store=fold_store,
             on_stale=on_stale,
         )
         if not check_loaded_meta(meta, model, on_stale):

@@ -4,9 +4,9 @@ Worker processes never receive a live model object: they receive a
 :class:`ModelPayload` — the same ``(meta, arrays)`` state that disk
 checkpoints store (:mod:`repro.core.serialization`), minus the
 filesystem.  Rebuilding from the payload restores the embedding tables
-bit-for-bit *and* the scoring-engine flag, so a worker-side model scores
-bit-identically to the parent's — the property sharded evaluation's
-exactness guarantee rests on.
+bit-for-bit, so a worker-side model scores bit-identically to the
+parent's — the property pooled evaluation's exactness guarantee rests
+on.
 
 Store-backed models ship by reference: when a table is a whole-file
 ``.npy`` memory map (a loaded checkpoint or any other
@@ -84,7 +84,7 @@ def model_to_payload(model: KGEModel) -> ModelPayload:
         raise ModelError(
             "parallel workers rebuild models from checkpoint state, which only "
             f"multi-embedding models support; got {type(model).__name__}. "
-            "Use workers=0 for in-process sharding of other model classes."
+            "Use workers=0 to evaluate other model classes in process."
         )
     meta, arrays = model_state(model)
     copied: dict[str, np.ndarray] = {}

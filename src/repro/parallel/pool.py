@@ -97,6 +97,11 @@ def _worker_bootstrap(
 ) -> None:
     """Per-worker setup: mark the process, arm faults, run the initializer.
 
+    The worker runs exactly *fault_plan*: a forked worker inherits its
+    parent's active injector, which belongs to the task level that armed
+    it (e.g. an outer in-process ``run_tasks`` whose task started this
+    pool), so ``None`` clears it.
+
     ``telemetry`` mirrors whether the *parent* had a metrics registry
     installed when the pool was built: the flag (not the registry — it
     is process-local state) ships across the process boundary, and the
@@ -105,8 +110,7 @@ def _worker_bootstrap(
     """
     global _IN_WORKER_PROCESS
     _IN_WORKER_PROCESS = True
-    if fault_plan is not None:
-        faults.install_fault_injector(FaultInjector(fault_plan))
+    faults.install_fault_injector(FaultInjector(fault_plan) if fault_plan is not None else None)
     if telemetry:
         obs_registry.install_metrics_registry(MetricsRegistry())
     if initializer is not None:
@@ -261,18 +265,21 @@ def _in_process_attempt(
     fault_plan: FaultPlan | None,
     attempt: int,
 ) -> list[TaskOutcome]:
-    """The ``workers=0`` twin of :func:`_pool_attempt` (same classification)."""
-    previous = None
-    installed = fault_plan is not None
-    if installed:
-        previous = faults.install_fault_injector(FaultInjector(fault_plan))
+    """The ``workers=0`` twin of :func:`_pool_attempt` (same classification).
+
+    The round runs exactly *fault_plan* (``None`` arms nothing), and the
+    caller's injector comes back afterwards: a plan stays at the task
+    level that armed it.
+    """
+    previous = faults.install_fault_injector(
+        FaultInjector(fault_plan) if fault_plan is not None else None
+    )
     try:
         if initializer is not None:
             initializer(*initargs)
         return [_call_captured(fn, attempt, item) for item in indexed]
     finally:
-        if installed:
-            faults.install_fault_injector(previous)
+        faults.install_fault_injector(previous)
 
 
 def run_tasks(
@@ -323,7 +330,9 @@ def run_tasks(
     fault_plan:
         Optional :class:`~repro.reliability.faults.FaultPlan` armed in
         every worker (and in-process for ``workers=0``); the hook that
-        makes chaos tests reproducible.
+        makes chaos tests reproducible.  It is the only plan the tasks
+        see: an injector active in the caller is not inherited, so a
+        nested ``run_tasks`` never consumes faults aimed at its parent.
     """
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")

@@ -109,7 +109,7 @@ class ModelSection:
     Prefix the name with ``omega:`` to force preset resolution when a
     factory shadows the preset key (e.g. ``omega:distmult``).
     ``options`` forwards extra factory keywords (``transform``/``sparse``
-    for the learned model, ``use_compiled_kernel``, a ``loss`` name…).
+    for the learned model, a ``loss`` name…).
     """
 
     name: str = "complex"
@@ -321,25 +321,19 @@ class StorageSection:
 class ParallelSection:
     """Parallel-execution settings for the run's evaluation phase.
 
-    ``eval_shards`` splits each side's eval triples into that many
-    batch-aligned blocks; ``eval_workers`` scores the blocks in that
-    many worker processes (``0`` = in-process).  Both go straight to the
-    run's one :class:`~repro.eval.evaluator.LinkPredictionEvaluator`,
-    which validation and final evaluation share.  They change
-    wall-clock time, never results: every block runs exactly the chunk
-    sweeps of the unsharded evaluation, so metrics are bit-identical by
-    construction.  ``evaluation.batch_size`` is the setting that bounds
-    memory.
+    ``eval_workers`` worker processes each rank one batch-aligned block
+    of each side's eval triples (``0`` = serial, in process).  It goes
+    straight to the run's one
+    :class:`~repro.eval.evaluator.LinkPredictionEvaluator`, which
+    validation and final evaluation share.  It changes wall-clock time,
+    never results: every block runs exactly the chunk sweeps of the
+    serial evaluation, so metrics are bit-identical by construction.
+    ``evaluation.batch_size`` is the setting that bounds memory.
     """
 
-    eval_shards: int = 1
     eval_workers: int = 0
 
     def __post_init__(self) -> None:
-        if self.eval_shards < 1:
-            raise ConfigError(
-                f"parallel.eval_shards must be >= 1, got {self.eval_shards}"
-            )
         if self.eval_workers < 0:
             raise ConfigError(
                 f"parallel.eval_workers must be >= 0, got {self.eval_workers}"
@@ -546,17 +540,22 @@ class RunConfig:
             raise ConfigError(f"run config field 'seed' must be an integer, got {seed!r}")
         # Configs that set a retired switch still load: ``storage.memmap``
         # (one checkpoint layout is left), ``parallel.shard_axis`` (one
-        # ranking algorithm is left), ``serving.max_wait_ms`` (the
+        # ranking algorithm is left), ``parallel.eval_shards`` (the block
+        # plan follows ``eval_workers``), ``model.options.use_compiled_kernel``
+        # (one scoring engine is left), ``serving.max_wait_ms`` (the
         # batcher no longer waits for stragglers) and ``serving.default_k``
         # (never read: a wire request without ``k`` gets 10).
         storage = _drop_retired(data.get("storage", {}), "memmap")
-        parallel = _drop_retired(data.get("parallel", {}), "shard_axis")
+        parallel = _drop_retired(data.get("parallel", {}), "shard_axis", "eval_shards")
         serving = _drop_retired(data.get("serving", {}), "max_wait_ms", "default_k")
+        model = data.get("model", {})
+        if isinstance(model, Mapping) and "options" in model:
+            model = {**model, "options": _drop_retired(model["options"], "use_compiled_kernel")}
         return cls(
             dataset=_section_from_dict(
                 DatasetSection, data.get("dataset", {}), "dataset"
             ),
-            model=_section_from_dict(ModelSection, data.get("model", {}), "model"),
+            model=_section_from_dict(ModelSection, model, "model"),
             training=_section_from_dict(
                 TrainingSection, data.get("training", {}), "training"
             ),

@@ -148,16 +148,13 @@ def build_model(config: RunConfig, dataset: KGDataset) -> KGEModel:
 def _build_evaluator(config: RunConfig, dataset: KGDataset) -> LinkPredictionEvaluator:
     """The run's one evaluator, shared by validation and final evaluation.
 
-    ``config.parallel`` only shards the same sweeps, so metrics and
-    validation history never depend on it.
+    ``config.parallel`` only spreads the same sweeps over workers, so
+    metrics and validation history never depend on it.
     """
     section = config.evaluation
     kwargs = {} if section.batch_size is None else {"batch_size": section.batch_size}
     return LinkPredictionEvaluator(
-        dataset,
-        shards=config.parallel.eval_shards,
-        workers=config.parallel.eval_workers,
-        **kwargs,
+        dataset, workers=config.parallel.eval_workers, **kwargs
     )
 
 

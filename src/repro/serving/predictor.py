@@ -126,9 +126,6 @@ class LinkPredictor:
         Explicit filter index (overrides the dataset's).
     cache_size:
         Capacity of the LRU score cache; ``0`` disables caching.
-    chunk_size:
-        Max query rows per underlying sweep (memory bound); ``None``
-        derives it from the scorer's element budget.
     index:
         Optional :class:`~repro.index.base.CandidateIndex` built over
         this same model.  Full-sweep entity queries (no explicit
@@ -151,7 +148,6 @@ class LinkPredictor:
         *,
         filter_index: FilterIndex | None = None,
         cache_size: int = 4096,
-        chunk_size: int | None = None,
         index=None,
         recall_sample_every: int = 0,
     ) -> None:
@@ -161,7 +157,7 @@ class LinkPredictor:
             raise ServingError("recall_sample_every must be >= 0")
         self.model = model
         self.dataset = dataset
-        self.scorer = BatchedScorer(model, chunk_size=chunk_size)
+        self.scorer = BatchedScorer(model)
         self._filter_index = filter_index
         self.cache = LRUScoreCache(cache_size) if cache_size else None
         self._model_version = model.scoring_version
@@ -250,7 +246,7 @@ class LinkPredictor:
         if "index.fold_cache.evictions" in counters:
             out["fold_cache"] = {
                 name: counters[f"index.fold_cache.{name}"]
-                for name in ("hits", "misses", "evictions", "store_hits")
+                for name in ("hits", "misses", "evictions")
             }
         return out
 

@@ -72,7 +72,8 @@ that gap with a stdlib-only asyncio service:
     carry either the payload (``ok: true``) or a structured error with
     a machine-readable ``code`` (``ok: false``).  A request line longer
     than :data:`MAX_LINE_BYTES` is answered with code ``too_large`` and
-    skipped; the connection keeps serving.  Filtered-out candidates'
+    skipped, and a line that is not a UTF-8 JSON object with code
+    ``bad_request``; the connection keeps serving.  Filtered-out candidates'
     ``-inf`` scores are transported as ``null``.
 
 *Telemetry*: the server's :class:`~repro.obs.MetricsRegistry` holds the
@@ -1113,12 +1114,16 @@ async def _serve_connection(
                 break
             if not line:
                 break
-            text = line.decode("utf-8").strip()
-            if not text:
-                continue
+            # Invalid UTF-8, malformed JSON and an int literal past
+            # Python's digit limit are ValueErrors; nesting deeper than
+            # the parser's stack is a RecursionError.  Each is one bad
+            # line: refuse it and keep reading the connection.
             try:
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
                 message = json.loads(text)
-            except json.JSONDecodeError as error:
+            except (ValueError, RecursionError) as error:
                 await refuse("bad_request", f"invalid JSON: {error}")
                 continue
             if not isinstance(message, dict):

@@ -1,9 +1,11 @@
 """Gradient certification for the multi-embedding training path.
 
-The hot path uses hand-derived analytic gradients; these tests pin them
-against (a) the autodiff engine evaluating the same Eq. 8 + Eq. 16
-computation, and (b) central finite differences.  Together they certify
-that training optimises exactly the paper's objective.
+Training uses hand-derived analytic gradients.  These tests pin the
+dense reference's (:mod:`dense_reference`) against (a) the autodiff
+engine evaluating the same Eq. 8 + Eq. 16 computation, and (b) central
+finite differences; ``test_kernels.py`` pins the compiled kernel's to
+the dense reference.  Together they certify that training optimises
+exactly the paper's objective.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.core.models import make_model
 from repro.nn.autodiff import Tensor, numeric_gradient
 from repro.nn.losses import LogisticLoss
 from repro.nn.optimizers import aggregate_rows
+from tests.core.dense_reference import DenseReference
 
 NE, NR, DIM, BATCH = 12, 3, 5, 9
 
@@ -32,10 +35,11 @@ def setup(rng):
 
 
 def _analytic_table_grads(model, heads, tails, rels, labels):
-    """Dense per-table loss gradients using the model's analytic path."""
-    cache = model._forward(heads, tails, rels)
+    """Dense per-table loss gradients from the reference's analytic path."""
+    reference = DenseReference(model)
+    cache = reference.forward(heads, tails, rels)
     grad_scores = model.loss.grad_score(cache.scores, labels)
-    grad_h, grad_t, grad_r = model._score_gradients(cache, grad_scores)
+    grad_h, grad_t, grad_r = reference.score_gradients(cache, grad_scores)
     entity_grad = np.zeros_like(model.entity_embeddings)
     rows, grads = aggregate_rows(
         np.concatenate([heads, tails]), np.concatenate([grad_h, grad_t], axis=0)
@@ -44,7 +48,7 @@ def _analytic_table_grads(model, heads, tails, rels, labels):
     relation_grad = np.zeros_like(model.relation_embeddings)
     rel_rows, rel_grads = aggregate_rows(rels, grad_r)
     relation_grad[rel_rows] = rel_grads
-    omega_grad = model._omega_gradient(cache, grad_scores)
+    omega_grad = reference.omega_gradient(cache, grad_scores)
     return entity_grad, relation_grad, omega_grad
 
 

@@ -1,10 +1,11 @@
 """Compiled-kernel vs dense-oracle equivalence (scores and gradients).
 
 The acceptance bar for the kernel compiler: for every model class the
-compiled engine must match the dense-einsum reference to 1e-10 — scores,
-all three analytic gradient tensors, and the parameters produced by full
-fused train steps (which additionally exercise scatter accumulation and
-the fused optimizer paths).
+compiled engine must match the dense-einsum reference
+(:mod:`dense_reference`, which shares no code with the kernel) to 1e-10
+— scores, all three analytic gradient tensors, and the parameters
+produced by full fused train steps (which additionally exercise scatter
+accumulation and the fused optimizer paths).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.models import make_learned_weight_model, make_model
 from repro.core.weights import PRESETS, get_preset
 from repro.errors import ModelError
 from repro.nn.optimizers import make_optimizer
+from tests.core.dense_reference import DenseReference
 
 ATOL = 1e-10
 
@@ -44,20 +46,19 @@ def batch(rng):
 
 
 def model_pair(name: str, **kwargs):
-    """The same model twice: compiled engine and dense reference."""
+    """The same model twice: one on the compiled engine, one wrapped in
+    the dense reference (read its parameters off ``.model``)."""
     if name == "learned":
         return (
             make_learned_weight_model(NE, NR, 16, np.random.default_rng(3), **kwargs),
-            make_learned_weight_model(
-                NE, NR, 16, np.random.default_rng(3), use_compiled_kernel=False, **kwargs
+            DenseReference(
+                make_learned_weight_model(NE, NR, 16, np.random.default_rng(3), **kwargs)
             ),
         )
     dim = 16 // get_preset(name).num_entity_vectors
     return (
         make_model(name, NE, NR, np.random.default_rng(3), dim=dim, **kwargs),
-        make_model(
-            name, NE, NR, np.random.default_rng(3), dim=dim, use_compiled_kernel=False, **kwargs
-        ),
+        DenseReference(make_model(name, NE, NR, np.random.default_rng(3), dim=dim, **kwargs)),
     )
 
 
@@ -239,14 +240,14 @@ class TestModelEquivalence:
             loss_dense = dense_model.train_step(positives, negatives, dense_opt)
             assert loss_kernel == pytest.approx(loss_dense, abs=ATOL)
         assert np.allclose(
-            kernel_model.entity_embeddings, dense_model.entity_embeddings, atol=ATOL
+            kernel_model.entity_embeddings, dense_model.model.entity_embeddings, atol=ATOL
         )
         assert np.allclose(
-            kernel_model.relation_embeddings, dense_model.relation_embeddings, atol=ATOL
+            kernel_model.relation_embeddings, dense_model.model.relation_embeddings, atol=ATOL
         )
         if isinstance(kernel_model, LearnedWeightModel):
-            assert np.allclose(kernel_model.rho, dense_model.rho, atol=ATOL)
-            assert np.allclose(kernel_model.omega, dense_model.omega, atol=ATOL)
+            assert np.allclose(kernel_model.rho, dense_model.model.rho, atol=ATOL)
+            assert np.allclose(kernel_model.omega, dense_model.model.omega, atol=ATOL)
 
     def test_chunked_train_step_matches_reference(self, name, rng, monkeypatch):
         """Batches spanning several fused chunks (incl. a ragged tail)."""
@@ -266,7 +267,7 @@ class TestModelEquivalence:
         loss_dense = dense_model.train_step(positives, negatives, dense_opt)
         assert loss_kernel == pytest.approx(loss_dense, abs=ATOL)
         assert np.allclose(
-            kernel_model.entity_embeddings, dense_model.entity_embeddings, atol=ATOL
+            kernel_model.entity_embeddings, dense_model.model.entity_embeddings, atol=ATOL
         )
 
     def test_duplicate_heavy_batch_matches_reference(self, name, rng):
@@ -284,10 +285,10 @@ class TestModelEquivalence:
         kernel_model.train_step(positives, negatives, kernel_opt)
         dense_model.train_step(positives, negatives, dense_opt)
         assert np.allclose(
-            kernel_model.entity_embeddings, dense_model.entity_embeddings, atol=ATOL
+            kernel_model.entity_embeddings, dense_model.model.entity_embeddings, atol=ATOL
         )
         assert np.allclose(
-            kernel_model.relation_embeddings, dense_model.relation_embeddings, atol=ATOL
+            kernel_model.relation_embeddings, dense_model.model.relation_embeddings, atol=ATOL
         )
 
 

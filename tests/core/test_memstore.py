@@ -42,12 +42,6 @@ class TestRoundTrip:
         )
         assert reopened.nbytes() == store.nbytes()
 
-    def test_put_with_dtype_downcasts(self, tmp_path, rng):
-        store = _store(tmp_path)
-        mapped = store.put("t", rng.normal(size=(5, 3)), dtype="float32")
-        assert mapped.dtype == np.float32
-        assert store.entry("t")["dtype"] == "float32"
-
     def test_replace_entry_atomically(self, tmp_path, rng):
         store = _store(tmp_path)
         store.put("x", np.zeros((3, 3)))
@@ -62,11 +56,10 @@ class TestRoundTrip:
             store.put(name, rng.normal(size=(2,)))
         assert list(store.get_all()) == ["alpha", "mid", "zeta"]
 
-    def test_update_extra_persists(self, tmp_path):
-        store = _store(tmp_path, kind="folded")
-        store.update_extra(fingerprint="abc123")
+    def test_extra_persists(self, tmp_path):
+        store = _store(tmp_path, kind="ivf")
         reopened = MemStore.open(store.directory)
-        assert reopened.extra == {"kind": "folded", "fingerprint": "abc123"}
+        assert reopened.extra == {"kind": "ivf"}
 
     def test_hashes_cover_payloads_and_meta(self, tmp_path, rng):
         store = _store(tmp_path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,37 @@ class TestErrors:
         meta.write_text(meta.read_text().replace("MultiEmbeddingModel", "Transformer"))
         with pytest.raises(ModelError, match="unknown model class"):
             load_model(tmp_path / "c")
+
+
+class TestRetiredEngineFlag:
+    """Checkpoints from when a second, dense-einsum engine existed record
+    ``use_compiled_kernel`` in their meta; they load onto the one engine."""
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize("kind", ["fixed", "learned"])
+    def test_recorded_flag_loads_and_scores_like_a_new_save(
+        self, tmp_path, rng, recorded, kind
+    ):
+        if kind == "fixed":
+            model = make_model(W.CPH, NE, NR, rng, dim=DIM)
+        else:
+            model = make_learned_weight_model(NE, NR, 2 * DIM, rng, transform="tanh")
+        save_model(model, tmp_path / "new")
+        save_model(model, tmp_path / "old")
+        meta_path = tmp_path / "old" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "use_compiled_kernel" not in meta
+        meta["use_compiled_kernel"] = recorded
+        meta_path.write_text(json.dumps(meta, indent=2))
+
+        old, new = load_model(tmp_path / "old"), load_model(tmp_path / "new")
+        heads = rng.integers(0, NE, 10)
+        tails = rng.integers(0, NE, 10)
+        rels = rng.integers(0, NR, 10)
+        np.testing.assert_array_equal(
+            old.score_triples(heads, tails, rels), new.score_triples(heads, tails, rels)
+        )
+        np.testing.assert_array_equal(
+            old.score_all_heads(tails, rels), new.score_all_heads(tails, rels)
+        )
+        assert not hasattr(old, "use_compiled_kernel")

@@ -244,15 +244,12 @@ class TestPredictorRerank:
         )
 
     @pytest.mark.parametrize("filtered", [False, True])
-    @pytest.mark.parametrize("chunk_size", [None, 7])
-    def test_top_k_equals_rerank_of_oracle_lists(self, dataset, filtered, chunk_size):
+    def test_top_k_equals_rerank_of_oracle_lists(self, dataset, filtered):
         model = make_complex(
             dataset.num_entities, dataset.num_relations, 16, np.random.default_rng(2)
         )
         index = IVFIndex(model, nlist=NLIST, nprobe=3, pq=PQConfig(m=4, refine=30))
-        predictor = LinkPredictor(
-            model, dataset, index=index, cache_size=0, chunk_size=chunk_size
-        )
+        predictor = LinkPredictor(model, dataset, index=index, cache_size=0)
         rng = np.random.default_rng(31)
         for side in SIDES:
             anchors, relations = random_batch(

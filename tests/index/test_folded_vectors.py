@@ -119,7 +119,6 @@ class TestCacheStats:
         counts = _fold_counts(source)
         assert (counts["hits"], counts["misses"]) == (1, 3)
         assert counts["evictions"] == 2
-        assert counts["store_hits"] == 0
 
     def test_larger_cache_stops_the_thrash(self, model):
         source = FoldedCandidateSource(model, max_cached=4)
@@ -138,7 +137,6 @@ class TestCacheStats:
             "hits": 0,
             "misses": 1,
             "evictions": 0,
-            "store_hits": 0,
         }
 
     def test_counts_into_the_given_registry(self, model):
@@ -151,64 +149,3 @@ class TestCacheStats:
     def test_rejects_non_positive_capacity(self, model):
         with pytest.raises(ServingError):
             FoldedCandidateSource(model, max_cached=0)
-
-
-class TestMaterializedStore:
-    def test_materialize_then_remap_instead_of_refolding(self, model, tmp_path):
-        from repro.core.memstore import MemStore, is_mapped
-
-        store = MemStore.create(tmp_path / "folds")
-        writer = FoldedCandidateSource(model, store=store)
-        written = writer.materialize(relations=[0, 1], sides=("tail",))
-        assert written == 2
-
-        reader = FoldedCandidateSource(model, store=MemStore.open(tmp_path / "folds"))
-        mapped = reader.candidate_matrix(0, "tail")
-        assert is_mapped(mapped)
-        assert _fold_counts(reader)["store_hits"] == 1
-        np.testing.assert_array_equal(
-            np.asarray(mapped), fold_candidate_matrix(model, 0, "tail")
-        )
-
-    def test_downcast_folds_keep_shape(self, model, tmp_path):
-        from repro.core.memstore import MemStore
-
-        store = MemStore.create(tmp_path / "folds")
-        writer = FoldedCandidateSource(model, store=store)
-        writer.materialize(relations=[2], sides=("tail",), dtype="float32")
-        matrix = FoldedCandidateSource(model, store=store).candidate_matrix(2, "tail")
-        assert matrix.dtype == np.float32
-        assert matrix.shape == (model.num_entities, writer.feature_dim)
-
-    def test_stale_fingerprint_disables_store(self, model, tmp_path):
-        from repro.core.memstore import MemStore
-
-        store = MemStore.create(tmp_path / "folds")
-        FoldedCandidateSource(model, store=store).materialize(
-            relations=[0], sides=("tail",)
-        )
-        model.entity_embeddings[0] += 0.25
-        model._bump_scoring_version()
-        reader = FoldedCandidateSource(model, store=store)
-        fresh = reader.candidate_matrix(0, "tail")
-        assert _fold_counts(reader)["store_hits"] == 0  # refolded, stale store ignored
-        np.testing.assert_allclose(
-            np.asarray(fresh), fold_candidate_matrix(model, 0, "tail")
-        )
-
-    def test_training_mid_session_stops_store_reads(self, model, tmp_path):
-        from repro.core.memstore import MemStore
-
-        store = MemStore.create(tmp_path / "folds")
-        source = FoldedCandidateSource(model, store=store)
-        source.materialize(relations=[0], sides=("tail",))
-        source.candidate_matrix(0, "tail")
-        assert _fold_counts(source)["store_hits"] == 1
-        model.entity_embeddings[0] += 0.25
-        model._bump_scoring_version()
-        source.candidate_matrix(0, "tail")
-        assert _fold_counts(source)["store_hits"] == 1  # unchanged: store now distrusted
-
-    def test_materialize_without_store_raises(self, model):
-        with pytest.raises(ServingError, match="store"):
-            FoldedCandidateSource(model).materialize()

@@ -45,7 +45,7 @@ def trained_model(tiny_dataset):
 def test_metrics_identical_across_worker_counts(tiny_dataset, trained_model):
     results = [
         LinkPredictionEvaluator(
-            tiny_dataset, shards=3, workers=workers, batch_size=32
+            tiny_dataset, workers=workers, batch_size=32
         ).evaluate(trained_model, "test")
         for workers in WORKER_COUNTS
     ]
@@ -130,7 +130,7 @@ def test_parallel_eval_inside_pipeline_matches_serial(tmp_path):
 
     serial = run_pipeline(RunConfig(**common), run_dir=tmp_path / "serial")
     parallel = run_pipeline(
-        RunConfig(**common, parallel=ParallelSection(eval_shards=3, eval_workers=2)),
+        RunConfig(**common, parallel=ParallelSection(eval_workers=2)),
         run_dir=tmp_path / "parallel",
     )
     assert serial.test_metrics.mrr == parallel.test_metrics.mrr

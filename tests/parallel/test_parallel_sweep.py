@@ -171,10 +171,10 @@ class TestInterrupt:
 class TestNoNestedPools:
     def test_sweep_worker_runs_sharded_eval_in_process(self, base):
         """A sweep child whose config requests eval workers must fall
-        back to in-process sharding inside the pool worker (no
-        grandchild pools) — and still record identical metrics."""
+        back to serial evaluation inside the pool worker (no grandchild
+        pools) — and still record identical metrics."""
         data = base.to_dict()
-        data["parallel"] = {"eval_shards": 2, "eval_workers": 2}
+        data["parallel"] = {"eval_workers": 2}
         nested = RunConfig.from_dict(data)
         pooled = sweep(nested, {"model.name": ["distmult"]}, workers=1)
         serial = sweep(base, {"model.name": ["distmult"]})

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.parallel.pool import TaskOutcome, default_start_method, run_tasks
+from repro.reliability.faults import FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.parallel
 
@@ -139,6 +140,29 @@ class TestKeyboardInterrupt:
             run_tasks(_mark_then_interrupt_first, tasks, workers=1, retries=1)
         assert [p.name for p in tmp_path.glob("task0-*")] == ["task0-run0"]
         assert set(multiprocessing.active_children()) <= before  # no worker left
+
+
+def _inner_round(inner_workers: int) -> list[bool]:
+    """An outer task that runs its own, unplanned ``run_tasks``."""
+    return [outcome.ok for outcome in run_tasks(_square, [1, 2, 3], workers=inner_workers)]
+
+
+class TestFaultPlanScope:
+    @pytest.mark.parametrize("inner_workers", [0, 2])
+    def test_plan_stays_at_the_level_that_armed_it(self, inner_workers):
+        """A plan aimed at outer task 1 fails outer task 1 only: the inner
+        rounds (in process, or forked workers that would inherit the
+        outer injector) run no plan and every inner task succeeds."""
+        plan = FaultPlan.of(
+            FaultSpec(site="pool.task", kind="exception", match="task:1;attempt:0")
+        )
+        outcomes = run_tasks(
+            _inner_round, [inner_workers, inner_workers], workers=0, fault_plan=plan
+        )
+        assert outcomes[0].ok, outcomes[0].error
+        assert outcomes[0].value == [True, True, True]
+        assert not outcomes[1].ok
+        assert "InjectedFault" in outcomes[1].error
 
 
 def test_default_start_method_is_known():

@@ -1,7 +1,7 @@
 """Sharded evaluation: shard plans, payload round-trips, bit-identity.
 
-Every ``(shards, workers)`` setting of :class:`LinkPredictionEvaluator`
-must reproduce its default, unsharded metrics bit for bit.
+Every ``workers`` setting of :class:`LinkPredictionEvaluator` must
+reproduce its default, serial metrics bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from repro.core.weights import PRESETS
 from repro.errors import EvaluationError, ModelError
 from repro.eval.evaluator import LinkPredictionEvaluator, plan_shards
 from repro.parallel.payload import model_from_payload, model_to_payload
+from repro.parallel.pool import run_tasks
 from repro.reliability.faults import FaultInjector, FaultPlan, FaultSpec, fault_scope
 from repro.training.trainer import Trainer, TrainingConfig
 
@@ -96,18 +97,6 @@ class TestPayload:
             trained_model.score_all_tails(heads, relations),
         )
 
-    def test_engine_flag_preserved(self, tiny_dataset):
-        dense = make_model(
-            PRESETS.get("cph"),
-            tiny_dataset.num_entities,
-            tiny_dataset.num_relations,
-            total_dim=8,
-            rng=np.random.default_rng(0),
-            use_compiled_kernel=False,
-        )
-        rebuilt = model_from_payload(model_to_payload(dense))
-        assert rebuilt.use_compiled_kernel is False
-
     def test_payload_is_a_snapshot(self, trained_model):
         payload = model_to_payload(trained_model)
         before = payload.arrays["entity_embeddings"].copy()
@@ -129,17 +118,9 @@ class TestPayload:
 
 
 class TestShardedBitIdentity:
-    @pytest.mark.parametrize("shards", [1, 2, 5])
-    def test_in_process_sharding(self, tiny_dataset, trained_model, serial_result, shards):
-        evaluator = LinkPredictionEvaluator(
-            tiny_dataset, shards=shards, workers=0, batch_size=32
-        )
-        _assert_same_metrics(evaluator.evaluate(trained_model, "test"), serial_result)
-
-    def test_worker_sharding(self, tiny_dataset, trained_model, serial_result):
-        evaluator = LinkPredictionEvaluator(
-            tiny_dataset, shards=3, workers=2, batch_size=32
-        )
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_worker_sharding(self, tiny_dataset, trained_model, serial_result, workers):
+        evaluator = LinkPredictionEvaluator(tiny_dataset, workers=workers, batch_size=32)
         _assert_same_metrics(evaluator.evaluate(trained_model, "test"), serial_result)
 
     def test_unaligned_batch_size(self, tiny_dataset, trained_model):
@@ -147,7 +128,7 @@ class TestShardedBitIdentity:
             trained_model, "test"
         )
         sharded = LinkPredictionEvaluator(
-            tiny_dataset, shards=4, workers=0, batch_size=7
+            tiny_dataset, workers=2, batch_size=7
         ).evaluate(trained_model, "test")
         _assert_same_metrics(sharded, serial)
 
@@ -163,7 +144,7 @@ class TestShardedBitIdentity:
         )
         serial = LinkPredictionEvaluator(tiny_dataset, batch_size=32).evaluate(model, "test")
         sharded = LinkPredictionEvaluator(
-            tiny_dataset, shards=3, workers=0, batch_size=32
+            tiny_dataset, workers=2, batch_size=32
         ).evaluate(model, "test")
         _assert_same_metrics(sharded, serial)
 
@@ -172,27 +153,66 @@ class TestShardedBitIdentity:
             tiny_dataset, batch_size=16, filtered=False
         ).evaluate_triples(trained_model, tiny_dataset.train, max_triples=40)
         sharded = LinkPredictionEvaluator(
-            tiny_dataset, shards=2, workers=0, filtered=False, batch_size=16
+            tiny_dataset, workers=2, filtered=False, batch_size=16
         ).evaluate_triples(trained_model, tiny_dataset.train, max_triples=40)
         _assert_same_metrics(sharded, serial)
 
-    def test_in_process_sharding_supports_any_model(self, tiny_dataset):
-        transe = TransE(
-            tiny_dataset.num_entities,
-            tiny_dataset.num_relations,
-            8,
-            np.random.default_rng(3),
+
+def _evaluate_with_two_workers(task):
+    dataset, model = task
+    return LinkPredictionEvaluator(dataset, workers=2, batch_size=32).evaluate(model, "test")
+
+
+class TestPooledPlan:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_two_tasks_per_worker(self, tiny_dataset, trained_model, serial_result,
+                                  monkeypatch, workers):
+        """Each side is cut into ``workers`` batch-aligned blocks."""
+        import repro.eval.evaluator as evaluator_module
+
+        plans = []
+
+        def in_process(fn, tasks, **kwargs):
+            plans.append((list(tasks), kwargs["workers"]))
+            return run_tasks(fn, tasks, **{**kwargs, "workers": 0})
+
+        monkeypatch.setattr(evaluator_module, "run_tasks", in_process)
+        monkeypatch.setattr(evaluator_module, "_EVAL_CTX", None)
+        result = LinkPredictionEvaluator(
+            tiny_dataset, workers=workers, batch_size=4
+        ).evaluate(trained_model, "test")
+        [(tasks, pool_workers)] = plans
+        assert pool_workers == workers
+        assert len(tasks) == 2 * workers
+        assert [side for side, _, _ in tasks] == ["tail"] * workers + ["head"] * workers
+        for side in ("tail", "head"):
+            blocks = [(start, stop) for task_side, start, stop in tasks if task_side == side]
+            assert blocks[0][0] == 0 and blocks[-1][1] == len(tiny_dataset.test)
+            assert all(start % 4 == 0 for start, _ in blocks)
+        _assert_same_metrics(result, serial_result)
+
+    def test_pool_worker_never_calls_run_tasks(
+        self, tiny_dataset, trained_model, serial_result, monkeypatch
+    ):
+        """An evaluator asked for workers inside a pool worker (e.g. a
+        parallel-sweep child) ranks serially: no grandchild pool."""
+        import repro.eval.evaluator as evaluator_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an evaluator inside a pool worker must not call run_tasks")
+
+        # The forked worker inherits the patched module.
+        monkeypatch.setattr(evaluator_module, "run_tasks", forbidden)
+        [outcome] = run_tasks(
+            _evaluate_with_two_workers, [(tiny_dataset, trained_model)], workers=1
         )
-        serial = LinkPredictionEvaluator(tiny_dataset, batch_size=32).evaluate(transe, "test")
-        sharded = LinkPredictionEvaluator(
-            tiny_dataset, shards=3, workers=0, batch_size=32
-        ).evaluate(transe, "test")
-        _assert_same_metrics(sharded, serial)
+        assert outcome.ok, outcome.error
+        _assert_same_metrics(outcome.value, serial_result)
 
 
 class TestDefaultPath:
-    """``(shards, workers) == (1, 0)`` ranks each side directly: no pool,
-    so no ``pool.task`` fault site can fire inside it."""
+    """``workers == 0`` ranks each side directly: no pool, so no
+    ``pool.task`` fault site can fire inside it."""
 
     PLAN = FaultPlan.of(FaultSpec(site="pool.task", kind="exception", max_hits=100))
 
@@ -212,21 +232,9 @@ class TestDefaultPath:
         assert injector.hits == []
         _assert_same_metrics(result, serial_result)
 
-    def test_sharded_path_fires_the_pool_site(self, tiny_dataset, trained_model):
-        evaluator = LinkPredictionEvaluator(tiny_dataset, shards=2, retries=0)
-        with fault_scope(FaultInjector(self.PLAN)) as injector:
-            with pytest.raises(EvaluationError, match="shards failed"):
-                evaluator.evaluate(trained_model, "test")
-        assert [hit.context for hit in injector.hits] == [
-            "task:0;attempt:0",
-            "task:1;attempt:0",
-        ]
-
 
 class TestValidation:
     def test_constructor_rejects_bad_arguments(self, tiny_dataset):
-        with pytest.raises(EvaluationError):
-            LinkPredictionEvaluator(tiny_dataset, shards=0)
         with pytest.raises(EvaluationError):
             LinkPredictionEvaluator(tiny_dataset, workers=-1)
         with pytest.raises(EvaluationError):
@@ -253,6 +261,6 @@ class TestValidation:
             8,
             np.random.default_rng(3),
         )
-        evaluator = LinkPredictionEvaluator(tiny_dataset, shards=2, workers=1)
+        evaluator = LinkPredictionEvaluator(tiny_dataset, workers=1)
         with pytest.raises(ModelError, match="multi-embedding"):
             evaluator.evaluate(transe, "test")

@@ -172,8 +172,21 @@ class TestSerialization:
         config = RunConfig.from_dict(
             {"parallel": {"eval_shards": 2, "eval_workers": 1, "shard_axis": axis}}
         )
-        assert config.parallel == ParallelSection(eval_shards=2, eval_workers=1)
+        assert config.parallel == ParallelSection(eval_workers=1)
         assert "shard_axis" not in config.to_json()
+        assert "eval_shards" not in config.to_json()
+
+    @pytest.mark.parametrize("engine", [True, False])
+    def test_retired_engine_option_still_loads(self, engine):
+        config = RunConfig.from_dict(
+            {"model": {"name": "cph", "options": {"use_compiled_kernel": engine, "loss": "logistic"}}}
+        )
+        assert config.model.options == {"loss": "logistic"}
+        assert "use_compiled_kernel" not in config.to_json()
+
+    def test_engine_flag_outside_options_is_refused(self):
+        with pytest.raises(ConfigError, match="model field.*'use_compiled_kernel'"):
+            RunConfig.from_dict({"model": {"use_compiled_kernel": False}})
 
     def test_unknown_parallel_key_named(self):
         with pytest.raises(ConfigError, match="parallel field.*'bogus'"):

@@ -213,7 +213,7 @@ class TestOneEvaluatorPerRun:
         registry = MetricsRegistry()
         with metrics_scope(registry):
             dataset, result = self._train(
-                self._config(parallel=ParallelSection(eval_shards=2))
+                self._config(parallel=ParallelSection(eval_workers=2))
             )
         validations = len(result.training.history.records)
         assert registry.counter_value("eval.triples_ranked") == 2 * (

@@ -2,7 +2,7 @@
 
 The three end-to-end stories the fault-tolerance layer exists for:
 
-1. a worker process is hard-killed mid-evaluation and the sharded
+1. a worker process is hard-killed mid-evaluation and the pooled
    evaluator heals it through a pool retry — merged metrics bit-equal
    to an undisturbed run;
 2. a sweep child's artifacts are torn on disk and resume heals the
@@ -38,14 +38,12 @@ class TestWorkerCrashMidEvaluation:
             8,
             np.random.default_rng(7),
         )
-        clean = LinkPredictionEvaluator(
-            tiny_dataset, shards=4, workers=0
-        ).evaluate(model, "test")
+        clean = LinkPredictionEvaluator(tiny_dataset).evaluate(model, "test")
         plan = FaultPlan.of(
             FaultSpec(site="pool.task", kind="crash", match="task:1;attempt:0")
         )
         chaotic = LinkPredictionEvaluator(
-            tiny_dataset, shards=4, workers=2, retries=1, fault_plan=plan
+            tiny_dataset, workers=2, retries=1, fault_plan=plan
         ).evaluate(model, "test")
         assert chaotic.overall.mrr == clean.overall.mrr
         assert chaotic.overall.mr == clean.overall.mr
@@ -68,7 +66,7 @@ class TestWorkerCrashMidEvaluation:
             FaultSpec(site="pool.task", kind="crash", match="task:0", max_hits=10)
         )
         evaluator = LinkPredictionEvaluator(
-            tiny_dataset, shards=2, workers=1, retries=0, fault_plan=plan
+            tiny_dataset, workers=1, retries=0, fault_plan=plan
         )
         with pytest.raises(EvaluationError, match="shards failed"):
             evaluator.evaluate(model, "test")

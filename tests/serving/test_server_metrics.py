@@ -433,7 +433,7 @@ class TestOneSnapshot:
             main(LinkPredictor(model, dataset, index=ExactIndex(model)))
         )
         assert set(ivf) == INDEX_KEYS | {"fold_cache"}
-        assert set(ivf["fold_cache"]) == {"hits", "misses", "evictions", "store_hits"}
+        assert set(ivf["fold_cache"]) == {"hits", "misses", "evictions"}
         assert set(exact) == INDEX_KEYS
         assert exact["probed_fraction"] == 1.0
         assert exact["fold_cache_hits"] == exact["fold_cache_misses"] == 0

@@ -176,6 +176,7 @@ DAEMON_SUITES = (
     "tests/serving/test_server_metrics.py",
     "tests/reliability/test_server_degraded.py",
     "tests/ingest/test_server_ingest.py",
+    "tests/serving/test_wire_fuzz.py",
 )
 
 
@@ -187,6 +188,31 @@ def test_ci_script_runs_the_daemon_suites_in_dev_mode():
     for suite in DAEMON_SUITES:
         assert suite in text, suite
         assert (REPO_ROOT / suite).exists(), suite
+
+
+PERFBENCH_WORKLOADS = ("serve-exact", "serve-ivfpq-ingest", "train-eval")
+
+
+def test_ci_script_smoke_runs_the_repository_benchmark():
+    """Both gates run every perfbench workload briefly in traced mode,
+    which patches every library name the benchmark wraps, and require a
+    correct run with no failed operations."""
+    text = CI_SCRIPT.read_text(encoding="utf-8")
+    loop = re.search(r"^for workload in (.*?); do$(.*?)^done$", text, re.MULTILINE | re.DOTALL)
+    assert loop, "ci.sh has no perfbench workload loop"
+    assert tuple(loop.group(1).split()) == PERFBENCH_WORKLOADS
+    body = loop.group(2)
+    assert (
+        'python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1'
+        in body
+    )
+    assert "tail -n 1" in body
+    assert 'result["correct"] is True' in body and 'result["failed"] == 0' in body
+    # Outside the quick/full branch, so both gates run it.
+    assert text.index("for workload in") > text.index("\nfi\n")
+    runner = (REPO_ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+    for workload in PERFBENCH_WORKLOADS:
+        assert f'"{workload}"' in runner, workload
 
 
 def test_ci_script_is_executable():
