@@ -138,10 +138,11 @@ class TestEvaluatorMechanics:
         result = evaluator.evaluate_triples(model, toy_dataset.train, max_triples=3)
         assert result.overall.num_ranks == 6  # 3 triples x 2 sides
 
+    @pytest.mark.parametrize("workers", [0, 1, 2])
     @pytest.mark.parametrize("max_triples", [0, -5])
-    def test_max_triples_below_one_raises(self, toy_dataset, max_triples):
+    def test_max_triples_below_one_raises(self, toy_dataset, max_triples, workers):
         model = OracleModel([], toy_dataset.num_entities, toy_dataset.num_relations)
-        evaluator = LinkPredictionEvaluator(toy_dataset)
+        evaluator = LinkPredictionEvaluator(toy_dataset, workers=workers)
         with pytest.raises(EvaluationError, match="max_triples"):
             evaluator.evaluate_triples(model, toy_dataset.train, max_triples=max_triples)
 

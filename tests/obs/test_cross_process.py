@@ -114,7 +114,7 @@ class TestShardedEvaluationAggregation:
             )
         return registry
 
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_every_evaluator_counts_triples_ranked(self, tiny_dataset, model, workers):
         registry = self._evaluate(tiny_dataset, model, workers=workers)
         assert registry.counter_value("eval.triples_ranked") == 2 * len(

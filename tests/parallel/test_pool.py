@@ -10,7 +10,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.parallel.pool import TaskOutcome, default_start_method, run_tasks
-from repro.reliability.faults import FaultPlan, FaultSpec
+from repro.reliability.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    active_injector,
+    fault_scope,
+)
 
 pytestmark = pytest.mark.parallel
 
@@ -163,6 +169,33 @@ class TestFaultPlanScope:
         assert outcomes[0].value == [True, True, True]
         assert not outcomes[1].ok
         assert "InjectedFault" in outcomes[1].error
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_callers_injector_stays_with_the_caller(self, workers):
+        """An injector the caller armed with ``fault_scope`` is not the
+        round's: an unplanned round's tasks (in process, or in forked
+        workers that would inherit it) never fire it, and it is active
+        again when the round returns."""
+        plan = FaultPlan.of(FaultSpec(site="pool.task", kind="exception", max_hits=100))
+        with fault_scope(FaultInjector(plan)) as injector:
+            outcomes = run_tasks(_square, [1, 2, 3], workers=workers)
+            assert active_injector() is injector
+        assert [outcome.value for outcome in outcomes] == [1, 4, 9]
+        assert injector.hits == []
+
+    def test_planned_round_runs_its_own_plan_then_restores_the_callers(self):
+        caller_plan = FaultPlan.of(
+            FaultSpec(site="pool.task", kind="exception", max_hits=100)
+        )
+        round_plan = FaultPlan.of(
+            FaultSpec(site="pool.task", kind="exception", match="task:0;attempt:0")
+        )
+        with fault_scope(FaultInjector(caller_plan)) as injector:
+            outcomes = run_tasks(_square, [2, 3], workers=0, fault_plan=round_plan)
+            assert active_injector() is injector
+        assert [outcome.ok for outcome in outcomes] == [False, True]
+        assert "task:0;attempt:0" in outcomes[0].error
+        assert injector.hits == []
 
 
 def test_default_start_method_is_known():

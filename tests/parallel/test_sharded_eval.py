@@ -232,6 +232,18 @@ class TestDefaultPath:
         assert injector.hits == []
         _assert_same_metrics(result, serial_result)
 
+    def test_sharded_path_fires_the_pool_site(self, tiny_dataset, trained_model):
+        """With workers every block is a pool task: one worker runs one
+        block per side, and the evaluator's plan fails both on attempt 0."""
+        evaluator = LinkPredictionEvaluator(
+            tiny_dataset, workers=1, retries=0, fault_plan=self.PLAN
+        )
+        with pytest.raises(
+            EvaluationError,
+            match=r"(?s)2 of 2 evaluation shards failed.*context 'task:0;attempt:0'",
+        ):
+            evaluator.evaluate(trained_model, "test")
+
 
 class TestValidation:
     def test_constructor_rejects_bad_arguments(self, tiny_dataset):

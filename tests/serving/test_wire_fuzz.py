@@ -6,7 +6,9 @@ nesting, non-object JSON, wrong types, out-of-range ids, unknown ops and
 over-limit lines.  Every well-formed request must be answered with the
 ids of a one-at-a-time :meth:`LinkPredictor.top_k`; every malformed line
 with ``bad_request`` or ``too_large``; the connection must stay open and
-``health`` must report ``ok`` afterwards.
+``health`` must report ``ok`` afterwards.  A table test then sends each
+unparseable line alone, first on a fresh connection, so a regression
+names the line that caused it.
 
 No pytest-asyncio: each test drives its own loop via ``asyncio.run``.
 """
@@ -86,19 +88,19 @@ def _typed_bad_requests(dataset) -> list[dict]:
 
 
 #: Lines refused before any request id is read: the reply carries id null.
-_UNPARSEABLE_LINES = [
-    b'{"op": "top_k", "head": 1,',
-    b"{'op': 'ping'}",
-    b"\xff\xfe{}",
-    b'{"op": "ping", "pad": "\xc3\x28"}',
-    b"[" * 5000,
-    b'{"a": ' * 3000,
-    b'{"id": ' + b"9" * 5000 + b', "op": "ping"}',
-    b"[1, 2]",
-    b'"top_k"',
-    b"42",
-    b"null",
-]
+_UNPARSEABLE_LINES = {
+    "truncated-json": b'{"op": "top_k", "head": 1,',
+    "single-quoted": b"{'op': 'ping'}",
+    "utf16-bom": b"\xff\xfe{}",
+    "invalid-utf8-in-string": b'{"op": "ping", "pad": "\xc3\x28"}',
+    "deep-list": b"[" * 5000,
+    "deep-object": b'{"a": ' * 3000,
+    "int-past-digit-limit": b'{"id": ' + b"9" * 5000 + b', "op": "ping"}',
+    "json-list": b"[1, 2]",
+    "json-string": b'"top_k"',
+    "json-number": b"42",
+    "json-null": b"null",
+}
 
 _OVERSIZE_LINE = b'{"op": "ping", "pad": "' + b"x" * (MAX_LINE_BYTES + 10) + b'"}'
 
@@ -113,7 +115,7 @@ def _script(seed: int, dataset):
     for offset, request in enumerate(_typed_bad_requests(dataset)):
         request = {"id": 1000 + offset, **request}
         entries.append((json.dumps(request).encode(), ("refused", request["id"])))
-    for line in _UNPARSEABLE_LINES:
+    for line in _UNPARSEABLE_LINES.values():
         entries.append((line, ("refused", None)))
     entries.append((_OVERSIZE_LINE, ("too_large", None)))
     order = rng.permutation(len(entries))
@@ -196,3 +198,32 @@ def test_malformed_lines_never_cost_the_connection(model, dataset, seed):
 
     assert health is not None and health["ok"] is True
     assert health["health"]["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [pytest.param(line, "bad_request", id=name) for name, line in _UNPARSEABLE_LINES.items()]
+    + [pytest.param(_OVERSIZE_LINE, "too_large", id="over-limit")],
+)
+def test_one_bad_line_then_pipelined_requests(model, dataset, line, code):
+    """Each refused line on its own, first on a fresh connection: it gets
+    *code* with id null, and the requests pipelined behind it are still
+    answered."""
+    request = {"id": 1, "op": "top_k", "side": "tail", "head": 3, "relation": 0,
+               "k": 5, "filtered": False}
+    lines = [line, json.dumps(request).encode(), b'{"id": 2, "op": "ping"}']
+    replies, health = asyncio.run(_exchange(model, dataset, lines))
+    assert len(replies) == len(lines), "the server closed the connection early"
+
+    # The read loop sends a refusal before it reads the next line.
+    refusal, *answers = replies
+    assert refusal["id"] is None and refusal["ok"] is False
+    assert refusal["error"]["code"] == code
+    by_id = {reply["id"]: reply for reply in answers}
+    assert by_id[1]["ok"] is True, by_id[1]
+    expected = LinkPredictor(model, dataset, cache_size=0).top_k(
+        [3], [0], side="tail", k=5, filtered=False
+    )
+    assert by_id[1]["ids"] == [int(i) for i in expected.ids[0]]
+    assert by_id[2]["pong"] is True
+    assert health is not None and health["health"]["status"] == "ok"
