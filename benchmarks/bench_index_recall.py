@@ -22,7 +22,7 @@ Run modes mirror the other benches:
 
 * ``pytest benchmarks/bench_index_recall.py`` — full scale (slow);
 * ``python benchmarks/bench_index_recall.py [--fast]`` — prints the
-  curve table and writes the JSON.
+  curve table and, at full scale, writes the JSON.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ from repro.serving import LinkPredictor
 from repro.training.trainer import Trainer, TrainingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.conftest import bench_json_path  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_index.json"
 
 #: Acceptance targets asserted by the smoke and slow tests.
@@ -100,7 +105,7 @@ def _time_batch(fn, repeats: int = 3) -> float:
 
 def run_benchmark(
     fast: bool = False,
-    json_path: Path | str | None = DEFAULT_JSON_PATH,
+    json_path: Path | str | None = None,
     scale: float | None = None,
 ) -> dict:
     """Sweep ``nprobe`` and record the recall/speedup curve.
@@ -207,8 +212,9 @@ def run_benchmark(
             "best_point": best,
         },
     }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+        json_path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return results
 
 
@@ -259,4 +265,5 @@ if __name__ == "__main__":
     if "--scale" in sys.argv:
         scale_arg = float(sys.argv[sys.argv.index("--scale") + 1])
     print(format_results(run_benchmark(fast=fast_flag, scale=scale_arg)))
-    print(f"\nwrote {DEFAULT_JSON_PATH}")
+    if not fast_flag:
+        print(f"\nwrote {DEFAULT_JSON_PATH}")

@@ -31,7 +31,7 @@ Run modes mirror the other benches:
 
 * ``pytest benchmarks/bench_ingest.py`` — full scale (slow);
 * ``python benchmarks/bench_ingest.py [--fast]`` — prints the table and
-  writes the JSON.
+  writes the JSON at full scale.
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ from repro.serving import LinkPredictor
 from repro.training.trainer import Trainer, TrainingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.conftest import bench_json_path  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_ingest.json"
 
 #: Acceptance targets asserted by the smoke and slow tests: the
@@ -172,7 +177,7 @@ def _filtered_mrr(model, dataset: KGDataset) -> float:
 
 
 def run_benchmark(
-    fast: bool = False, json_path: Path | str | None = DEFAULT_JSON_PATH
+    fast: bool = False, json_path: Path | str | None = None
 ) -> dict:
     """Absorb a triple stream incrementally and from scratch; compare."""
     scale_config = dict(FAST_SCALE if fast else FULL_SCALE)
@@ -284,8 +289,9 @@ def run_benchmark(
             ),
         },
     }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+        json_path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return results
 
 
@@ -322,5 +328,7 @@ def test_incremental_ingest_matches_scratch_cheaply():
 
 
 if __name__ == "__main__":
-    print(format_results(run_benchmark(fast="--fast" in sys.argv)))
-    print(f"\nwrote {DEFAULT_JSON_PATH}")
+    fast_flag = "--fast" in sys.argv
+    print(format_results(run_benchmark(fast=fast_flag)))
+    if not fast_flag:
+        print(f"\nwrote {DEFAULT_JSON_PATH}")

@@ -30,7 +30,7 @@ Results go to ``BENCH_memory.json`` at the repository root (schema in
 
 * ``pytest benchmarks/bench_memory.py`` — full scale (slow);
 * ``python benchmarks/bench_memory.py [--fast] [--scale X]`` — prints
-  the comparison table and writes the JSON.
+  the comparison table and, at full scale, writes the JSON.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ from repro.serving import LinkPredictor
 from repro.training.trainer import Trainer, TrainingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.conftest import bench_json_path  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_memory.json"
 
 #: Acceptance targets asserted by the smoke and slow tests.
@@ -169,7 +174,7 @@ def _tree_bytes(*roots: Path) -> int:
 
 def run_benchmark(
     fast: bool = False,
-    json_path: Path | str | None = DEFAULT_JSON_PATH,
+    json_path: Path | str | None = None,
     scale: float | None = None,
 ) -> dict:
     """Serve the same queries through both arms and compare the bills."""
@@ -326,8 +331,9 @@ def run_benchmark(
             "memory_reduction": reduction,
         },
     }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+        json_path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return results
 
 
@@ -387,4 +393,5 @@ if __name__ == "__main__":
     if "--scale" in sys.argv:
         scale_arg = float(sys.argv[sys.argv.index("--scale") + 1])
     print(format_results(run_benchmark(fast=fast_flag, scale=scale_arg)))
-    print(f"\nwrote {DEFAULT_JSON_PATH}")
+    if not fast_flag:
+        print(f"\nwrote {DEFAULT_JSON_PATH}")

@@ -66,6 +66,11 @@ from repro.pipeline.runner import run_pipeline
 from repro.serving import LinkPredictor, PredictionServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.conftest import bench_json_path  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_obs.json"
 
 #: Acceptance targets (full-scale run only): enabled telemetry may cost
@@ -226,7 +231,7 @@ def _bench_serving_overhead(fast: bool) -> dict:
 
 
 def run_benchmark(
-    fast: bool = False, json_path: Path | str | None = DEFAULT_JSON_PATH
+    fast: bool = False, json_path: Path | str | None = None
 ) -> dict:
     """Run the benchmark; returns (and optionally writes) the results dict."""
     hooks = _bench_noop_hooks(fast)
@@ -244,8 +249,9 @@ def run_benchmark(
         "pipeline": pipeline,
         "serving": _bench_serving_overhead(fast),
     }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(
+        json_path.write_text(
             json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     return results

@@ -43,6 +43,11 @@ from repro.eval.evaluator import LinkPredictionEvaluator
 from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.conftest import bench_json_path  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_parallel.json"
 
 #: The acceptance target on hosts with >= 4 cores: 4 workers deliver at
@@ -101,7 +106,7 @@ def _timed_evaluate(evaluator, model, repeats: int):
 
 
 def run_benchmark(
-    fast: bool = False, json_path: Path | str | None = DEFAULT_JSON_PATH
+    fast: bool = False, json_path: Path | str | None = None
 ) -> dict:
     """Run the benchmark; returns (and optionally writes) the results dict."""
     dataset, model, total_dim = _build_setup(fast)
@@ -153,8 +158,9 @@ def run_benchmark(
         },
         "sharded": rows,
     }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(
+        json_path.write_text(
             json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     return results

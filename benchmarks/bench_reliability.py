@@ -65,6 +65,11 @@ from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.serving import PredictionServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.conftest import bench_json_path  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_reliability.json"
 
 #: Acceptance target: atomic writes may cost at most this fraction of
@@ -241,7 +246,7 @@ def _bench_degraded_serving(fast: bool, run_root: Path) -> dict:
 
 
 def run_benchmark(
-    fast: bool = False, json_path: Path | str | None = DEFAULT_JSON_PATH
+    fast: bool = False, json_path: Path | str | None = None
 ) -> dict:
     """Run the benchmark; returns (and optionally writes) the results dict."""
     with tempfile.TemporaryDirectory(dir=REPO_ROOT / "benchmarks") as scratch:
@@ -259,8 +264,9 @@ def run_benchmark(
                 "degraded_serving": _bench_degraded_serving(fast, root / "serving"),
             },
         }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(
+        json_path.write_text(
             json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     return results

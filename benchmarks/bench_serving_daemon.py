@@ -54,6 +54,11 @@ from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
 from repro.serving import LinkPredictor, PredictionServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # run standalone
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.conftest import bench_json_path  # noqa: E402
+
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_serving.json"
 
 #: Acceptance targets.  The full run must hit the issue's ≥3x claim at a
@@ -169,7 +174,7 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
     }
 
 
-def run_benchmark(fast: bool = False, json_path: Path | str | None = DEFAULT_JSON_PATH) -> dict:
+def run_benchmark(fast: bool = False, json_path: Path | str | None = None) -> dict:
     """Measure serial vs micro-batched serving under the same Poisson load."""
     scale_config = FAST_SCALE if fast else FULL_SCALE
     dataset = generate_synthetic_kg(SyntheticKGConfig(seed=3, scale=scale_config["scale"]))
@@ -217,8 +222,9 @@ def run_benchmark(fast: bool = False, json_path: Path | str | None = DEFAULT_JSO
             ),
         },
     }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+        json_path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return results
 
 
@@ -273,4 +279,5 @@ def test_serving_daemon_throughput():
 if __name__ == "__main__":
     fast_flag = "--fast" in sys.argv
     print(format_results(run_benchmark(fast=fast_flag)))
-    print(f"\nwrote {DEFAULT_JSON_PATH}")
+    if not fast_flag:
+        print(f"\nwrote {DEFAULT_JSON_PATH}")

@@ -47,6 +47,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:  # run standalone: the oracle lives under tests/
     sys.path.insert(0, str(REPO_ROOT))
 
+from benchmarks.conftest import bench_json_path  # noqa: E402
 from tests.core.dense_reference import DenseReference  # noqa: E402
 
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_training.json"
@@ -143,7 +144,7 @@ def _equivalence_deltas(name: str, num_entities: int, num_relations: int,
     }
 
 
-def run_benchmark(fast: bool = False, json_path: Path | str | None = DEFAULT_JSON_PATH) -> dict:
+def run_benchmark(fast: bool = False, json_path: Path | str | None = None) -> dict:
     """Time every model class on both engines; optionally write the JSON."""
     scale = FAST_SCALE if fast else FULL_SCALE
     dataset = generate_synthetic_fb15k(
@@ -198,8 +199,9 @@ def run_benchmark(fast: bool = False, json_path: Path | str | None = DEFAULT_JSO
         },
         "models": models,
     }
+    json_path = bench_json_path(json_path, DEFAULT_JSON_PATH, fast)
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+        json_path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return results
 
 
@@ -242,4 +244,5 @@ def test_training_throughput():
 if __name__ == "__main__":
     fast_flag = "--fast" in sys.argv
     print(format_results(run_benchmark(fast=fast_flag)))
-    print(f"\nwrote {DEFAULT_JSON_PATH}")
+    if not fast_flag:
+        print(f"\nwrote {DEFAULT_JSON_PATH}")

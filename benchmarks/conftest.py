@@ -39,6 +39,21 @@ def is_fast() -> bool:
     return bool(os.environ.get("REPRO_BENCH_FAST"))
 
 
+def bench_json_path(
+    json_path: Path | str | None, committed: Path, fast: bool
+) -> Path | None:
+    """Where a standalone benchmark writes its JSON results, or None.
+
+    An explicit *json_path* is always used.  Without one, the results go
+    to the *committed* repo-root ``BENCH_*.json`` at full scale only: a
+    toy-scale run (``--fast`` or ``REPRO_BENCH_FAST=1``) writes nothing,
+    so it never overwrites the committed full-scale numbers.
+    """
+    if json_path is not None:
+        return Path(json_path)
+    return None if fast else committed
+
+
 def make_settings(overrides: Mapping[str, Any] | None = None) -> RunConfig:
     """Benchmark-scale base config (the paper tables' defaults), or toy
     scale under REPRO_BENCH_FAST=1, with dotted-path *overrides* applied."""

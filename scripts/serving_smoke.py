@@ -13,10 +13,14 @@ system process*:
 5. cross-check served answers against a direct in-process predictor,
 6. send an oversize request line and require a ``too_large`` reply
    followed by a correct answer on the same connection,
-7. require from the ``stats`` op that the index answered approximately
+7. send an ``apply_delta`` with a bad ingest knob and require a
+   ``bad_request`` reply that changes nothing, then pipeline a good delta
+   between ``top_k`` lines and require every read answered, the delta at
+   ``graph_version`` 1 and its new entity served after the flip,
+8. require from the ``stats`` op that the index answered approximately
    (no exhaustive query, a nonzero PQ scan), and from the ``metrics``
    op the same query count plus nonzero PQ pruning,
-8. shut down over the wire and require a clean exit.
+9. shut down over the wire and require a clean exit.
 
 The index probes 2 of 8 cells and prunes each probed union to 16
 candidates by PQ, so the daemon serves the approximate path — probed
@@ -181,6 +185,56 @@ def oversize_line(predictor, port: int) -> None:
     assert answered["ids"] == [int(j) for j in expected.ids[0, :5]], answered
 
 
+def live_delta(predictor, port: int) -> None:
+    """A bad ingest knob is refused before any work; a good delta
+    pipelined between reads is published while every read is answered,
+    and the entity it adds is served after the flip."""
+    from repro.ingest import GraphDelta
+
+    dataset = predictor.dataset
+    names, relations = dataset.entities.to_list(), dataset.relations.to_list()
+    fresh = dataset.num_entities  # the id the delta's new entity gets
+    delta = GraphDelta(
+        add_triples=(
+            ("smoke_entity", names[0], relations[0]),
+            (names[1], "smoke_entity", relations[0]),
+        )
+    ).to_dict()
+    reads = [
+        {"id": f"read-{i}", "op": "top_k", "head": (5 * i) % fresh,
+         "relation": i % 3, "k": 5}
+        for i in range(16)
+    ]
+    fresh_read = {"id": "fresh", "op": "top_k", "head": fresh, "relation": 0, "k": 5}
+    health = {"id": "health", "op": "health"}
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as conn:
+        reader = conn.makefile("r", encoding="utf-8")
+
+        def call(*requests) -> dict:
+            conn.sendall("".join(json.dumps(r) + "\n" for r in requests).encode())
+            replies = [json.loads(reader.readline()) for _ in requests]
+            return {reply["id"]: reply for reply in replies}
+
+        refused = call({"id": "bad", "op": "apply_delta", "delta": delta,
+                        "ingest": {"epochs": "x"}})["bad"]
+        assert refused["error"]["code"] == "bad_request", refused
+        after_refusal = call(health, fresh_read)
+        assert after_refusal["health"]["health"]["status"] == "ok", after_refusal
+        assert after_refusal["health"]["health"]["graph_version"] == 0, after_refusal
+        assert after_refusal["fresh"]["error"]["code"] == "bad_request", after_refusal
+
+        replies = call(*reads[:8], {"id": "delta", "op": "apply_delta", "delta": delta,
+                                    "ingest": {"epochs": 1}}, *reads[8:])
+        assert all(reply["ok"] for reply in replies.values()), replies
+        assert replies["delta"]["ingest"]["graph_version"] == 1, replies["delta"]
+        after_delta = call(health, fresh_read)
+    assert after_delta["health"]["health"]["status"] == "ok", after_delta
+    assert after_delta["health"]["health"]["graph_version"] == 1, after_delta
+    served = after_delta["fresh"]
+    assert served["ok"] is True and served["graph_version"] == 1, served
+    assert len(served["ids"]) == 5, served
+
+
 def shutdown_over_wire(port: int) -> None:
     with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
         conn.sendall(b'{"id": 0, "op": "stats"}\n{"id": 1, "op": "metrics"}\n')
@@ -231,6 +285,8 @@ def main() -> int:
             print("== serving smoke: wire answers match direct predictor ==")
             oversize_line(predictor, port)
             print("== serving smoke: oversize line refused, connection kept ==")
+            live_delta(predictor, port)
+            print("== serving smoke: bad delta refused, live delta served beside reads ==")
             shutdown_over_wire(port)
             rc = process.wait(timeout=30)
             remainder = process.stdout.read()

@@ -27,6 +27,7 @@ Contract highlights every implementation must honour:
 from __future__ import annotations
 
 import abc
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -177,6 +178,18 @@ class CandidateIndex(abc.ABC):
     @abc.abstractmethod
     def invalidate(self) -> None:
         """Drop any precomputed data and resync to the model's current version."""
+
+    def bound_to(self, model: MultiEmbeddingModel) -> "CandidateIndex":
+        """A twin over *model*, a copy that scores like :attr:`model`.
+
+        It shares this index's data and registry and is exactly as fresh;
+        its upkeep replaces what it holds, never writing into this index.
+        """
+        twin = copy.copy(self)
+        twin.model = model
+        lag = self.model.scoring_version - self._version
+        twin._version = model.scoring_version - lag
+        return twin
 
     def ensure_fresh(self) -> bool:
         """Reconcile the index with the model's current parameter version.

@@ -459,6 +459,16 @@ class IVFIndex(CandidateIndex):
             self.rebuilds += 1
         self._version = self.model.scoring_version
 
+    def bound_to(self, model: MultiEmbeddingModel) -> "IVFIndex":
+        """See :meth:`CandidateIndex.bound_to`; the twin folds through its own cache."""
+        twin = super().bound_to(model)
+        # Attached after construction, which would re-declare the shared
+        # counters and could race a concurrent read's increment.
+        twin._source = FoldedCandidateSource(model, max_cached=self._source.max_cached)
+        twin._source.metrics = self.metrics
+        twin._partitions = dict(self._partitions)
+        return twin
+
     @property
     def built_partitions(self) -> tuple[tuple[int, str], ...]:
         """The ``(relation, side)`` partitions currently materialised."""

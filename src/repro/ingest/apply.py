@@ -177,43 +177,3 @@ def apply_delta(
     )
     return successor, stats
 
-
-class MutableGraph:
-    """A dataset handle with transactional mutation and a version counter.
-
-    ``graph_version`` increases monotonically with every applied
-    non-empty delta — the version tag replicas key their invalidation on
-    (the TransEdge framing).  An empty delta commits as a no-op without
-    moving the version, so the empty transaction is bit-identical to not
-    transacting at all.
-    """
-
-    def __init__(self, dataset: KGDataset, graph_version: int = 0) -> None:
-        if graph_version < 0:
-            raise IngestError(f"graph_version must be >= 0, got {graph_version}")
-        self._dataset = dataset
-        self._graph_version = int(graph_version)
-
-    @property
-    def dataset(self) -> KGDataset:
-        """The current dataset snapshot (immutable; replaced by :meth:`apply`)."""
-        return self._dataset
-
-    @property
-    def graph_version(self) -> int:
-        """Monotonic count of applied non-empty deltas."""
-        return self._graph_version
-
-    def apply(self, delta: GraphDelta) -> DeltaStats:
-        """Apply *delta*; on success the snapshot and version advance together."""
-        dataset, stats = apply_delta(self._dataset, delta)
-        if dataset is not self._dataset:
-            self._dataset = dataset
-            self._graph_version += 1
-        return stats
-
-    def __repr__(self) -> str:
-        return (
-            f"MutableGraph(version={self._graph_version}, "
-            f"dataset={self._dataset!r})"
-        )

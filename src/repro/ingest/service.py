@@ -64,12 +64,15 @@ def ingest_delta(
 ) -> IngestOutcome:
     """Apply *delta* end to end; returns the successor dataset + reports.
 
-    ``epochs=0`` grows the tables but skips fine-tuning.  *index*, when
-    given, is maintained through its ``update_entities`` hook (the IVF
-    re-fold/re-assign path with drift-triggered rebuild) or, for index
-    kinds without one, invalidated so it resyncs lazily.  An empty delta
-    is a committed no-op: the same dataset object comes back, the model
-    and index are untouched.
+    *model* and *index* are updated in place: the ``ingest`` CLI owns
+    its freshly loaded model, and the serving daemon passes a private
+    copy of the deployed one.  ``epochs=0`` grows the tables but skips
+    fine-tuning.  *index*, when given, is maintained through its
+    ``update_entities`` hook (the IVF re-fold/re-assign path with
+    drift-triggered rebuild) or, for index kinds without one,
+    invalidated so it resyncs lazily.  An empty delta is a committed
+    no-op: the same dataset object comes back, the model and index are
+    untouched.
     """
     start = time.perf_counter()
     with trace_scope(

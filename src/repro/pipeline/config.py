@@ -416,6 +416,13 @@ class IngestSection:
         from repro.nn.initializers import INITIALIZERS
         from repro.nn.optimizers import OPTIMIZERS
 
+        # Knobs arrive as JSON (the daemon's apply_delta op): an int field
+        # takes no bool, str or float, a float field no bool or non-number.
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            types = {"int": int, "float": (int, float), "str": str}[spec.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"ingest.{spec.name} must be {spec.type}, got {value!r}")
         if self.epochs < 0:
             raise ConfigError(f"ingest.epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

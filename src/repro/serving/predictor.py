@@ -122,8 +122,6 @@ class LinkPredictor:
     dataset:
         Optional dataset; supplies the filter index for ``filtered=True``
         queries and the vocabularies for name-based prediction.
-    filter_index:
-        Explicit filter index (overrides the dataset's).
     cache_size:
         Capacity of the LRU score cache; ``0`` disables caching.
     index:
@@ -146,7 +144,6 @@ class LinkPredictor:
         model: KGEModel,
         dataset: KGDataset | None = None,
         *,
-        filter_index: FilterIndex | None = None,
         cache_size: int = 4096,
         index=None,
         recall_sample_every: int = 0,
@@ -158,7 +155,6 @@ class LinkPredictor:
         self.model = model
         self.dataset = dataset
         self.scorer = BatchedScorer(model)
-        self._filter_index = filter_index
         self.cache = LRUScoreCache(cache_size) if cache_size else None
         self._model_version = model.scoring_version
         self.index = index
@@ -181,13 +177,12 @@ class LinkPredictor:
     # ------------------------------------------------------------- plumbing
     @property
     def filter_index(self) -> FilterIndex:
-        if self._filter_index is not None:
-            return self._filter_index
-        if self.dataset is not None:
-            return self.dataset.filter_index
-        raise ServingError(
-            "filtered prediction needs a dataset or an explicit filter_index"
-        )
+        if self.dataset is None:
+            raise ServingError(
+                "filtered prediction needs a dataset, whose filter_index masks "
+                "the known triples"
+            )
+        return self.dataset.filter_index
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """One read of this deployment's counters: the predictor's registry

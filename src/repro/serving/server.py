@@ -51,12 +51,11 @@ that gap with a stdlib-only asyncio service:
     no response ever mixes old and new model versions, and the old
     deployment keeps serving until the instant of the flip.
 
-    *Live ingestion*: :meth:`PredictionServer.apply_delta` hot-applies a
-    :class:`~repro.ingest.GraphDelta` to the active deployment under the
-    same swap lock dispatch scoring holds — dataset apply, embedding
-    growth, warm-start fine-tuning and incremental index maintenance all
-    land atomically between micro-batches, and every subsequent response
-    carries the advanced ``graph_version``.
+    *Live ingestion*: :meth:`PredictionServer.apply_delta` runs a
+    :class:`~repro.ingest.GraphDelta`'s full ingest on a private copy of
+    the deployed model and index while reads stay on the deployment, then
+    publishes the successor by the same flip a hot-swap makes; every
+    later response carries the advanced ``graph_version``.
 
     *Shutdown*: :meth:`PredictionServer.close` stops admission, drains
     queued requests (or fails them fast with
@@ -82,9 +81,9 @@ latency histograms (``server.service_seconds`` per request,
 ``server.dispatch_seconds`` per group, ``server.wait_seconds`` per
 request from admission to scored answer: queueing, the thread hop and
 scoring).  The deployment's predictor and index keep their own
-registries, so a hot-swap starts those from zero.  Every read surface
-renders one merged :meth:`PredictionServer.snapshot`.  Tracing is
-opt-in: span scopes are no-ops until a tracer is installed
+registries, so a hot-swap starts those from zero (a delta keeps them).
+Every read surface renders one merged :meth:`PredictionServer.snapshot`.
+Tracing is opt-in: span scopes are no-ops until a tracer is installed
 (:func:`repro.obs.install_tracer` — the daemon entry point arms one).
 
 Everything here is plain CPython stdlib (asyncio + json + numpy already
@@ -98,7 +97,7 @@ import collections
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,20 +158,17 @@ def k_bucket(k: int) -> int:
     return 1 << (int(k) - 1).bit_length()
 
 
-#: Keyword knobs the wire ``apply_delta`` op may forward to
-#: :func:`repro.ingest.ingest_delta` (mirrors ``IngestSection``).
-_INGEST_KNOBS = frozenset(
-    {
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "optimizer",
-        "num_negatives",
-        "seed",
-        "drift_threshold",
-        "grow_initializer",
-    }
-)
+def _private_copy(model):
+    """A model scoring bit-identically to *model* over its tables, handed
+    over read-only: the copy's first write (growth, a train step) makes
+    its own rows, so nothing done to the copy reaches *model*."""
+    from repro.core.serialization import model_from_state, model_state
+
+    meta, arrays = model_state(model)
+    for name, array in arrays.items():
+        arrays[name] = array.view()
+        arrays[name].flags.writeable = False
+    return model_from_state(meta, arrays)
 
 
 @dataclass(frozen=True)
@@ -309,6 +305,8 @@ class PredictionServer:
         self._pending: collections.deque[_Pending] = collections.deque()
         self._wake = asyncio.Event()
         self._swap_lock = asyncio.Lock()
+        #: Serialises deltas, so each one builds on its predecessor.
+        self._delta_lock = asyncio.Lock()
         self._task: asyncio.Task | None = None
         self._closing = False
         self._closed = False
@@ -487,6 +485,13 @@ class PredictionServer:
         await self.close()
 
     # ------------------------------------------------------------- hot swap
+    def _flip(self, predictor: LinkPredictor, **tags) -> Deployment:
+        """Publish *predictor* as the next deployment: the one place the
+        active deployment changes.  Callers hold the swap lock."""
+        self._generation += 1
+        self._active = Deployment(predictor, self._generation, **tags)
+        return self._active
+
     async def swap_predictor(
         self,
         predictor: LinkPredictor,
@@ -509,13 +514,8 @@ class PredictionServer:
             # Surface staleness now, not lazily on the first request.
             predictor.index.ensure_fresh()
         async with self._swap_lock:
-            self._generation += 1
-            self._active = Deployment(
-                predictor,
-                self._generation,
-                run_dir=run_dir,
-                label=label,
-                degraded=degraded,
+            deployment = self._flip(
+                predictor, run_dir=run_dir, label=label, degraded=degraded
             )
             self.metrics.inc("server.swaps")
             self._degraded = bool(degraded)
@@ -527,7 +527,7 @@ class PredictionServer:
             # histogram so the hint is rebuilt from post-swap
             # measurements only.
             self.metrics.reset("server.service_seconds")
-            return self._active
+            return deployment
 
     async def load_run(
         self,
@@ -592,33 +592,39 @@ class PredictionServer:
     async def apply_delta(self, delta, **ingest_kwargs) -> dict:
         """Hot-apply a :class:`~repro.ingest.GraphDelta` to the active line.
 
-        The full ingest pipeline — transactional dataset apply,
-        embedding-table growth, touched-row fine-tuning, incremental
-        index maintenance (:func:`repro.ingest.ingest_delta`) — runs in
-        a worker thread, recording its ``ingest.*`` counters into
-        :attr:`metrics`, **while holding the swap lock**, the same lock
-        every micro-batch dispatch holds while scoring.  No response is
-        ever computed against a half-applied delta: queries either see
-        the pre-delta deployment or the post-delta one, whose
-        ``graph_version`` (echoed on every :class:`ServedTopK`) has
-        advanced by one.  *delta* may be a :class:`GraphDelta` or its
-        ``to_dict`` payload; keyword knobs are forwarded to
-        :func:`~repro.ingest.ingest_delta`.  An empty delta is a no-op:
-        the receipt reports ``applied: false`` and neither the
-        generation nor the graph version moves.
+        The knobs are checked against
+        :class:`~repro.pipeline.config.IngestSection` before any work.
+        :func:`repro.ingest.ingest_delta` then runs in a worker thread on
+        a private copy of the deployed model and a twin of its index,
+        while reads stay on the current deployment.  The successor, on the
+        delta's dataset, is published with ``graph_version + 1`` by the
+        flip :meth:`swap_predictor` makes, together with the delta's
+        ``ingest.*`` counters: no response sees a half-applied delta, and
+        a delta that fails changes nothing.  Deltas serialise, each built
+        on the last; one that a swap overtakes fails with a
+        :class:`~repro.errors.ServingError` and must be re-sent.  *delta*
+        may be a :class:`GraphDelta` or its ``to_dict`` payload.  An empty
+        delta is a no-op: the receipt reports ``applied: false`` and
+        neither the generation nor the graph version moves.
         """
-        from repro.ingest import GraphDelta, ingest_delta
+        import repro.ingest as ingest
+        from repro.pipeline.config import IngestSection
 
+        known = sorted(spec.name for spec in fields(IngestSection))
+        unknown = sorted(set(ingest_kwargs) - set(known))
+        if unknown:
+            raise ServingError(f"unknown ingest knobs {unknown}; known: {known}")
+        knobs = IngestSection(**ingest_kwargs).ingest_kwargs()
         if isinstance(delta, dict):
-            delta = GraphDelta.from_dict(delta)
-        if not isinstance(delta, GraphDelta):
+            delta = ingest.GraphDelta.from_dict(delta)
+        if not isinstance(delta, ingest.GraphDelta):
             raise ServingError(
                 f"apply_delta needs a GraphDelta or its dict form; got "
                 f"{type(delta).__name__}"
             )
         if self._closing:
             raise ServerClosedError("server is shutting down; request refused")
-        async with self._swap_lock:
+        async with self._delta_lock:
             deployment = self._active
             if deployment is None:
                 raise ServingError(
@@ -630,44 +636,54 @@ class PredictionServer:
                     "apply_delta needs a deployment backed by a dataset"
                 )
 
-            def _apply():
-                # ingest_delta records its counters into the installed
-                # (process-wide) registry; nothing else on the serving
-                # path records there while this runs.
-                with metrics_scope(self.metrics):
-                    return ingest_delta(
-                        predictor.model,
-                        predictor.dataset,
-                        delta,
-                        index=predictor.index,
-                        **ingest_kwargs,
+            def _build():
+                model = _private_copy(predictor.model)
+                index = predictor.index
+                if index is not None:
+                    index = index.bound_to(model)
+                # ingest_delta records into the process-wide registry, a
+                # private one here until the delta is published.  Reads
+                # running beside it record only into their predictor's and
+                # index's own registries, so none of theirs land in it.
+                with metrics_scope(MetricsRegistry()) as counters:
+                    outcome = ingest.ingest_delta(
+                        model, predictor.dataset, delta, index=index, **knobs
                     )
+                if not outcome.applied:
+                    return outcome, counters, None
+                cache = predictor.cache
+                successor = LinkPredictor(
+                    model,
+                    outcome.dataset,
+                    cache_size=0 if cache is None else cache.capacity,
+                    index=index,
+                    recall_sample_every=predictor.recall_sample_every,
+                )
+                successor.metrics = predictor.metrics  # totals carry on
+                return outcome, counters, successor
 
-            outcome = await asyncio.to_thread(_apply)
-            receipt = outcome.to_dict()
-            if not outcome.applied:
-                receipt["generation"] = deployment.generation
-                receipt["graph_version"] = deployment.graph_version
-                return receipt
-            # Mutate the predictor in place: version-keyed caches resync
-            # on the next query, and the spliced index must NOT be
-            # invalidated (clear_cache would discard the splice).
-            predictor.dataset = outcome.dataset
-            if predictor._filter_index is not None:
-                predictor._filter_index = outcome.dataset.filter_index
-            self._generation += 1
-            self._active = Deployment(
-                predictor,
-                self._generation,
-                run_dir=deployment.run_dir,
-                label=deployment.label,
-                degraded=deployment.degraded,
-                graph_version=deployment.graph_version + 1,
-            )
-            receipt["generation"] = self._active.generation
-            receipt["graph_version"] = self._active.graph_version
-            receipt["scoring_version"] = self._active.scoring_version
-            return receipt
+            outcome, counters, successor = await asyncio.to_thread(_build)
+            if successor is not None:
+                async with self._swap_lock:
+                    if self._active is not deployment:
+                        raise ServingError(
+                            "a swap landed while this delta was being applied; "
+                            "re-send the delta to apply it to the new deployment"
+                        )
+                    deployment = self._flip(
+                        successor,
+                        run_dir=deployment.run_dir,
+                        label=deployment.label,
+                        degraded=deployment.degraded,
+                        graph_version=deployment.graph_version + 1,
+                    )
+            self.metrics.merge(counters.snapshot())
+        receipt = outcome.to_dict()
+        receipt["generation"] = deployment.generation
+        receipt["graph_version"] = deployment.graph_version
+        if successor is not None:
+            receipt["scoring_version"] = deployment.scoring_version
+        return receipt
 
     # ------------------------------------------------------------- requests
     def _observe_service_time(self, per_request: float) -> None:
@@ -1051,12 +1067,6 @@ async def _handle_message(
         knobs = message.get("ingest", {})
         if not isinstance(knobs, dict):
             raise ServingError("ingest knobs must be a JSON object")
-        unknown = set(knobs) - _INGEST_KNOBS
-        if unknown:
-            raise ServingError(
-                f"unknown ingest knobs {sorted(unknown)}; known: "
-                f"{sorted(_INGEST_KNOBS)}"
-            )
         return {"ingest": await server.apply_delta(delta, **knobs)}
     if op == "shutdown":
         if shutdown is None:

@@ -133,6 +133,34 @@ class TestStaleness:
         del before
 
 
+class TestBoundTo:
+    def test_twin_shares_partitions_and_never_writes_the_original(self, model, monkeypatch):
+        from repro.core.serialization import model_from_state, model_state
+
+        index = IVFIndex(model, nlist=12, nprobe=3, spill=2, seed=1)
+        index.build(sides=("tail",))
+        twin_model = model_from_state(*model_state(model))
+        # Reads of the original may increment its counters meanwhile, so
+        # binding must not write the registry the twin shares.
+        monkeypatch.setattr(index.metrics, "inc", lambda *args: pytest.fail("inc"))
+        twin = index.bound_to(twin_model)
+        monkeypatch.undo()
+        assert twin.model is twin_model and twin.metrics is index.metrics
+        assert twin.built_version == twin_model.scoring_version  # as fresh
+        assert all(twin._partitions[key] is part for key, part in index._partitions.items())
+        np.testing.assert_array_equal(
+            twin.candidate_lists([0], [0], "tail").ids, index.candidate_lists([0], [0], "tail").ids
+        )
+        before = {key: part.members.copy() for key, part in index._partitions.items()}
+        twin_model.grow(model.num_entities + 3, rng=np.random.default_rng(0))
+        twin.update_entities(np.arange(model.num_entities, model.num_entities + 3))
+        twin.invalidate()
+        assert not twin.built_partitions
+        assert index.built_partitions == tuple(sorted(before))
+        for key, members in before.items():
+            np.testing.assert_array_equal(index._partitions[key].members, members)
+
+
 class TestBuildFanOut:
     def test_eager_build_covers_all_partitions(self, model):
         index = IVFIndex(model, nlist=12)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IngestError
-from repro.ingest import GraphDelta, MutableGraph, apply_delta
+from repro.ingest import GraphDelta, apply_delta
 from repro.kg.graph import FilterIndex, KGDataset
 from repro.kg.triples import TripleSet
 
@@ -330,26 +330,3 @@ def test_no_tuple_set_on_construction_or_delta_path(toy_dataset, monkeypatch):
     assert not successor.filter_index.contains(alice, bob, 0)
     assert index.contains(alice, bob, 0)
 
-
-class TestMutableGraph:
-    def test_version_advances_only_on_applied_deltas(self, toy_dataset):
-        graph = MutableGraph(toy_dataset)
-        assert graph.graph_version == 0
-        graph.apply(GraphDelta())  # empty: committed no-op
-        assert graph.graph_version == 0
-        assert graph.dataset is toy_dataset
-        stats = graph.apply(GraphDelta(add_triples=(("grace", "alice", "likes"),)))
-        assert graph.graph_version == 1
-        assert stats.num_added == 1
-        assert graph.dataset is not toy_dataset
-
-    def test_failed_delta_moves_nothing(self, toy_dataset):
-        graph = MutableGraph(toy_dataset, graph_version=5)
-        with pytest.raises(IngestError):
-            graph.apply(GraphDelta(delete_triples=(("ghost", "bob", "likes"),)))
-        assert graph.graph_version == 5
-        assert graph.dataset is toy_dataset
-
-    def test_negative_version_rejected(self, toy_dataset):
-        with pytest.raises(IngestError, match=">= 0"):
-            MutableGraph(toy_dataset, graph_version=-1)

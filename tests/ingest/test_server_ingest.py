@@ -1,25 +1,32 @@
 """Hot ingestion through the serving daemon: ``apply_delta`` + versions.
 
 Contract (see :meth:`repro.serving.server.PredictionServer.apply_delta`):
-the full ingest pipeline runs under the swap lock, so no response is
-computed against a half-applied delta; applied deltas advance both the
-generation and the monotonically increasing ``graph_version`` (echoed on
-every response); empty deltas are committed no-ops.
+the full ingest pipeline runs on a private copy of the deployed model and
+index while reads keep being answered by the deployment in service; the
+successor is published by the same flip a hot-swap makes, so no response
+is computed against a half-applied delta and the previous deployment is
+never written.  Applied deltas advance both the generation and the
+monotonically increasing ``graph_version`` (echoed on every response);
+deltas serialise, each built on the one before; a swap that lands while
+a delta builds fails the delta; a bad ingest knob is refused before any
+work; empty deltas are committed no-ops.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
+import repro.ingest
 from repro.core.models import make_complex
-from repro.errors import ServingError
+from repro.errors import ReproError, ServingError
 from repro.index.ivf import IVFIndex
 from repro.ingest import GraphDelta
 from repro.serving import LinkPredictor, PredictionServer
-from repro.serving.server import _handle_message
+from repro.serving.server import _error_payload, _handle_message
 
 pytestmark = pytest.mark.ingest
 
@@ -127,11 +134,14 @@ class TestApplyDelta:
                     make_delta(dataset), epochs=1, drift_threshold=1.0
                 )
                 served = await server.top_k(dataset.num_entities, 0, side="tail", k=5)
-            return receipt, served
+            return receipt, served, server.deployment.predictor.index
 
-        receipt, served = asyncio.run(main())
+        receipt, served, deployed = asyncio.run(main())
         assert receipt["index"]["rebuild_triggered"] is False
         assert index.rebuilds == 0
+        # The successor serves a twin of the index, spliced, not rebuilt.
+        assert deployed is not index
+        assert deployed.rebuilds == 0
         assert len(served.ids) == 5
 
     def test_bad_delta_type_rejected(self, model, dataset):
@@ -204,6 +214,193 @@ class TestWireOp:
 
         with pytest.raises(ServingError, match="needs a delta object"):
             asyncio.run(main())
+
+
+#: Knob sets each refused as a bad request before the delta does any work.
+BAD_KNOBS = [
+    {"epochs": "x"},
+    {"epochs": -1},
+    {"seed": -1},
+    {"optimizer": "bogus"},
+    {"batch_size": 0},
+    {"learning_rate": True},
+    {"drift_threshold": 2.0},
+]
+
+
+class TestKnobsCheckedFirst:
+    @pytest.mark.parametrize(
+        "knobs", BAD_KNOBS, ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items())
+    )
+    def test_bad_knob_is_a_bad_request_that_changes_nothing(self, model, dataset, knobs):
+        index = IVFIndex(model, seed=0, spill=2)
+        index.build(relations=np.arange(dataset.num_relations), sides=("tail",))
+        message = {"op": "apply_delta", "delta": make_delta(dataset).to_dict(), "ingest": knobs}
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset, index=index))
+            async with server:
+                with pytest.raises(ReproError) as refused:
+                    await _handle_message(server, message, None)
+                # The delta's new entity was never deployed.
+                with pytest.raises(ServingError, match="out of range"):
+                    await server.top_k(dataset.num_entities, 0, side="tail", k=5)
+                return refused.value, server.deployment, server.health_dict()
+
+        error, deployment, health = asyncio.run(main())
+        assert _error_payload(error)["code"] == "bad_request"
+        assert deployment.predictor.model.num_entities == dataset.num_entities
+        assert deployment.graph_version == 0
+        assert health["status"] == "ok"
+
+
+#: Seconds a snapshot test waits on the daemon before calling it stuck.
+TIMEOUT_S = 10.0
+
+
+@pytest.fixture()
+def held_ingest(monkeypatch):
+    """Hold each live delta inside ``ingest_delta`` until released.
+
+    Returns the ``(entered, release)`` events.  The daemon looks
+    ``ingest_delta`` up on the package at call time, so the patch
+    reaches it.
+    """
+    entered, release = threading.Event(), threading.Event()
+    original = repro.ingest.ingest_delta
+
+    def held(*args, **kwargs):
+        entered.set()
+        release.wait(TIMEOUT_S)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repro.ingest, "ingest_delta", held)
+    return entered, release
+
+
+class TestSnapshotDelta:
+    def test_reads_are_answered_while_a_delta_builds(self, model, dataset, held_ingest):
+        entered, release = held_ingest
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset))
+            async with server:
+                writing = asyncio.create_task(
+                    server.apply_delta(make_delta(dataset), epochs=1)
+                )
+                try:
+                    assert await asyncio.to_thread(entered.wait, TIMEOUT_S)
+                    reads = await asyncio.wait_for(
+                        asyncio.gather(
+                            *(server.top_k(head, 0, side="tail", k=5) for head in range(4))
+                        ),
+                        TIMEOUT_S,
+                    )
+                finally:
+                    release.set()
+                receipt = await writing
+                after = await server.top_k(0, 0, side="tail", k=5)
+            return reads, receipt, after
+
+        reads, receipt, after = asyncio.run(main())
+        assert [served.graph_version for served in reads] == [0, 0, 0, 0]
+        assert receipt["graph_version"] == 1
+        assert after.graph_version == 1
+
+    def test_a_swap_during_a_delta_fails_the_delta(self, model, dataset, held_ingest):
+        entered, release = held_ingest
+        other = make_complex(
+            dataset.num_entities, dataset.num_relations, BUDGET, np.random.default_rng(9)
+        )
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset))
+            async with server:
+                writing = asyncio.create_task(
+                    server.apply_delta(make_delta(dataset), epochs=1)
+                )
+                try:
+                    assert await asyncio.to_thread(entered.wait, TIMEOUT_S)
+                    swapped = await asyncio.wait_for(
+                        server.swap_predictor(LinkPredictor(other, dataset)), TIMEOUT_S
+                    )
+                finally:
+                    release.set()
+                with pytest.raises(ServingError, match="re-send"):
+                    await writing
+                served = await server.top_k(0, 0, side="tail", k=5)
+                return swapped, served, server.deployment, server.stats_dict()
+
+        swapped, served, deployment, stats = asyncio.run(main())
+        assert deployment is swapped
+        assert deployment.predictor.model is other
+        assert other.num_entities == dataset.num_entities
+        assert (served.generation, served.graph_version) == (swapped.generation, 0)
+        assert stats["deltas_applied"] == 0
+
+    def test_concurrent_deltas_each_build_on_the_last(self, model, dataset, held_ingest):
+        entered, release = held_ingest
+        names, rels = dataset.entities.to_list(), dataset.relations.to_list()
+        first = make_delta(dataset, "a")
+        # Deleting a triple only the first delta adds fails unless the
+        # second delta is applied on top of the first.
+        second = GraphDelta(
+            add_triples=(("b_entity", "a_entity", rels[0]),),
+            delete_triples=(("a_entity", names[0], rels[0]),),
+        )
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset))
+            async with server:
+                writes = [asyncio.create_task(server.apply_delta(first, epochs=1))]
+                try:
+                    assert await asyncio.to_thread(entered.wait, TIMEOUT_S)
+                    writes.append(asyncio.create_task(server.apply_delta(second, epochs=1)))
+                    await asyncio.sleep(0)
+                finally:
+                    release.set()
+                receipts = await asyncio.gather(*writes)
+                return receipts, server.deployment
+
+        receipts, deployment = asyncio.run(main())
+        assert [receipt["graph_version"] for receipt in receipts] == [1, 2]
+        assert receipts[1]["generation"] == receipts[0]["generation"] + 1
+        final = deployment.predictor.dataset
+        assert final.num_entities == dataset.num_entities + 2
+        assert deployment.predictor.model.num_entities == final.num_entities
+        a_id, b_id = final.entities.index("a_entity"), final.entities.index("b_entity")
+        assert final.filter_index.contains(b_id, a_id, 0)
+        assert not final.filter_index.contains(a_id, 0, 0)
+
+    def test_previous_deployment_is_never_written(self, model, dataset):
+        index = IVFIndex(model, seed=0, spill=2)
+        index.build(relations=np.arange(dataset.num_relations), sides=("tail", "head"))
+        tables = (model.entity_embeddings.copy(), model.relation_embeddings.copy())
+        version = model.scoring_version
+        partitions = {
+            key: (part.centroids.copy(), part.members.copy(), part.offsets.copy())
+            for key, part in index._partitions.items()
+        }
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset, index=index))
+            async with server:
+                return await server.apply_delta(
+                    make_delta(dataset), epochs=2, drift_threshold=1.0
+                )
+
+        receipt = asyncio.run(main())
+        assert receipt["applied"] and receipt["warm"]["steps"] > 0
+        assert receipt["index"]["partitions_updated"] == len(partitions)
+        assert model.num_entities == dataset.num_entities
+        assert model.scoring_version == version
+        np.testing.assert_array_equal(model.entity_embeddings, tables[0])
+        np.testing.assert_array_equal(model.relation_embeddings, tables[1])
+        assert sorted(index._partitions) == sorted(partitions)
+        for key, arrays in partitions.items():
+            part = index._partitions[key]
+            for before, after in zip(arrays, (part.centroids, part.members, part.offsets)):
+                np.testing.assert_array_equal(after, before)
 
 
 class TestIngestCounters:

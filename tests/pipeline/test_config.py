@@ -132,6 +132,26 @@ class TestIngestSection:
         with pytest.raises(ConfigError, match="drift_threshold"):
             IngestSection(drift_threshold=1.5)
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("epochs", "2"),
+            ("epochs", 2.0),
+            ("seed", True),
+            ("learning_rate", True),
+            ("drift_threshold", "0.5"),
+            ("optimizer", None),
+            ("grow_initializer", 1),
+        ],
+    )
+    def test_json_types_checked_before_ranges(self, field_name, value):
+        with pytest.raises(ConfigError, match=f"ingest.{field_name} must be"):
+            IngestSection(**{field_name: value})
+
+    def test_integer_float_knobs_accepted(self):
+        section = IngestSection(learning_rate=1, drift_threshold=1)
+        assert section.ingest_kwargs()["learning_rate"] == 1
+
     def test_run_config_round_trips_ingest_section(self):
         config = toy_config(ingest=IngestSection(epochs=5, drift_threshold=0.3))
         restored = RunConfig.from_json(config.to_json())

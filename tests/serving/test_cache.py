@@ -77,19 +77,28 @@ class TestCacheHitCorrectness:
         assert len(predictor.cache) == 1
 
     def test_filtered_and_raw_queries_share_cache_entries(self, model, queries):
+        from repro.kg.graph import KGDataset
+        from repro.kg.triples import TripleSet
+        from repro.kg.vocab import Vocabulary
+
+        def split(rows):
+            return TripleSet(
+                np.array(rows, dtype=np.int64).reshape(-1, 3), NUM_ENTITIES, NUM_RELATIONS
+            )
+
+        dataset = KGDataset(
+            Vocabulary([f"e{i}" for i in range(NUM_ENTITIES)]),
+            Vocabulary([f"r{i}" for i in range(NUM_RELATIONS)]),
+            split([[0, 1, 0]]),
+            split([]),
+            split([]),
+        )
         heads, rels = queries
-        predictor = LinkPredictor(model)
+        predictor = LinkPredictor(model, dataset)
         predictor.top_k(heads, rels, side="tail", k=5)
         misses_before = predictor.metrics.counter_value("serving.cache.misses")
         # A filtered query on the same keys must not recompute sweeps even
         # though its masked scores differ.
-        from repro.kg.graph import FilterIndex
-        from repro.kg.triples import TripleSet
-
-        triples = TripleSet(
-            np.array([[0, 1, 0]], dtype=np.int64), NUM_ENTITIES, NUM_RELATIONS
-        )
-        predictor._filter_index = FilterIndex(triples)
         predictor.top_k(heads, rels, side="tail", k=5, filtered=True)
         assert predictor.metrics.counter_value("serving.cache.misses") == misses_before
 
