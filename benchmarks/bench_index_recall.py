@@ -130,7 +130,7 @@ def run_benchmark(
     heads = dataset.test.heads[:num_queries]
     relations = dataset.test.relations[:num_queries]
 
-    exact = LinkPredictor(model, dataset, cache_size=0)
+    exact = LinkPredictor(model, dataset)
     exact_seconds = _time_batch(lambda: exact.top_k(heads, relations, side="tail", k=TOP_K))
     exact_ids = exact.top_k(heads, relations, side="tail", k=TOP_K).ids
 
@@ -148,7 +148,7 @@ def run_benchmark(
     for fraction in scale_config["nprobe_fractions"]:
         nprobe = max(1, min(index.nlist, int(round(fraction * index.nlist))))
         index.nprobe = nprobe
-        predictor = LinkPredictor(model, dataset, cache_size=0, index=index)
+        predictor = LinkPredictor(model, dataset, index=index)
         index_seconds = _time_batch(
             lambda: predictor.top_k(heads, relations, side="tail", k=TOP_K)
         )

@@ -156,10 +156,10 @@ def _recall_at_k(model, dataset: KGDataset, index: IVFIndex, queries: int) -> fl
     """Mean recall@k of index-served tails vs the exact full sweep."""
     heads = dataset.test.heads[:queries]
     relations = dataset.test.relations[:queries]
-    exact = LinkPredictor(model, dataset, cache_size=0).top_k(
+    exact = LinkPredictor(model, dataset).top_k(
         heads, relations, side="tail", k=TOP_K
     )
-    served = LinkPredictor(model, dataset, cache_size=0, index=index).top_k(
+    served = LinkPredictor(model, dataset, index=index).top_k(
         heads, relations, side="tail", k=TOP_K
     )
     return float(

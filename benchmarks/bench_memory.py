@@ -194,7 +194,7 @@ def run_benchmark(
     train_seconds = time.perf_counter() - started
 
     # ------------------------------------------------- baseline: exact float64
-    exact = LinkPredictor(model, dataset, cache_size=0)
+    exact = LinkPredictor(model, dataset)
     exact_batch_seconds = _time_batch(
         lambda: exact.top_k(heads, relations, side="tail", k=TOP_K)
     )
@@ -247,7 +247,7 @@ def run_benchmark(
 
     # ------------------------------------------- mapped: float32 + PQ-IVF serve
     index = load_index(root / "index", mapped_model)
-    predictor = LinkPredictor(mapped_model, dataset, cache_size=0, index=index)
+    predictor = LinkPredictor(mapped_model, dataset, index=index)
     mapped_batch_seconds = _time_batch(
         lambda: predictor.top_k(heads, relations, side="tail", k=TOP_K)
     )

@@ -8,8 +8,9 @@ actually faces) and compares two configurations of the same server:
 * **serial** — ``max_batch=1``: request-at-a-time, one scoring call and
   one thread hop per request;
 * **batched** — ``max_batch=64``: the micro-batcher coalesces the
-  requests that queued while the previous batch scored into one
-  ``LinkPredictor`` call per ``(side, filtered, k-bucket)`` group.
+  requests that queued while the previous batch scored and scores the
+  batch in one thread hop, one ``LinkPredictor`` call per
+  ``(side, filtered)`` group.
 
 Both are offered the *same* arrival sequence at a rate well above the
 serial server's measured closed-loop capacity, so the serial run
@@ -19,6 +20,13 @@ top-k selection — across every coalesced request.  Latency is measured
 open-loop (completion minus *scheduled* arrival), which correctly
 charges queueing delay to the saturated server.
 
+Both modes are timed in a child process started with one BLAS thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+set to 1, as perfbench runs its daemons).  With default BLAS threads on
+a two-core host, BLAS workers compete with the event loop's thread: the
+fast run's QPS ratio read 0.7x-1.2x in seven runs, under its 2x target,
+against 3.0x-4.4x pinned.
+
 Scoring latency is weight-agnostic (the same matmuls run whatever the
 values), so the bench scores an untrained model rather than paying for
 training it.  Both modes must return identical ids for every request —
@@ -26,7 +34,8 @@ coalescing is a latency optimisation, not an approximation — and the
 payload records that check.
 
 Results go to ``BENCH_serving.json`` at the repository root (schema in
-``benchmarks/README.md``).  Acceptance — asserted by the slow full run
+``benchmarks/README.md``), with the commit and host they were measured
+on.  Acceptance — asserted by the slow full run
 and, with relaxed thresholds, by the tier-1 smoke run — is the issue's
 headline claim: micro-batching sustains **≥ 3x** the request-at-a-time
 QPS while holding p99 latency under a fixed bound.
@@ -42,6 +51,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -86,6 +98,9 @@ FAST_SCALE = dict(
 
 #: Closed-loop requests used to estimate the serial server's capacity.
 CAPACITY_PROBE_REQUESTS = 40
+
+#: The environment the modes are timed under: one BLAS thread.
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 async def _drive_open_loop(
@@ -137,7 +152,7 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
     k = scale_config["k"]
 
     serial = PredictionServer(
-        LinkPredictor(model, dataset, cache_size=0),
+        LinkPredictor(model, dataset),
         max_batch=1, queue_depth=max(2 * num, 1024),
     )
     async with serial:
@@ -151,7 +166,7 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
         )
 
     batched = PredictionServer(
-        LinkPredictor(model, dataset, cache_size=0),
+        LinkPredictor(model, dataset),
         max_batch=scale_config["max_batch"],
         queue_depth=max(2 * num, 1024),
     )
@@ -174,8 +189,8 @@ async def _run_modes(model, dataset, scale_config: dict, seed: int) -> dict:
     }
 
 
-def run_benchmark(fast: bool = False, json_path: Path | str | None = None) -> dict:
-    """Measure serial vs micro-batched serving under the same Poisson load."""
+def _measure(fast: bool) -> dict:
+    """Build the graph and model, then time both modes in this process."""
     scale_config = FAST_SCALE if fast else FULL_SCALE
     dataset = generate_synthetic_kg(SyntheticKGConfig(seed=3, scale=scale_config["scale"]))
     model = make_complex(
@@ -185,17 +200,67 @@ def run_benchmark(fast: bool = False, json_path: Path | str | None = None) -> di
         np.random.default_rng(7),
     )
     measured = asyncio.run(_run_modes(model, dataset, scale_config, seed=11))
+    measured["dataset"] = {
+        "name": dataset.name,
+        "scale": scale_config["scale"],
+        "num_entities": dataset.num_entities,
+        "num_relations": dataset.num_relations,
+    }
+    return measured
+
+
+def _measure_pinned(fast: bool) -> dict:
+    """:func:`_measure` in a child process started under :data:`PINNED_ENV`
+    (BLAS reads the variables once, when numpy loads it), importing from
+    this process's ``sys.path``."""
+    env = {**os.environ, **PINNED_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(entry) for entry in sys.path)
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--measure",
+         "fast" if fast else "full"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if child.returncode != 0:
+        raise RuntimeError(f"pinned serving measurement failed:\n{child.stderr}")
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def _host() -> dict:
+    """The commit and host a run measured."""
+
+    def git(*args: str) -> str | None:
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, timeout=10
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    return {
+        "commit": git("rev-parse", "HEAD") or "unknown",
+        "uncommitted_changes": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "pinned_env": PINNED_ENV,
+    }
+
+
+def run_benchmark(fast: bool = False, json_path: Path | str | None = None) -> dict:
+    """Measure serial vs micro-batched serving under the same Poisson load."""
+    scale_config = FAST_SCALE if fast else FULL_SCALE
+    measured = _measure_pinned(fast)
 
     ratio = measured["batched"]["qps"] / measured["serial"]["qps"]
     p99_ok = measured["batched"]["p99_ms"] <= scale_config["p99_bound_ms"]
     results = {
         "benchmark": "micro-batched serving daemon QPS vs request-at-a-time",
-        "dataset": {
-            "name": dataset.name,
-            "scale": scale_config["scale"],
-            "num_entities": dataset.num_entities,
-            "num_relations": dataset.num_relations,
-        },
+        "host": _host(),
+        "dataset": measured["dataset"],
         "config": {
             "fast": fast,
             "model": "complex",
@@ -277,6 +342,9 @@ def test_serving_daemon_throughput():
 
 
 if __name__ == "__main__":
+    if "--measure" in sys.argv:  # the pinned child of _measure_pinned
+        print(json.dumps(_measure(fast=sys.argv[-1] == "fast")))
+        sys.exit(0)
     fast_flag = "--fast" in sys.argv
     print(format_results(run_benchmark(fast=fast_flag)))
     if not fast_flag:

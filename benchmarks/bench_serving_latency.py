@@ -7,7 +7,7 @@ path under the regimes that matter for capacity planning:
 
 * **cold**     — every request pays a full 1-vs-all sweep,
 * **cached**   — a skewed workload re-requests warm (entity, relation)
-  keys and is served from the LRU score cache,
+  keys and is served from the opt-in LRU score cache (``cache_size``),
 * **batched**  — many queries amortise one sweep call,
 * **candidate-restricted** — a recommender-style request scores an
   explicit shortlist via the models' ``score_candidates`` fast paths.
@@ -46,7 +46,7 @@ def queries():
 def test_topk_latency_cold(benchmark, queries):
     """Single-query top-k with no cache: the worst-case request."""
     heads, rels = queries
-    predictor = LinkPredictor(_model(), cache_size=0)
+    predictor = LinkPredictor(_model())
     result = benchmark(lambda: predictor.top_k(heads[:1], rels[:1], side="tail", k=TOP_K))
     assert result.ids.shape == (1, TOP_K)
 
@@ -54,7 +54,7 @@ def test_topk_latency_cold(benchmark, queries):
 def test_topk_latency_cached(benchmark, queries):
     """Single-query top-k served from a warm LRU cache."""
     heads, rels = queries
-    predictor = LinkPredictor(_model())
+    predictor = LinkPredictor(_model(), cache_size=64)
     predictor.warm_cache(heads[:1], rels[:1])
     result = benchmark(lambda: predictor.top_k(heads[:1], rels[:1], side="tail", k=TOP_K))
     assert result.ids.shape == (1, TOP_K)
@@ -64,7 +64,7 @@ def test_topk_latency_cached(benchmark, queries):
 def test_topk_batched_throughput(benchmark, queries):
     """A full batch of queries through one chunked sweep."""
     heads, rels = queries
-    predictor = LinkPredictor(_model(), cache_size=0)
+    predictor = LinkPredictor(_model())
     result = benchmark(lambda: predictor.top_k(heads, rels, side="tail", k=TOP_K))
     assert result.ids.shape == (BATCH, TOP_K)
 
@@ -74,7 +74,7 @@ def test_topk_candidate_shortlist(benchmark, queries):
     heads, rels = queries
     rng = np.random.default_rng(2)
     shortlist = rng.integers(0, NUM_ENTITIES, (BATCH, SHORTLIST))
-    predictor = LinkPredictor(_model(), cache_size=0)
+    predictor = LinkPredictor(_model())
     result = benchmark(
         lambda: predictor.top_k(heads, rels, side="tail", k=TOP_K, candidates=shortlist)
     )
@@ -116,6 +116,6 @@ def test_cache_hits_are_cheaper_than_sweeps():
             predictor.top_k(heads[row : row + 4], rels[row : row + 4], side="tail", k=TOP_K)
         return time.perf_counter() - start
 
-    cold = run(LinkPredictor(model, cache_size=0))
+    cold = run(LinkPredictor(model))
     warm = run(LinkPredictor(model, cache_size=64))
     assert warm * 1.2 < cold, f"cached serving not faster: warm={warm:.4f}s cold={cold:.4f}s"

@@ -4,7 +4,7 @@ Trains a small ComplEx model on the Freebase-flavoured synthetic dataset
 and then answers the three serving-side questions a knowledge-base
 product asks — "which tails?", "which heads?", "which relations?" —
 through :class:`repro.serving.LinkPredictor`: batched scoring,
-filtered-candidate masking, and the LRU score cache.  Runs in well under a minute:
+filtered-candidate masking, and the opt-in LRU score cache.  Runs in well under a minute:
 
     python examples/serving_quickstart.py
 """
@@ -38,7 +38,8 @@ def main() -> None:
 
     # 3. A predictor over the trained model.  It scores through the
     #    model's compiled ω kernel, like evaluation; the LRU cache
-    #    re-serves hot (entity, relation) sweeps without recomputing them.
+    #    (off unless cache_size > 0) re-serves hot (entity, relation)
+    #    sweeps without recomputing them.
     predictor = LinkPredictor(model, dataset, cache_size=1024)
 
     # 4. Tail prediction for the first few test triples, filtered so that

@@ -11,6 +11,10 @@ system process*:
 3. parse the ``REPRO-SERVE READY ... port=<n>`` line for the bound port,
 4. fire concurrent newline-delimited JSON requests over two sockets,
 5. cross-check served answers against a direct in-process predictor,
+   one request at a time, then as one pipelined burst of the
+   exact-serving mix (tail, head and relation queries, k in {1, 10, 50},
+   half the entity queries filtered) that the daemon must coalesce and
+   score in at most five calls per micro-batch,
 6. send an oversize request line and require a ``too_large`` reply
    followed by a correct answer on the same connection,
 7. send an ``apply_delta`` with a bad ingest knob and require a
@@ -164,6 +168,59 @@ def cross_check(predictor, port: int) -> None:
             )
 
 
+#: k of the mixed burst: perfbench's exact-serving mix.
+MIX_KS = (1, 10, 50)
+
+
+def mixed_burst(predictor, port: int) -> None:
+    """A pipelined burst of every side, k and filter setting on one
+    connection: each answer must equal the single-row in-process answer,
+    and the daemon must score each micro-batch in at most five predictor
+    calls, one per ``(side, filtered)`` group."""
+    requests = []
+    for i in range(60):
+        side = ("tail", "head", "relation")[i % 3]
+        request = {"id": i, "op": "top_k", "side": side, "k": MIX_KS[(i // 3) % 3]}
+        if side == "relation":
+            request.update(head=(11 * i) % 120, tail=(7 * i + 3) % 120)
+        else:
+            anchor = "head" if side == "tail" else "tail"
+            request.update({anchor: (13 * i) % 120, "relation": i % 3,
+                            "filtered": i % 2 == 0})
+        requests.append(request)
+    stats = (json.dumps({"id": "stats", "op": "stats"}) + "\n").encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+        reader = conn.makefile("r", encoding="utf-8")
+        conn.sendall(stats)
+        before = json.loads(reader.readline())["stats"]
+        conn.sendall("".join(json.dumps(r) + "\n" for r in requests).encode())
+        replies = [json.loads(reader.readline()) for _ in requests]
+        conn.sendall(stats)
+        after = json.loads(reader.readline())["stats"]
+    by_id = {reply["id"]: reply for reply in replies}
+    for request in requests:
+        reply = by_id[request["id"]]
+        assert reply["ok"] is True, (request, reply)
+        side, k = request["side"], request["k"]
+        if side == "relation":
+            expected = predictor.top_k(
+                [request["head"]], [request["tail"]], side="relation", k=k
+            )
+        else:
+            anchor = request["head"] if side == "tail" else request["tail"]
+            expected = predictor.top_k(
+                [anchor], [request["relation"]], side=side, k=k,
+                filtered=request["filtered"],
+            )
+        assert reply["ids"] == [int(j) for j in expected.ids[0]], (
+            f"{request}: wire ids {reply['ids']} != direct {expected.ids[0]}"
+        )
+    assert max(reply["coalesced"] for reply in replies) > 1, "burst never coalesced"
+    batches = after["batches"] - before["batches"]
+    calls = after["dispatch_calls"] - before["dispatch_calls"]
+    assert calls <= 5 * batches, f"{calls} dispatch calls for {batches} batches"
+
+
 def oversize_line(predictor, port: int) -> None:
     """A line past the daemon's read limit gets one ``too_large`` reply;
     the next request on the same connection is still answered."""
@@ -283,6 +340,8 @@ def main() -> int:
             predictor = direct_predictor(run_dir)
             cross_check(predictor, port)
             print("== serving smoke: wire answers match direct predictor ==")
+            mixed_burst(predictor, port)
+            print("== serving smoke: mixed burst coalesced, <= 5 calls per batch ==")
             oversize_line(predictor, port)
             print("== serving smoke: oversize line refused, connection kept ==")
             live_delta(predictor, port)

@@ -8,7 +8,7 @@ Commands
   report link-prediction metrics; ``--run-dir`` persists a resumable run.
 * ``predict``  — top-k link prediction from a checkpoint or ``--run-dir``;
   ``--index`` serves through the run's approximate retrieval index and
-  ``--stats`` reports cache/index effectiveness.
+  ``--stats`` reports the index's probed fraction and sampled recall.
 * ``build-index`` — build and persist the approximate retrieval index
   of a pipeline run directory.
 * ``ingest``   — apply a :class:`~repro.ingest.GraphDelta` JSON file to
@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the index's probe budget for this query "
                            "(nprobe == nlist is exact)")
     pred.add_argument("--stats", action="store_true",
-                      help="print LRU cache hit-rate and, with --index, probed "
-                           "fraction + sampled recall for the query batch")
+                      help="with --index, print the probed fraction and sampled "
+                           "recall for the query batch")
 
     build_ix = sub.add_parser(
         "build-index",
@@ -440,7 +440,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         from repro.obs import prometheus_text
 
         print("\nregistry metrics:")
-        print(prometheus_text(predictor.metrics_snapshot()).rstrip())
+        print(
+            prometheus_text(predictor.metrics_snapshot()).rstrip()
+            or "(none: the counters come from the index; add --index)"
+        )
     return 0
 
 

@@ -27,10 +27,10 @@ Sites currently instrumented:
     manifest verification can be tested); ``exception`` aborts before
     the atomic replace (the destination keeps its previous content).
 ``server.dispatch``
-    Fired by :class:`repro.serving.server.PredictionServer` inside the
-    scoring thread of each micro-batch group, with the query side as
-    context — ``slow`` faults here exercise drain/swap atomicity with a
-    batch genuinely in flight.
+    Fired by :class:`repro.serving.server.PredictionServer` in a
+    micro-batch's scoring thread before each predictor call, with
+    context ``"side:<side>;k:<k>"`` — ``slow`` faults here exercise
+    drain/swap atomicity with a batch genuinely in flight.
 
 Fault kinds: ``exception`` raises :class:`~repro.errors.InjectedFault`
 (a :class:`~repro.errors.TransientError`, so pool retries heal it);

@@ -9,11 +9,11 @@ link-prediction service runs per request.  Training-oriented code paths
 factor-of-N wins on the table for a serving workload, where the same
 entities and relations are queried over and over and latency matters.
 This package is the serving side of the repository: a read-only,
-batched, cached view over any trained :class:`~repro.core.base.KGEModel`.
+batched view over any trained :class:`~repro.core.base.KGEModel`.
 
 Architecture
 ------------
-Two layers, each usable on its own:
+Three layers, each usable on its own:
 
 ``BatchedScorer`` (:mod:`repro.serving.scorer`)
     Memory-bounded chunked sweeps through the model's own scoring (for
@@ -34,10 +34,17 @@ Two layers, each usable on its own:
     name-level ``predict`` for single queries, optional *filtered*
     masking of already-known true triples (reusing
     :class:`~repro.kg.graph.FilterIndex`), explicit candidate sets via
-    the models' ``score_candidates`` fast paths, and an
-    :class:`~repro.serving.cache.LRUScoreCache` of score vectors keyed
-    on ``(entity, relation, side)`` that is invalidated whenever the
-    model's parameters change.
+    the models' ``score_candidates`` fast paths, and an opt-in
+    (``cache_size > 0``) :class:`~repro.serving.cache.LRUScoreCache` of
+    score vectors keyed on ``(entity, relation, side)`` that is
+    invalidated whenever the model's parameters change.  The cache is
+    off by default: on graph-drawn traffic over 24,000 entities it hit
+    4-5 % of lookups while its 4,096 vectors held 786 MB.
+
+``PredictionServer`` (:mod:`repro.serving.server`)
+    The micro-batching daemon over one ``LinkPredictor``: it groups a
+    batch by ``(side, filtered)`` and scores all of it in one
+    worker-thread hop, one predictor call per group.
 
 Ties are always broken toward the lower candidate id, so repeated,
 batched and cached queries rank deterministically and agree with a

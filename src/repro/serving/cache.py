@@ -1,11 +1,13 @@
 """LRU cache for 1-vs-all score vectors.
 
-A production link-prediction service sees highly skewed query
-distributions (popular entities and relations repeat constantly), so
-caching the ``(num_entities,)`` score vector of a ``(entity, relation,
-side)`` query amortises the scoring cost across requests.  The cache is
-a plain ordered-dict LRU; invalidation and hit/miss/eviction counting
-are the caller's job (the :class:`~repro.serving.predictor.LinkPredictor`
+Caching the ``(num_entities,)`` score vector of a ``(entity, relation,
+side)`` query amortises its sweep across requests that repeat the key.
+That pays only when keys repeat often: on graph-drawn traffic
+(perfbench's exact-serving mix, 24,000 entities) a 4,096-entry cache hit
+4-5 % of lookups while holding 786 MB, so
+:class:`~repro.serving.predictor.LinkPredictor` uses it only when given
+``cache_size > 0``.  The cache is a plain ordered-dict LRU; invalidation
+and hit/miss/eviction counting are the caller's job (the predictor
 clears it whenever the model's ``scoring_version`` changes and counts
 each call's outcomes into its metrics registry).
 """

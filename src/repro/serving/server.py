@@ -12,13 +12,19 @@ that gap with a stdlib-only asyncio service:
     batcher task takes whatever is queued, up to ``max_batch``
     requests, the moment the previous batch is scored (requests that
     arrive while a batch scores form the next one; it never waits on a
-    timer for stragglers), groups them by
-    ``(side, filtered, k-bucket)`` and dispatches **one**
-    :class:`~repro.serving.predictor.LinkPredictor` call per group —
-    exactly the way :class:`~repro.serving.scorer.BatchedScorer` batches
-    evaluation.  Each request's future resolves to a
-    :class:`ServedTopK` carrying the answer plus the deployment
-    generation and model ``scoring_version`` it was computed at.
+    timer for stragglers) and groups them by ``(side, filtered)``, at
+    most five groups.  One worker-thread hop scores the whole batch:
+    **one** :class:`~repro.serving.predictor.LinkPredictor` call per
+    group, at the group's largest k, each answer sliced back to its own
+    k (a top-k prefix of a larger top-k is exact under the stable tie
+    rule).  Each request's future resolves to a :class:`ServedTopK`
+    carrying the answer plus the deployment generation and model
+    ``scoring_version`` it was computed at.
+
+    *Isolation*: a group whose call fails is re-run one request at a
+    time inside the same hop, so a request that cannot be answered (say
+    an id a hot-swap put out of range after admission) fails alone,
+    never its batch-mates.
 
     *Admission control*: when the queue is at ``queue_depth`` the
     request fast-fails with :class:`~repro.errors.ServerOverloadedError`
@@ -78,9 +84,9 @@ that gap with a stdlib-only asyncio service:
 *Telemetry*: the server's :class:`~repro.obs.MetricsRegistry` holds the
 ``server.*`` counters, the ``ingest.*`` counters of live deltas and three
 latency histograms (``server.service_seconds`` per request,
-``server.dispatch_seconds`` per group, ``server.wait_seconds`` per
-request from admission to scored answer: queueing, the thread hop and
-scoring).  The deployment's predictor and index keep their own
+``server.dispatch_seconds`` per predictor call, ``server.wait_seconds``
+per request from admission to scored answer: queueing, the thread hop
+and scoring).  The deployment's predictor and index keep their own
 registries, so a hot-swap starts those from zero (a delta keeps them).
 Every read surface renders one merged :meth:`PredictionServer.snapshot`.
 Tracing is opt-in: span scopes are no-ops until a tracer is installed
@@ -97,7 +103,8 @@ import collections
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +123,11 @@ from repro.obs.expo import prometheus_text
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot, metrics_scope
 from repro.obs.trace import current_span_id, trace_scope
 from repro.reliability import faults
-from repro.serving.predictor import LinkPredictor, query_slots
+from repro.serving.predictor import LinkPredictor, TopKResult, query_slots
 
 _LOG = logging.getLogger("repro.serving")
 
-#: Fault-injection site fired once per micro-batch group dispatch.
+#: Fault-injection site fired before each predictor call of a micro-batch.
 DISPATCH_SITE = "server.dispatch"
 
 #: Clamp bounds for one per-request service-time sample (seconds).  A
@@ -133,8 +140,8 @@ SERVICE_EMA_CEILING_S = 5.0
 RETRY_AFTER_FLOOR_MS = 1.0
 RETRY_AFTER_CEILING_MS = 10_000.0
 
-#: Default wall-clock threshold (ms) above which a micro-batch group's
-#: scoring call lands in the slow-query ring; overridable per server and
+#: Default wall-clock threshold (ms) above which one predictor call of a
+#: micro-batch lands in the slow-query ring; overridable per server and
 #: via a run's ``observability.slow_query_ms`` config knob.
 DEFAULT_SLOW_QUERY_MS = 250.0
 
@@ -147,11 +154,12 @@ MAX_LINE_BYTES = 64 * 1024
 
 
 def k_bucket(k: int) -> int:
-    """The power-of-two bucket a requested ``k`` coalesces into.
+    """The power of two at or above a requested ``k``.
 
-    Requests whose k rounds up to the same bucket share one predictor
-    call; each answer is sliced back to its own k afterwards (a top-k
-    prefix of a larger top-k is exact under the stable tie rule).
+    The daemon no longer groups by it: each ``(side, filtered)`` group
+    asks its largest k once.  Callers that compute an expected answer at
+    a bucketed k still get the daemon's ids, because a top-k prefix of a
+    larger top-k is exact under the stable tie rule.
     """
     if k < 1:
         raise ServingError("k must be >= 1")
@@ -232,10 +240,82 @@ class _Pending:
     future: asyncio.Future
     enqueued_at: float
     deadline_at: float | None = None
-    bucket: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.bucket = k_bucket(self.k)
+
+@dataclass
+class _Call:
+    """One predictor call of a micro-batch: its requests and either the
+    answer (``result``, one ``k``-wide row per request) or the error
+    every one of them gets."""
+
+    side: str
+    k: int
+    requests: list[_Pending]
+    elapsed: float = 0.0
+    result: TopKResult | None = None
+    error: Exception | None = None
+    degraded: bool = False
+
+
+def _score_groups(
+    deployment: Deployment,
+    groups: dict[tuple[str, bool], list[_Pending]],
+    parent: int | None,
+) -> list[_Call]:
+    """Score every ``(side, filtered)`` group of one micro-batch.
+
+    Runs on the worker thread of the batch's one hop.  Each group is one
+    predictor call for its largest k; a shorter k's answer is the prefix
+    of that row (the stable tie rule makes a top-k prefix exact).  A
+    stale or corrupt index is answered again by the exact path, per
+    group.  A group whose call still fails is re-run one request at a
+    time, so only a request that fails alone gets an error.  The thread's
+    span stack is empty, so the ``server.dispatch`` spans name the batch
+    span *parent* explicitly.
+    """
+    predictor = deployment.predictor
+
+    def call(side, filtered, requests, k, exact=False) -> _Call:
+        started = time.perf_counter()
+        with trace_scope(
+            "server.dispatch",
+            parent=parent,
+            side=side,
+            k=k,
+            coalesced=len(requests),
+            generation=deployment.generation,
+            exact=exact,
+        ):
+            faults.fire(DISPATCH_SITE, context=f"side:{side};k:{k}")
+            # Admission refused relation + filtered, so the shared knobs
+            # pass through unchanged.
+            result = predictor.top_k(
+                np.array([r.first for r in requests], dtype=np.int64),
+                np.array([r.second for r in requests], dtype=np.int64),
+                side=side,
+                k=k,
+                filtered=filtered,
+                exact=exact,
+            )
+        return _Call(side, k, requests, time.perf_counter() - started, result, degraded=exact)
+
+    def answer(side, filtered, requests, k) -> _Call:
+        try:
+            return call(side, filtered, requests, k)
+        except (StaleIndexError, CorruptArtifactError):
+            return call(side, filtered, requests, k, exact=True)
+
+    calls = []
+    for (side, filtered), requests in groups.items():
+        try:
+            calls.append(answer(side, filtered, requests, max(r.k for r in requests)))
+        except Exception:  # noqa: BLE001 — each request is tried alone below
+            for request in requests:
+                try:
+                    calls.append(answer(side, filtered, [request], request.k))
+                except Exception as error:  # noqa: BLE001 — forwarded to its caller
+                    calls.append(_Call(side, request.k, [request], error=error))
+    return calls
 
 
 class PredictionServer:
@@ -260,8 +340,9 @@ class PredictionServer:
         ``deadline_ms``; ``None`` (the default) means requests wait
         indefinitely for dispatch.
     slow_query_ms:
-        Wall-clock threshold above which a micro-batch group's scoring
-        call is recorded in the slow-query ring (and logged at WARNING).
+        Wall-clock threshold above which one predictor call of a
+        micro-batch is recorded in the slow-query ring (and logged at
+        WARNING).
         ``None`` adopts :data:`DEFAULT_SLOW_QUERY_MS` — or, under
         :meth:`load_run`, the run's ``observability.slow_query_ms``.
     """
@@ -794,7 +875,7 @@ class PredictionServer:
     async def _dispatch(self, batch: list[_Pending], loop) -> None:
         self.metrics.inc("server.batches")
         now = loop.time()
-        groups: dict[tuple[str, bool, int], list[_Pending]] = {}
+        groups: dict[tuple[str, bool], list[_Pending]] = {}
         cancelled = expired = 0
         for request in batch:
             if request.future.cancelled():
@@ -813,93 +894,57 @@ class PredictionServer:
                 )
                 expired += 1
                 continue
-            key = (request.side, request.filtered, request.bucket)
-            groups.setdefault(key, []).append(request)
+            groups.setdefault((request.side, request.filtered), []).append(request)
         if cancelled:
             self.metrics.inc("server.cancelled", cancelled)
         if expired:
             self.metrics.inc("server.deadline_expired", expired)
             self.metrics.inc("server.failed", expired)
+        if not groups:
+            return
         # Hold the dispatch lock across the whole micro-batch: a swap can
         # only land between batches, so every response in this batch comes
         # from one deployment snapshot.
         async with self._swap_lock:
             deployment = self._active
             with trace_scope("server.batch", size=len(batch), groups=len(groups)):
-                for (side, filtered, bucket), requests in groups.items():
-                    await self._dispatch_group(
-                        deployment, side, filtered, bucket, requests, loop
+                try:
+                    # Score every group off the event loop in one hop, so
+                    # admission/IO stay responsive while numpy sweeps; the
+                    # dispatch lock still serialises scoring with hot-swaps.
+                    calls = await asyncio.to_thread(
+                        _score_groups, deployment, groups, current_span_id()
                     )
+                except BaseException as error:  # noqa: BLE001 — forwarded to callers
+                    for requests in groups.values():
+                        self._fail_group(requests, error)
+                    return
+            now = loop.time()
+            for call in calls:
+                self._settle(deployment, call, now)
 
-    async def _dispatch_group(
-        self,
-        deployment: Deployment,
-        side: str,
-        filtered: bool,
-        bucket: int,
-        requests: list[_Pending],
-        loop,
-    ) -> None:
-        predictor = deployment.predictor
-        first = np.array([r.first for r in requests], dtype=np.int64)
-        second = np.array([r.second for r in requests], dtype=np.int64)
-        # _score runs on a worker thread, where the tracer's thread-local
-        # parent stack is empty — pass the dispatch span id explicitly so
-        # predictor/index spans still nest under this group.
-        group_span = current_span_id()
-
-        def _score(exact: bool = False):
-            with trace_scope(
-                "server.dispatch",
-                parent=group_span,
-                side=side,
-                bucket=bucket,
-                coalesced=len(requests),
-                generation=deployment.generation,
-                exact=exact,
-            ):
-                faults.fire(DISPATCH_SITE, context=f"side:{side};bucket:{bucket}")
-                # One entry point for every side: the predictor's unified
-                # top_k.  Admission refused relation + filtered, so the
-                # shared knobs pass through unchanged.
-                return predictor.top_k(
-                    first, second, side=side, k=bucket, filtered=filtered, exact=exact
-                )
-
-        started = loop.time()
-        degraded = False
-        try:
-            # Score off the event loop so admission/IO stay responsive
-            # while numpy sweeps; the dispatch lock still serialises
-            # scoring with hot-swaps.
-            result = await asyncio.to_thread(_score)
-        except (StaleIndexError, CorruptArtifactError):
-            # The deployment's index failed at serving time.  Re-answer
-            # this group with the exact full-sweep path — correct but
-            # slower — and mark the server degraded until the next swap.
-            try:
-                result = await asyncio.to_thread(_score, True)
-            except BaseException as error:  # noqa: BLE001 — forwarded to callers
-                self._fail_group(requests, error)
-                return
-            degraded = True
-            self._degraded = True
-        except BaseException as error:  # noqa: BLE001 — forwarded to callers
-            self._fail_group(requests, error)
+    def _settle(self, deployment: Deployment, call: _Call, now: float) -> None:
+        """Resolve one call's requests and record its counters."""
+        requests = call.requests
+        if call.error is not None:
+            self._fail_group(requests, call.error)
             return
-        elapsed = loop.time() - started
         metrics = self.metrics
-        self._observe_service_time(elapsed / len(requests))
-        metrics.observe("server.dispatch_seconds", elapsed)
+        self._observe_service_time(call.elapsed / len(requests))
+        metrics.observe("server.dispatch_seconds", call.elapsed)
         metrics.inc("server.dispatch_calls")
         metrics.inc("server.coalesced_total", len(requests))
         metrics.counter_max("server.coalesced_max", len(requests))
-        if elapsed * 1000.0 >= self.slow_query_ms:
+        if call.degraded:
+            # The deployment's index failed at serving time; the answer
+            # came from the exact path.  Sticky until the next swap.
+            self._degraded = True
+        if call.elapsed * 1000.0 >= self.slow_query_ms:
             self._record_slow_query(
-                deployment, side, bucket, len(requests), elapsed, degraded
+                deployment, call.side, call.k, len(requests), call.elapsed, call.degraded
             )
-        degraded = degraded or deployment.degraded
-        now = loop.time()
+        degraded = call.degraded or deployment.degraded
+        result = call.result
         served = 0
         for row, request in enumerate(requests):
             if request.future.done():
@@ -927,7 +972,7 @@ class PredictionServer:
                 metrics.inc("server.degraded", served)
 
     def _fail_group(self, requests: list[_Pending], error: BaseException) -> None:
-        """Forward a group's scoring error to every request still waiting."""
+        """Forward a scoring error to every one of *requests* still waiting."""
         failed = 0
         for request in requests:
             if not request.future.done():
@@ -940,15 +985,15 @@ class PredictionServer:
         self,
         deployment: Deployment,
         side: str,
-        bucket: int,
+        k: int,
         coalesced: int,
         elapsed: float,
         degraded: bool,
     ) -> None:
-        """Ring-buffer (and log) one over-threshold micro-batch group."""
+        """Ring-buffer (and log) one over-threshold predictor call."""
         entry = {
             "side": side,
-            "bucket": bucket,
+            "k": k,
             "coalesced": coalesced,
             "elapsed_ms": round(elapsed * 1000.0, 3),
             "per_request_ms": round(elapsed * 1000.0 / max(1, coalesced), 3),
@@ -959,10 +1004,10 @@ class PredictionServer:
         self._slow_queries.append(entry)
         self.metrics.inc("server.slow_queries")
         _LOG.warning(
-            "slow query: side=%s bucket=%d coalesced=%d took %.1fms "
+            "slow query: side=%s k=%d coalesced=%d took %.1fms "
             "(threshold %.1fms, generation %d%s)",
             side,
-            bucket,
+            k,
             coalesced,
             entry["elapsed_ms"],
             self.slow_query_ms,

@@ -203,4 +203,6 @@ class TestCLI:
             "--head", dataset.entities.name(1),
             "--relation", dataset.relations.name(0), "--stats",
         ]) == 0
-        assert "cache" in capsys.readouterr().out
+        assert "(none: the counters come from the index; add --index)" in (
+            capsys.readouterr().out
+        )

@@ -184,7 +184,7 @@ class TestOneCheck:
                 predictor.top_k([0], [0], side="head", k=1, candidates=[[3, bad]])
 
     def test_warm_cache_refuses_out_of_range_ids(self, model, dataset):
-        predictor = LinkPredictor(model, dataset)
+        predictor = LinkPredictor(model, dataset, cache_size=64)
         with pytest.raises(ServingError, match="head id -1 out of range"):
             predictor.warm_cache([-1], [0])
         with pytest.raises(ServingError, match="out of range"):

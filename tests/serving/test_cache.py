@@ -48,7 +48,7 @@ def _train_one_step(model, rng):
 class TestCacheHitCorrectness:
     def test_results_identical_after_cache_hits(self, model, queries):
         heads, rels = queries
-        predictor = LinkPredictor(model)
+        predictor = LinkPredictor(model, cache_size=64)
         first = predictor.top_k(heads, rels, side="tail", k=5)
         assert predictor.metrics.counter_value("serving.cache.hits") == 0
         second = predictor.top_k(heads, rels, side="tail", k=5)
@@ -67,7 +67,7 @@ class TestCacheHitCorrectness:
         np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_duplicate_rows_in_one_batch_share_a_sweep(self, model):
-        predictor = LinkPredictor(model)
+        predictor = LinkPredictor(model, cache_size=64)
         heads = np.array([2, 2, 2])
         rels = np.array([1, 1, 1])
         top = predictor.top_k(heads, rels, side="tail", k=4)
@@ -94,7 +94,7 @@ class TestCacheHitCorrectness:
             split([]),
         )
         heads, rels = queries
-        predictor = LinkPredictor(model, dataset)
+        predictor = LinkPredictor(model, dataset, cache_size=64)
         predictor.top_k(heads, rels, side="tail", k=5)
         misses_before = predictor.metrics.counter_value("serving.cache.misses")
         # A filtered query on the same keys must not recompute sweeps even
@@ -128,7 +128,7 @@ class TestCacheCounters:
 class TestCacheInvalidation:
     def test_train_step_between_predictions_invalidates(self, model, queries):
         heads, rels = queries
-        predictor = LinkPredictor(model)
+        predictor = LinkPredictor(model, cache_size=64)
         before = predictor.top_k(heads, rels, side="tail", k=5)
         version_before = model.scoring_version
         _train_one_step(model, np.random.default_rng(9))
@@ -145,7 +145,7 @@ class TestCacheInvalidation:
         """In-place weight edits bypass scoring_version; clear_cache must
         drop the stale LRU entries."""
         heads, rels = queries
-        predictor = LinkPredictor(model)
+        predictor = LinkPredictor(model, cache_size=64)
         before = predictor.top_k(heads, rels, side="tail", k=3)
         model.entity_embeddings[:] = model.entity_embeddings[::-1].copy()
         model.relation_embeddings[:] = -model.relation_embeddings

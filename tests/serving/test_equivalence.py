@@ -212,3 +212,61 @@ class TestTieEdgeCases:
         top = predictor.top_k(np.array([0]), np.array([0]), side="tail", k=10)
         assert np.array_equal(top.ids[0], np.arange(10))
         assert (top.scores == 0.0).all()
+
+
+def _spy_pruned(monkeypatch) -> list:
+    """Record the shapes :func:`repro.core.topk.top_k_columns` sends down
+    its pruned path."""
+    from repro.core import topk
+
+    calls = []
+    original = topk._pruned_top_k
+
+    def spy(scores, k, groups):
+        calls.append(scores.shape)
+        return original(scores, k, groups)
+
+    monkeypatch.setattr(topk, "_pruned_top_k", spy)
+    return calls
+
+
+class TestPrunedSelect:
+    """Enough entities that a sweep's top-k select takes the pruned path
+    of :func:`repro.core.topk.top_k_columns`; the same references hold."""
+
+    NUM = 2_600
+
+    def _model(self):
+        return make_complex(self.NUM, NUM_RELATIONS, BUDGET, np.random.default_rng(37))
+
+    @pytest.mark.parametrize("side", ["tail", "head"])
+    def test_pruned_sweep_matches_brute_force(self, side, monkeypatch):
+        model = self._model()
+        pruned = _spy_pruned(monkeypatch)
+        anchors, relations = np.array([3, 1_500, 2_599]), np.array([0, 2, 5])
+        got = LinkPredictor(model).top_k(anchors, relations, side=side, k=10)
+        assert pruned, "expected the pruned select to run"
+        want_ids, want_scores = brute_force_top_k(model, anchors, relations, 10, side)
+        assert np.array_equal(got.ids, want_ids)
+        np.testing.assert_allclose(got.scores, want_scores, atol=1e-9)
+
+    def test_ties_across_the_kth_score_keep_the_lower_ids(self, monkeypatch):
+        model = self._model()
+        anchors, relations = np.array([5]), np.array([1])
+        k = 12
+        order = np.argsort(-model.score_all_tails(anchors, relations)[0], kind="stable")
+        kth = int(order[k - 2])
+        # Six copies of the (k-1)-th best entity, three ids below it and
+        # three above: a tie group of seven straddling the k-th score, of
+        # which only the two lowest ids fit.
+        rest = order[5 * k:]
+        twins = np.concatenate([rest[rest < kth][:3], rest[rest > kth][:3]])
+        model.entity_embeddings[twins] = model.entity_embeddings[kth]
+        group = np.sort(np.append(twins, kth))
+        pruned = _spy_pruned(monkeypatch)
+        got = LinkPredictor(model).top_k(anchors, relations, side="tail", k=k)
+        assert pruned, "expected the pruned select to run"
+        want_ids, _ = brute_force_top_k(model, anchors, relations, k, "tail")
+        assert np.array_equal(got.ids, want_ids)
+        assert list(got.ids[0, k - 2:]) == list(group[:2])
+        assert got.scores[0, k - 2] == got.scores[0, k - 1]

@@ -3,11 +3,14 @@
 Contract under test (see :mod:`repro.serving.server`):
 
 * **Coalescing is exact** — a micro-batch groups requests by
-  ``(side, filtered, k-bucket)`` and answers them with one
-  ``LinkPredictor`` call, bit-identical to composing the same direct
-  batched call by hand (same code path, same shapes).  Per-query
-  equivalence holds to the repository's chunking tolerance (ids exact,
-  scores to 1e-10 — BLAS reassociates across batch shapes).
+  ``(side, filtered)`` and answers each group with one ``LinkPredictor``
+  call at the group's largest k, all groups in one thread hop,
+  bit-identical to composing the same direct batched call by hand (same
+  code path, same shapes).  Per-query equivalence holds to the
+  repository's chunking tolerance (ids exact, scores to 1e-10 — BLAS
+  reassociates across batch shapes).
+* **A failing request fails alone** — a group whose call fails is re-run
+  one request at a time, so its batch-mates are still answered.
 * **Backpressure** — requests beyond ``queue_depth`` fast-fail with
   :class:`ServerOverloadedError` carrying a retry-after hint.
 * **Hot-swap is atomic** — every response is tagged with the
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -63,6 +67,25 @@ def _second_model(dataset):
     return make_complex(
         dataset.num_entities, dataset.num_relations, BUDGET, np.random.default_rng(99)
     )
+
+
+def _count_calls_and_hops(monkeypatch) -> tuple[list, list]:
+    """Record each ``LinkPredictor.top_k`` call's ``(side, k)`` and each
+    ``asyncio.to_thread`` hop."""
+    calls, hops = [], []
+    top_k, to_thread = LinkPredictor.top_k, asyncio.to_thread
+
+    def counting_top_k(self, *args, **kwargs):
+        calls.append((kwargs["side"], kwargs["k"]))
+        return top_k(self, *args, **kwargs)
+
+    async def counting_to_thread(func, /, *args, **kwargs):
+        hops.append(func)
+        return await to_thread(func, *args, **kwargs)
+
+    monkeypatch.setattr(LinkPredictor, "top_k", counting_top_k)
+    monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
+    return calls, hops
 
 
 class TestKBucket:
@@ -128,8 +151,10 @@ class TestCoalescing:
             np.testing.assert_array_equal(served.ids, expected.ids[0])
             np.testing.assert_allclose(served.scores, expected.scores[0], atol=1e-10)
 
-    def test_k_buckets_split_groups(self, model, dataset):
-        """k=3 and k=7 land in different buckets (4 vs 8) ⇒ two calls."""
+    def test_mixed_k_share_one_call(self, model, dataset, monkeypatch):
+        """k=3 and k=7 in one (side, filtered) group ⇒ one call at k=7,
+        one thread hop, each answer the single-row call's."""
+        calls, hops = _count_calls_and_hops(monkeypatch)
 
         async def main():
             server = PredictionServer(LinkPredictor(model, dataset), max_batch=32)
@@ -139,10 +164,53 @@ class TestCoalescing:
                 return await asyncio.gather(*small, *large), server.stats_dict()
 
         results, stats = asyncio.run(main())
-        assert all(r.coalesced == 4 for r in results)
-        assert [len(r.ids) for r in results] == [3] * 4 + [7] * 4
-        assert stats["dispatch_calls"] == 2
         assert stats["batches"] == 1
+        assert stats["dispatch_calls"] == 1
+        assert calls == [("tail", 7)]
+        assert len(hops) == 1
+        assert all(r.coalesced == 8 for r in results)
+        direct = LinkPredictor(model, dataset)
+        for row, served in enumerate(results):
+            expected = direct.top_k([row % 4], [0], side="tail", k=3 if row < 4 else 7)
+            np.testing.assert_array_equal(served.ids, expected.ids[0])
+            np.testing.assert_allclose(served.scores, expected.scores[0], atol=1e-10)
+
+    def test_full_mix_is_five_calls_in_one_hop(self, model, dataset, monkeypatch):
+        """Every (side, filtered) pair and k in {1, 10, 50} in one batch:
+        five predictor calls, one thread hop, exact answers."""
+        calls, hops = _count_calls_and_hops(monkeypatch)
+        rng = np.random.default_rng(5)
+        queries = []
+        for i in range(40):
+            side = ("tail", "head", "relation")[i % 3]
+            filtered = side != "relation" and bool(i % 2)
+            other = dataset.num_entities if side == "relation" else dataset.num_relations
+            queries.append((side, int(rng.integers(0, dataset.num_entities)),
+                            int(rng.integers(0, other)), int(rng.choice([1, 10, 50])),
+                            filtered))
+        largest = {}
+        for side, _, _, k, filtered in queries:
+            largest[side, filtered] = max(k, largest.get((side, filtered), 0))
+        assert len(largest) == 5
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=64)
+            async with server:
+                return await asyncio.gather(*(
+                    server.top_k(a, b, side=side, k=k, filtered=filtered)
+                    for side, a, b, k, filtered in queries
+                )), server.stats_dict()
+
+        results, stats = asyncio.run(main())
+        assert stats["batches"] == 1
+        assert stats["dispatch_calls"] == len(calls) == 5
+        assert sorted(calls) == sorted((side, k) for (side, _), k in largest.items())
+        assert len(hops) == 1
+        direct = LinkPredictor(model, dataset)
+        for (side, a, b, k, filtered), served in zip(queries, results):
+            expected = direct.top_k([a], [b], side=side, k=k, filtered=filtered)
+            np.testing.assert_array_equal(served.ids, expected.ids[0])
+            np.testing.assert_allclose(served.scores, expected.scores[0], atol=1e-10)
 
     def test_max_batch_bounds_a_tick(self, model, dataset):
         async def main():
@@ -289,6 +357,60 @@ class TestHotSwap:
                 return served.generation
 
         assert asyncio.run(main()) == 1
+
+
+class TestIsolation:
+    def test_a_request_out_of_range_after_a_swap_fails_alone(
+        self, model, dataset, monkeypatch
+    ):
+        """Four tail requests admitted against a 200-entity model queue
+        behind a held batch; a swap to a 100-entity model lands first.
+        Head 150 is now out of range: it fails, heads 1-3 are answered."""
+        scoring, release = threading.Event(), threading.Event()
+        top_k = LinkPredictor.top_k
+
+        def held_top_k(self, *args, **kwargs):
+            if not scoring.is_set():
+                scoring.set()
+                release.wait(10.0)
+            return top_k(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinkPredictor, "top_k", held_top_k)
+        small = make_complex(
+            100, dataset.num_relations, BUDGET, np.random.default_rng(5)
+        )
+
+        async def main():
+            server = PredictionServer(LinkPredictor(model, dataset), max_batch=32)
+            async with server:
+                held = asyncio.ensure_future(server.top_k(0, 0, side="tail", k=5))
+                await asyncio.to_thread(scoring.wait, 10.0)
+                queued = [
+                    asyncio.ensure_future(server.top_k(head, 0, side="tail", k=5))
+                    for head in (150, 1, 2, 3)
+                ]
+                await asyncio.sleep(0)  # all four admitted and queued
+                swap = asyncio.ensure_future(server.swap_predictor(LinkPredictor(small)))
+                await asyncio.sleep(0)  # the swap waits for the held batch
+                release.set()
+                await held
+                await swap
+                outcomes = await asyncio.gather(*queued, return_exceptions=True)
+                return outcomes, server.stats_dict()
+
+        outcomes, stats = asyncio.run(main())
+        assert isinstance(outcomes[0], ServingError)
+        assert "head id 150 out of range [0, 100)" in str(outcomes[0])
+        monkeypatch.undo()
+        direct = LinkPredictor(small)
+        for head, served in zip((1, 2, 3), outcomes[1:]):
+            assert not isinstance(served, Exception), served
+            assert served.generation == 2
+            expected = direct.top_k([head], [0], side="tail", k=5)
+            np.testing.assert_array_equal(served.ids, expected.ids[0])
+            np.testing.assert_allclose(served.scores, expected.scores[0], atol=1e-10)
+        assert stats["failed"] == 1
+        assert stats["served"] == 4
 
 
 class TestLifecycle:

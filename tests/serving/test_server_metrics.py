@@ -8,9 +8,9 @@ Contract under test (see :mod:`repro.serving.server`):
 * **The ``metrics`` op** exposes the full registry snapshot (counters,
   gauges, histograms) plus the slow-query ring over TCP, and
   :meth:`metrics_text` renders the same snapshot Prometheus-style.
-* **Slow queries** — a micro-batch group whose scoring call exceeds
+* **Slow queries** — a predictor call of a micro-batch that exceeds
   ``slow_query_ms`` wall-clock lands in a bounded ring with enough
-  context to debug it (side, bucket, coalesced, generation).
+  context to debug it (side, k, coalesced, generation).
 * **Hot-swap resets the latency profile** — the retry-after hint is
   priced off the *current* deployment's service times; carrying the old
   model's histogram across a swap mis-priced every hint until the
@@ -122,7 +122,9 @@ class TestStatsCompatibility:
 class TestMetricsOp:
     def test_metrics_dict_has_registry_and_gauges(self, model, dataset):
         async def main():
-            server = PredictionServer(LinkPredictor(model, dataset), max_batch=8)
+            server = PredictionServer(
+                LinkPredictor(model, dataset, cache_size=64), max_batch=8
+            )
             async with server:
                 await _serve_some(server, 5)
                 return server.metrics_dict()
@@ -351,12 +353,12 @@ class TestSwapResetsLatencyProfile:
         assert histograms["server.wait_seconds"]["count"] == 5
 
 
-def _ivfpq_predictor(model, dataset):
+def _ivfpq_predictor(model, dataset, **predictor_kwargs):
     from repro.index.ivf import IVFIndex
     from repro.index.pq import PQConfig
 
     index = IVFIndex(model, nlist=14, nprobe=3, spill=2, pq=PQConfig(m=4, refine=10))
-    return LinkPredictor(model, dataset, index=index)
+    return LinkPredictor(model, dataset, index=index, **predictor_kwargs)
 
 
 INDEX_KEYS = {
@@ -376,7 +378,7 @@ class TestOneSnapshot:
         so ``metrics`` kept reporting them after ``stats`` said no index."""
 
         async def main():
-            server = PredictionServer(_ivfpq_predictor(model, dataset))
+            server = PredictionServer(_ivfpq_predictor(model, dataset, cache_size=64))
             async with server:
                 await _serve_some(server, 6)
                 before = server.metrics_dict()["metrics"]
