@@ -16,6 +16,8 @@ Layers:
 * :mod:`repro.index.ivf` — :class:`IVFIndex`, a deterministic k-means
   inverted file with ``nlist``/``nprobe``/``spill`` knobs and process-
   pool build fan-out;
+* :mod:`repro.index.kmeans` — the one nearest-centroid routine and the
+  one seeded k-means loop, shared by the IVF cells and the PQ codebooks;
 * :mod:`repro.index.exact` — :class:`ExactIndex`, the brute-force
   oracle with the identical interface;
 * :mod:`repro.index.base` — the shared contract (:class:`CandidateIndex`,
@@ -47,7 +49,7 @@ _LAZY_EXPORTS = {
     "fold_candidate_rows": "repro.index.folded_vectors",
     "IVFIndex": "repro.index.ivf",
     "IndexUpdateReport": "repro.index.ivf",
-    "deterministic_kmeans": "repro.index.ivf",
+    "deterministic_kmeans": "repro.index.kmeans",
     "ExactIndex": "repro.index.exact",
 }
 

@@ -155,7 +155,6 @@ class CandidateIndex(abc.ABC):
         anchors: np.ndarray,
         relations: np.ndarray,
         side: str,
-        nprobe: int | None = None,
     ) -> CandidateBatch:
         """Ascending candidate id shortlists for a query batch."""
 

@@ -32,7 +32,6 @@ class ExactIndex(CandidateIndex):
         anchors: np.ndarray,
         relations: np.ndarray,
         side: str,
-        nprobe: int | None = None,
     ) -> CandidateBatch:
         """All entities for every query (``covers_all`` batches)."""
         self.ensure_fresh()

@@ -5,8 +5,9 @@ geometry:
 
 * **Partitioning** — for every queried ``(relation, side)`` the entities'
   *folded* candidate vectors (:mod:`repro.index.folded_vectors`) are
-  clustered into ``nlist`` cells by a seeded, fixed-iteration k-means,
-  so two builds from the same model and seed are identical arrays.
+  clustered into ``nlist`` cells by a seeded, fixed-iteration k-means
+  (:mod:`repro.index.kmeans`), so two builds from the same model and
+  seed are identical arrays.
   Each entity is assigned to its ``spill`` nearest cells (multi-
   assignment): boundary entities — exactly the ones coarse quantizers
   lose — appear in several cells, buying recall at a small storage cost.
@@ -53,83 +54,12 @@ from repro.index.base import (
     read_index_meta,
 )
 from repro.index.folded_vectors import FoldedCandidateSource, fold_candidate_rows
+from repro.index.kmeans import deterministic_kmeans, nearest_centroids
 from repro.index.pq import PQConfig, ProductQuantizer
+from repro.kg.triples import in_sorted
 from repro.obs.trace import trace_scope
 from repro.parallel.payload import ModelPayload, model_from_payload, model_to_payload
 from repro.parallel.pool import run_tasks
-
-#: Element budget for one ``(chunk, nlist)`` distance matrix.
-_ASSIGN_CHUNK_ELEMENTS = 1 << 22
-
-
-def _nearest_cells(points: np.ndarray, centroids: np.ndarray, spill: int) -> np.ndarray:
-    """``(n, spill)`` nearest-centroid ids per point, ties toward lower id.
-
-    Distances are ranked via ``‖x−c‖² = ‖x‖² − 2x·c + ‖c‖²`` with the
-    point norm dropped (constant per row); the chunked loop bounds the
-    live distance matrix regardless of ``len(points)``.
-    """
-    n = len(points)
-    centroid_sq = np.einsum("cf,cf->c", centroids, centroids)
-    out = np.empty((n, spill), dtype=np.int32)
-    chunk = max(1, _ASSIGN_CHUNK_ELEMENTS // max(1, len(centroids)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        distances = points[start:stop] @ centroids.T
-        distances *= -2.0
-        distances += centroid_sq[None, :]
-        if spill == 1:
-            # argmin returns the first minimum: the lower cell id.
-            out[start:stop, 0] = np.argmin(distances, axis=1)
-        else:
-            out[start:stop] = np.argsort(distances, axis=1, kind="stable")[:, :spill]
-    return out
-
-
-def deterministic_kmeans(
-    points: np.ndarray,
-    nlist: int,
-    seed: int = 0,
-    iters: int = 10,
-    train_sample: int | None = None,
-) -> np.ndarray:
-    """Seeded fixed-iteration k-means; returns ``(nlist, f)`` centroids.
-
-    Initial centroids are ``nlist`` distinct points drawn by the seeded
-    generator; every later step is deterministic numpy, so the result
-    depends only on ``(points, nlist, seed, iters, train_sample)``.
-    Cells that go empty keep their previous centroid (no random
-    re-seeding — that would make the iteration count observable in the
-    output).
-
-    *train_sample* bounds the fitting cost at scale: centroids are
-    fitted on a seeded row subset of that size (the caller still assigns
-    *every* point to the fitted centroids).  ``None`` — the default —
-    fits on all rows and is bit-identical to the historical behaviour.
-    """
-    n, f = points.shape
-    if not 1 <= nlist <= n:
-        raise ServingError(f"nlist must be in [1, {n}], got {nlist}")
-    if iters < 1:
-        raise ServingError(f"iters must be >= 1, got {iters}")
-    if train_sample is not None and train_sample < 1:
-        raise ServingError(f"train_sample must be >= 1, got {train_sample}")
-    rng = np.random.default_rng(seed)
-    if train_sample is not None and train_sample < n:
-        sample = np.sort(rng.choice(n, size=max(train_sample, nlist), replace=False))
-        points = np.asarray(points[sample])
-        n = len(points)
-    initial = np.sort(rng.choice(n, size=nlist, replace=False))
-    centroids = points[initial].astype(np.float64, copy=True)
-    for _ in range(iters):
-        assign = _nearest_cells(points, centroids, spill=1)[:, 0]
-        counts = np.bincount(assign, minlength=nlist)
-        sums = np.zeros((nlist, f), dtype=np.float64)
-        np.add.at(sums, assign, points)
-        occupied = counts > 0
-        centroids[occupied] = sums[occupied] / counts[occupied, None]
-    return centroids
-
 
 class _Partition:
     """One ``(relation, side)`` inverted file: centroids + CSR member lists.
@@ -221,7 +151,7 @@ def _build_partition(
         iters=iters,
         train_sample=train_sample,
     )
-    assignments = _nearest_cells(matrix, centroids, spill=min(spill, nlist))
+    assignments = nearest_centroids(matrix, centroids, k=min(spill, nlist))
     flat = assignments.ravel()
     ids = np.repeat(
         np.arange(source.num_entities, dtype=np.int32), assignments.shape[1]
@@ -351,9 +281,8 @@ class IVFIndex(CandidateIndex):
     nlist:
         Number of k-means cells per partition; default ``≈ 2·√N``.
     nprobe:
-        Default number of cells probed per query (overridable per
-        search); default ``nlist // 8``.  ``nprobe == nlist`` degrades
-        to the exact full sweep.
+        Number of cells probed per query; default ``nlist // 8``.
+        ``nprobe == nlist`` degrades to the exact full sweep.
     seed, iters:
         K-means determinism knobs (seeded init, fixed iteration count).
     spill:
@@ -445,7 +374,7 @@ class IVFIndex(CandidateIndex):
 
     @property
     def nprobe(self) -> int:
-        """Default cells probed per query."""
+        """Cells probed per query."""
         return self._nprobe
 
     @nprobe.setter
@@ -615,29 +544,30 @@ class IVFIndex(CandidateIndex):
         # Pass 1: fold + re-assign every partition's dirty rows and measure
         # assignment drift, deferring all mutation so a drift-triggered
         # rebuild never leaves the index half-spliced.
-        staged: list[tuple[tuple[int, str], np.ndarray, np.ndarray, int]] = []
+        staged: list[tuple[tuple[int, str], np.ndarray, np.ndarray, int, np.ndarray]] = []
         changed = 0
         existing_total = 0
         max_new = 0
+        nlist = self.nlist
         for key, partition in self._partitions.items():
             relation, side = key
             folded = fold_candidate_rows(self.model, relation, side, dirty)
-            assignments = _nearest_cells(folded, partition.centroids, self.spill)
+            assignments = nearest_centroids(folded, partition.centroids, self.spill)
             old_count = int(len(partition.members)) // self.spill
-            existing = dirty[dirty < old_count]
+            existing = dirty[dirty < old_count]  # a prefix: dirty ascends
             max_new = max(max_new, int(len(dirty) - len(existing)))
+            # Member positions of dirty entities; new ones hold none yet.
+            moving = in_sorted(partition.members, existing)
             if len(existing):
-                old_cells: dict[int, set[int]] = {}
-                for cell_id in range(self.nlist):
-                    cell = partition.cell(cell_id)
-                    for entity in cell[np.isin(cell, existing)]:
-                        old_cells.setdefault(int(entity), set()).add(cell_id)
-                positions = np.searchsorted(dirty, existing)
-                for entity, row in zip(existing, assignments[positions]):
-                    if old_cells.get(int(entity), set()) != set(int(c) for c in row):
-                        changed += 1
+                # An entity drifted when its (entity, cell) keys differ
+                # before and after: it owns a key of the symmetric difference.
+                positions = np.flatnonzero(moving)
+                cells = np.searchsorted(partition.offsets, positions, side="right") - 1
+                before = partition.members[positions].astype(np.int64) * nlist + cells
+                after = existing[:, None] * nlist + assignments[: len(existing)]
+                changed += len(np.unique(np.setxor1d(before, after.ravel()) // nlist))
                 existing_total += len(existing)
-            staged.append((key, folded, assignments, old_count))
+            staged.append((key, folded, assignments, old_count, moving))
 
         drift = changed / existing_total if existing_total else 0.0
         if drift > drift_threshold:
@@ -651,28 +581,23 @@ class IVFIndex(CandidateIndex):
                 seconds=time.perf_counter() - start,
             )
 
-        # Pass 2: splice.  Partitions are replaced, not written into —
-        # loaded memmapped tables stay untouched on disk.
-        for key, folded, assignments, old_count in staged:
+        # Pass 2: splice with one sort of packed ``cell·N + id`` keys over
+        # the kept members and the dirty rows' new cells, which orders
+        # every cell and each cell's ids.  Partitions are replaced, not
+        # written into — loaded memmapped tables stay untouched on disk.
+        size = self.model.num_entities
+        for key, folded, assignments, old_count, moving in staged:
             partition = self._partitions[key]
-            flat = assignments.ravel()
-            add_ids = np.repeat(dirty, assignments.shape[1]).astype(np.int32)
-            order = np.argsort(flat, kind="stable")
-            add_sorted = add_ids[order]
-            add_offsets = np.concatenate(
-                [[0], np.cumsum(np.bincount(flat, minlength=self.nlist))]
-            ).astype(np.int64)
-            cells = []
-            for cell_id in range(self.nlist):
-                kept = partition.cell(cell_id)
-                kept = kept[~np.isin(kept, dirty)]
-                adds = add_sorted[add_offsets[cell_id] : add_offsets[cell_id + 1]]
-                cells.append(np.sort(np.concatenate([kept, adds])) if len(adds) else kept)
-            members = (
-                np.concatenate(cells) if cells else np.empty(0, dtype=np.int32)
-            ).astype(np.int32, copy=False)
+            kept = ~moving
+            cells = np.repeat(np.arange(nlist, dtype=np.int64), partition.cell_sizes())
+            keys = np.concatenate([
+                cells[kept] * size + partition.members[kept],
+                (assignments.astype(np.int64) * size + dirty[:, None]).ravel(),
+            ])
+            keys.sort()
+            members = (keys % size).astype(np.int32)
             offsets = np.concatenate(
-                [[0], np.cumsum([len(cell) for cell in cells])]
+                [[0], np.cumsum(np.bincount(keys // size, minlength=nlist))]
             ).astype(np.int64)
             codes = None
             if partition.pq is not None:
@@ -704,7 +629,6 @@ class IVFIndex(CandidateIndex):
         anchors: np.ndarray,
         relations: np.ndarray,
         side: str,
-        nprobe: int | None = None,
     ) -> CandidateBatch:
         """Probed candidate shortlists; see :class:`CandidateBatch`.
 
@@ -725,7 +649,7 @@ class IVFIndex(CandidateIndex):
         relations = np.atleast_1d(np.asarray(relations, dtype=np.int64))
         if anchors.shape != relations.shape or anchors.ndim != 1:
             raise ServingError("anchors and relations must be 1-D arrays of equal length")
-        nprobe = self._check_nprobe(self.nprobe if nprobe is None else nprobe)
+        nprobe = self.nprobe
         batch = len(anchors)
         num_entities = self.num_entities
         if nprobe >= self.nlist:

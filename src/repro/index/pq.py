@@ -17,10 +17,11 @@ to its ``refine`` most promising members; the final answer is always an
 exact re-rank with true model scores, so PQ moves recall, never
 correctness of the scores returned.
 
-Everything is deterministic: codebooks are trained by the same
-fixed-iteration seeded k-means contract as the IVF cells, on a seeded
-sample of the rows, with one :class:`numpy.random.SeedSequence` child
-per subspace — identical inputs and config produce identical codes on
+Everything is deterministic: codebooks are trained by the IVF cells'
+own seeded fixed-iteration k-means
+(:func:`~repro.index.kmeans.deterministic_kmeans`), on a seeded sample
+of the rows, with one :class:`numpy.random.SeedSequence` child per
+subspace — identical inputs and config produce identical codes on
 every machine.
 """
 
@@ -31,9 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.errors import ServingError
-
-#: Element budget for one ``(chunk, ks)`` subspace distance matrix.
-_ENCODE_CHUNK_ELEMENTS = 1 << 22
+from repro.index.kmeans import deterministic_kmeans, nearest_centroids
 
 #: Codes are uint8: at most 256 centroids per subspace.
 MAX_CODEBOOK = 256
@@ -90,43 +89,6 @@ class PQConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PQConfig":
         return cls(**dict(data))
-
-
-def _nearest_subspace(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid id per point (Euclidean), ties toward lower id."""
-    n = len(points)
-    centroid_sq = np.einsum("cf,cf->c", centroids, centroids)
-    out = np.empty(n, dtype=np.int64)
-    chunk = max(1, _ENCODE_CHUNK_ELEMENTS // max(1, len(centroids)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        distances = points[start:stop] @ centroids.T
-        distances *= -2.0
-        distances += centroid_sq[None, :]
-        out[start:stop] = np.argmin(distances, axis=1)
-    return out
-
-
-def _subspace_kmeans(
-    points: np.ndarray, ks: int, rng: np.random.Generator, iters: int
-) -> np.ndarray:
-    """Seeded fixed-iteration k-means over one subspace; ``(ks, sub)`` centroids.
-
-    Same determinism contract as the IVF cell k-means: seeded distinct-
-    row init, fixed iteration count, empty cells keep their previous
-    centroid.
-    """
-    n, sub = points.shape
-    initial = np.sort(rng.choice(n, size=ks, replace=False))
-    centroids = points[initial].astype(np.float64, copy=True)
-    for _ in range(iters):
-        assign = _nearest_subspace(points, centroids)
-        counts = np.bincount(assign, minlength=ks)
-        sums = np.zeros((ks, sub), dtype=np.float64)
-        np.add.at(sums, assign, points)
-        occupied = counts > 0
-        centroids[occupied] = sums[occupied] / counts[occupied, None]
-    return centroids
 
 
 class ProductQuantizer:
@@ -217,9 +179,7 @@ class ProductQuantizer:
             block = points[:, j * sub : (j + 1) * sub]
             train = block if train_rows is None else block[train_rows]
             train = np.asarray(train, dtype=np.float64)
-            codebooks[j] = _subspace_kmeans(
-                train, ks, np.random.default_rng(child), config.iters
-            )
+            codebooks[j] = deterministic_kmeans(train, ks, seed=child, iters=config.iters)
         return cls(codebooks)
 
     # ------------------------------------------------------------- encoding
@@ -235,7 +195,7 @@ class ProductQuantizer:
         sub = self.sub_dim
         for j in range(self.m):
             block = np.asarray(points[:, j * sub : (j + 1) * sub], dtype=np.float64)
-            codes[:, j] = _nearest_subspace(block, self.codebooks[j]).astype(np.uint8)
+            codes[:, j] = nearest_centroids(block, self.codebooks[j])[:, 0]
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:

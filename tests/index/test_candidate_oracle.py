@@ -30,11 +30,11 @@ NLIST = 12
 SIDES = ("tail", "head")
 
 
-def oracle_candidate_lists(index, anchors, relations, side, nprobe=None):
+def oracle_candidate_lists(index, anchors, relations, side):
     """The per-row reference: ``(rows, num_scored, num_scanned, pq_rows)``."""
     anchors = np.atleast_1d(np.asarray(anchors, dtype=np.int64))
     relations = np.atleast_1d(np.asarray(relations, dtype=np.int64))
-    nprobe = index.nprobe if nprobe is None else nprobe
+    nprobe = index.nprobe
     rows = [None] * len(anchors)
     num_scored = num_scanned = pq_rows = 0
     for relation in np.unique(relations):
@@ -108,10 +108,9 @@ def random_batch(rng, num_entities, num_relations):
 
 
 def assert_matches_oracle(index, anchors, relations, side, nprobe):
-    rows, num_scored, num_scanned, _ = oracle_candidate_lists(
-        index, anchors, relations, side, nprobe
-    )
-    batch = index.candidate_lists(anchors, relations, side, nprobe=nprobe)
+    index.nprobe = nprobe
+    rows, num_scored, num_scanned, _ = oracle_candidate_lists(index, anchors, relations, side)
+    batch = index.candidate_lists(anchors, relations, side)
     assert not batch.covers_all
     assert batch.ids.dtype == np.int64
     assert batch.ids.shape == (len(rows), max(len(row) for row in rows))
@@ -202,8 +201,9 @@ class TestMatchesPerRowOracle:
                     anchors, relations = random_batch(
                         rng, model.num_entities, model.num_relations
                     )
+                    index.nprobe = nprobe
                     rows, _, num_scanned, _ = oracle_candidate_lists(
-                        index, anchors, relations, side, nprobe
+                        index, anchors, relations, side
                     )
                     fell_back += sum(len(row) == model.num_entities for row in rows)
                     fell_back += num_scanned // model.num_entities

@@ -77,13 +77,15 @@ class TestCandidateLists:
         assert batch.rows is None
         assert batch.num_scored == model.num_entities
 
-    def test_nprobe_override_and_bounds(self, model):
+    def test_nprobe_setter_and_bounds(self, model):
         index = IVFIndex(model, nlist=12, nprobe=3)
-        small = index.candidate_lists([0], [0], "tail", nprobe=1)
-        large = index.candidate_lists([0], [0], "tail", nprobe=6)
+        index.nprobe = 1
+        small = index.candidate_lists([0], [0], "tail")
+        index.nprobe = 6
+        large = index.candidate_lists([0], [0], "tail")
         assert len(small.rows[0]) <= len(large.rows[0])
         with pytest.raises(ServingError):
-            index.candidate_lists([0], [0], "tail", nprobe=0)
+            index.nprobe = 0
         with pytest.raises(ServingError):
             index.nprobe = 13
 

@@ -82,6 +82,25 @@ def test_index_backed_serving_reproduces_expected_topk():
         assert [float(s) for s in np.asarray(result.scores)[0]] == query["scores"]
 
 
+def test_rebuilding_the_index_reproduces_its_arrays_byte_for_byte():
+    """The stored index section, rebuilt from the checkpoint, writes
+    every persisted array again: same names, dtypes, shapes and bytes."""
+    from repro.pipeline.components import build_index
+    from repro.pipeline.runner import load_run
+
+    loaded = load_run(FIXTURE)
+    index = build_index(loaded.model, loaded.config.index)
+    index.build()
+    rebuilt = index._arrays()
+    with np.load(FIXTURE / "index" / "arrays.npz") as stored:
+        assert sorted(rebuilt) == sorted(stored.files)
+        for name in stored.files:
+            expected = stored[name]
+            assert rebuilt[name].dtype == expected.dtype, name
+            assert rebuilt[name].shape == expected.shape, name
+            assert rebuilt[name].tobytes() == expected.tobytes(), name
+
+
 def test_ingest_converts_to_the_store_layout(legacy_copy, tmp_path, capsys):
     from repro.cli import main
     from repro.ingest import GraphDelta

@@ -62,7 +62,7 @@ class DegeneratePartitionIndex(CandidateIndex):
         super().__init__(model)
         self.empty_for_all = empty_for_all
 
-    def candidate_lists(self, anchors, relations, side, nprobe=None):
+    def candidate_lists(self, anchors, relations, side):
         anchors = np.atleast_1d(np.asarray(anchors, dtype=np.int64))
         rows = []
         for anchor in anchors:
